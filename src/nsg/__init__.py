@@ -7,6 +7,7 @@ the member-difference order on them, complete-intersection witnesses, and
 exhaustive enumeration drivers.
 """
 
+from .analysis import SemigroupAnalysis
 from .bettiposet import (
     Classification,
     ExponentSupport,
@@ -83,6 +84,7 @@ from .witt import (
     CyclotomicFactorization,
     ExponentSequence,
     GrowthReport,
+    cyclotomic_factorization,
     cyclotomic_polynomial,
     exponent_sequence,
     exponents_from_cyclotomic_factors,

@@ -13,19 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import (
-    BoundTooSmallError,
-    ChainNotSortedError,
-    NotInSubsetError,
-)
-from .factorization import betti_elements, denumerant_series
+from .errors import ChainNotSortedError, NotInSubsetError
+from .factorization import betti_elements
 from .semigroup import NumericalSemigroup
-from .witt import (
-    ExponentSequence,
-    exponent_sequence,
-    exponents_from_cyclotomic_factors,
-    factor_into_cyclotomics,
-)
 
 
 def leq(S: NumericalSemigroup, a: int, b: int) -> bool:
@@ -140,29 +130,10 @@ class ExponentSupport:
 
 
 def exponent_support(S: NumericalSemigroup, bound: int | None = None) -> ExponentSupport:
-    if bound is None:
-        bound = S.default_bound
-    if bound < S.default_bound:
-        raise BoundTooSmallError(
-            f"bound {bound} is below the default truncation {S.default_bound}"
-        )
-    generators = set(S.generators)
-    sequence = exponent_sequence(S, bound)
-    prefix_members = tuple(
-        j for j in range(2, bound + 1) if sequence[j] != 0 and j not in generators
-    )
-    if S.is_trivial:
-        return ExponentSupport((), bound, True)
-    factorization = factor_into_cyclotomics(S.polynomial()) if S.is_symmetric() else None
-    if factorization is None or not factorization.complete:
-        return ExponentSupport(prefix_members, bound, False)
-    full = exponents_from_cyclotomic_factors(factorization.factors)
-    members = tuple(
-        sorted(j for j, e in full.items() if j >= 2 and e != 0 and j not in generators)
-    )
-    assert prefix_members == tuple(j for j in members if j <= bound)
-    assert all(j in S for j in members)
-    return ExponentSupport(members, bound, True)
+    """The exponent support at ``bound``, by default ``S.default_bound``."""
+    from .analysis import SemigroupAnalysis  # the analysis layer sits above this module
+
+    return SemigroupAnalysis(S, bound).support
 
 
 @dataclass(frozen=True)
@@ -238,11 +209,6 @@ class Classification:
         }
 
 
-def _totally_ordered_by_divisibility(values) -> bool:
-    values = sorted(values)
-    return all(b % a == 0 for a, b in zip(values, values[1:]))
-
-
 def classify(S: NumericalSemigroup) -> Classification:
     """Ground-truth flags from the Betti catalog.
 
@@ -250,26 +216,9 @@ def classify(S: NumericalSemigroup) -> Classification:
     incomparable pair in the truncated support certifies non-sortedness, and
     for finitely supported sequences the equivalences are checked exactly.
     """
-    catalog = betti_elements(S)
-    betti = OrderedSubset(S, catalog)
-    betti_sorted = betti.is_totally_ordered()
-    betti_divisible = _totally_ordered_by_divisibility(betti.elements)
-    unique_betti = len(betti) == 1
-    betti_forest = betti.hasse().is_forest
+    from .analysis import SemigroupAnalysis
 
-    support = exponent_support(S)
-    support_set = OrderedSubset(S, support.members)
-    if not support_set.is_totally_ordered():
-        assert not betti_sorted, "incomparable support pair on a sorted Betti set"
-    if support.exact:
-        assert betti_sorted == support_set.is_totally_ordered()
-        assert betti_divisible == _totally_ordered_by_divisibility(support.members)
-        assert unique_betti == (len(support.members) == 1)
-        e_forest = support_set.hasse().is_forest
-    else:
-        prefix_forest = support_set.hasse().is_forest
-        e_forest = None if prefix_forest else False
-    return Classification(betti_sorted, betti_divisible, unique_betti, betti_forest, e_forest)
+    return SemigroupAnalysis(S).classification
 
 
 @dataclass(frozen=True)
@@ -306,33 +255,6 @@ class TheoremReport:
         }
 
 
-def _check_exponent_values(
-    S: NumericalSemigroup, sequence: ExponentSequence, counts: list[int]
-) -> CheckResult:
-    check_id = "exponent-values-at-generators-and-gaps"
-    statement = (
-        "e_1 = 1; e_j = 0 at gaps j >= 2; e_j = -1 at minimal generators; "
-        "e_j = 0 at non-generators with a unique factorization"
-    )
-    generators = set(S.generators)
-    witness = None
-    if sequence[1] != 1:
-        witness = f"e_1 = {sequence[1]}"
-    for j in range(2, sequence.bound + 1):
-        if witness:
-            break
-        e = sequence[j]
-        if j not in S:
-            if e != 0:
-                witness = f"gap {j} has e = {e}"
-        elif j in generators:
-            if e != -1:
-                witness = f"generator {j} has e = {e}"
-        elif counts[j] == 1 and e != 0:
-            witness = f"unique-factorization element {j} has e = {e}"
-    return CheckResult(check_id, statement, witness is None, witness)
-
-
 def verify_theorems(S: NumericalSemigroup, bound: int | None = None) -> TheoremReport:
     """Re-verify the exponent/Betti structure theorems on one semigroup.
 
@@ -342,90 +264,6 @@ def verify_theorems(S: NumericalSemigroup, bound: int | None = None) -> TheoremR
     agreement of the chain-down-set parts together with e = nc - 1 there; and
     that every element with two factorizations dominates a support index.
     """
-    if bound is None:
-        bound = S.default_bound
-    if bound < S.default_bound:
-        raise BoundTooSmallError(
-            f"bound {bound} is below the default truncation {S.default_bound}"
-        )
-    if S.is_trivial:
-        checks = tuple(
-            CheckResult(check_id, "vacuous for the trivial semigroup", True)
-            for check_id in (
-                "exponent-values-at-generators-and-gaps",
-                "minimal-betti-vs-minimal-support",
-                "chain-betti-vs-chain-support",
-                "support-below-every-multifactor-element",
-            )
-        )
-        return TheoremReport(S.generators, bound, checks)
+    from .analysis import SemigroupAnalysis
 
-    sequence = exponent_sequence(S, bound)
-    counts = denumerant_series(S, bound)
-    catalog = betti_elements(S)
-    betti = OrderedSubset(S, catalog)
-    support = exponent_support(S, bound)
-    prefix_members = [j for j in support.members if j <= bound]
-    support_set = OrderedSubset(S, prefix_members)
-
-    checks = [_check_exponent_values(S, sequence, counts)]
-
-    witness = None
-    betti_minimals = betti.minimals()
-    support_minimals = support_set.minimals()
-    if set(betti_minimals) != set(support_minimals):
-        witness = f"minimals differ: {betti_minimals} vs {support_minimals}"
-    else:
-        for alpha in betti_minimals:
-            isolated = catalog[alpha].isolated_count
-            if not (sequence[alpha] == counts[alpha] - 1 == isolated - 1):
-                witness = (
-                    f"at {alpha}: e = {sequence[alpha]}, "
-                    f"denumerant - 1 = {counts[alpha] - 1}, isolated - 1 = {isolated - 1}"
-                )
-                break
-    checks.append(
-        CheckResult(
-            "minimal-betti-vs-minimal-support",
-            "minimal Betti elements = minimal support indices, "
-            "with e = denumerant - 1 = isolated count - 1 there",
-            witness is None,
-            witness,
-        )
-    )
-
-    witness = None
-    betti_u = betti.u_set()
-    support_u = support_set.u_set()
-    if set(betti_u) != set(support_u):
-        witness = f"chain parts differ: {tuple(betti_u)} vs {tuple(support_u)}"
-    else:
-        for b in betti_u:
-            if sequence[b] != catalog[b].nc - 1:
-                witness = f"at {b}: e = {sequence[b]}, classes - 1 = {catalog[b].nc - 1}"
-                break
-    checks.append(
-        CheckResult(
-            "chain-betti-vs-chain-support",
-            "Betti elements with chain down-sets = support indices with chain "
-            "down-sets, with e = R-class count - 1 there",
-            witness is None,
-            witness,
-        )
-    )
-
-    witness = None
-    for s in range(bound + 1):
-        if counts[s] >= 2 and not any(leq(S, d, s) for d in prefix_members):
-            witness = f"{s} has {counts[s]} factorizations but no support index below"
-            break
-    checks.append(
-        CheckResult(
-            "support-below-every-multifactor-element",
-            "every element with at least two factorizations has a support "
-            "index below it",
-            witness is None,
-            witness,
-        )
-    )
-    return TheoremReport(S.generators, bound, tuple(checks))
+    return SemigroupAnalysis(S, bound).theorem_report

@@ -13,11 +13,9 @@ import sys
 
 import click
 
-from .bettiposet import OrderedSubset, classify
-from .ci import gluing_decompose, is_complete_intersection
-from .enumeration import parse_token
+from .analysis import SemigroupAnalysis
+from .ci import gluing_decompose
 from .export import dumps_json, write_csv, write_dot, write_json
-from .factorization import betti_elements
 from .semigroup import NumericalSemigroup
 from .verification import (
     CHECKS,
@@ -27,12 +25,25 @@ from .verification import (
     enumerate_job,
     run_verification,
 )
-from .witt import exponent_sequence, is_cyclotomic
+from .witt import exponent_sequence
 
 
 def _parse_semigroup(text: str) -> NumericalSemigroup:
     try:
         return NumericalSemigroup.parse(text)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+
+
+def _family_job(genus_max, frobenius, filters: str, resume_token=None) -> EnumerationJob:
+    """The job for exactly one of --genus-max, --frobenius; bad input is a usage error."""
+    if (genus_max is None) == (frobenius is None):
+        raise click.UsageError("pass exactly one of --genus-max, --frobenius")
+    filter_names = tuple(name for name in filters.split(",") if name)
+    try:
+        if genus_max is not None:
+            return EnumerationJob("by-genus", genus_max, filter_names, resume_token)
+        return EnumerationJob("by-frobenius", frobenius, filter_names, resume_token)
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -50,16 +61,17 @@ def main():
 def analyze(generators, bound, json_path, dot_path):
     """Full structural report for one semigroup, e.g. `nsg analyze 4,6,9`."""
     S = _parse_semigroup(generators)
-    catalog = betti_elements(S)
-    sequence = exponent_sequence(S, bound)
-    flags = classify(S)
+    analysis = SemigroupAnalysis(S)
+    catalog = analysis.betti
+    sequence = analysis.sequence if bound is None else exponent_sequence(S, bound)
+    flags = analysis.classification
     click.echo(f"generators: {', '.join(map(str, S.generators))}")
     click.echo(f"frobenius: {S.frobenius}   genus: {S.genus}   multiplicity: {S.multiplicity}")
     click.echo(f"gaps: {', '.join(map(str, S.gaps)) or '-'}")
     if not S.is_trivial:
         click.echo(f"symmetric: {S.is_symmetric()}")
-    click.echo(f"cyclotomic: {is_cyclotomic(S)}")
-    ci = is_complete_intersection(S)
+    click.echo(f"cyclotomic: {analysis.cyclotomic}")
+    ci = analysis.complete_intersection
     click.echo(f"complete intersection: {ci}")
     if ci:
         tree = gluing_decompose(S)
@@ -73,11 +85,11 @@ def analyze(generators, bound, json_path, dot_path):
     click.echo(f"classification: {flags.to_json_dict()}")
     click.echo(f"exponents ({sequence.bound} entries): {sequence.format()}")
     if json_path:
-        record = build_report(S)
+        record = build_report(analysis)
         write_json(record.to_json_dict(), json_path)
         click.echo(f"wrote {json_path}", err=True)
     if dot_path:
-        diagram = OrderedSubset(S, catalog).hasse()
+        diagram = analysis.betti_order.hasse()
         write_dot(diagram.to_dot(), dot_path)
         click.echo(f"wrote {dot_path}", err=True)
 
@@ -106,9 +118,9 @@ def exponents(generators, count, csv_path, json_path):
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def betti(generators, dot_path, json_path):
     """Betti elements with class structure and cover relations."""
-    S = _parse_semigroup(generators)
-    catalog = betti_elements(S)
-    subset = OrderedSubset(S, catalog)
+    analysis = SemigroupAnalysis(_parse_semigroup(generators))
+    catalog = analysis.betti
+    subset = analysis.betti_order
     diagram = subset.hasse()
     if not catalog:
         click.echo("no betti elements")
@@ -139,16 +151,7 @@ def betti(generators, dot_path, json_path):
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def enumerate_cmd(genus_max, frobenius, filters, count_only, json_path):
     """Stream a family of semigroups (generator lists) or just count it."""
-    if (genus_max is None) == (frobenius is None):
-        raise click.UsageError("pass exactly one of --genus-max, --frobenius")
-    filter_names = tuple(name for name in filters.split(",") if name)
-    for name in filter_names:
-        if name not in FILTERS:
-            raise click.UsageError(f"unknown filter {name!r}; known: {','.join(FILTERS)}")
-    if genus_max is not None:
-        job = EnumerationJob("by-genus", genus_max, filter_names)
-    else:
-        job = EnumerationJob("by-frobenius", frobenius, filter_names)
+    job = _family_job(genus_max, frobenius, filters)
     count = 0
     emitted = []
     for S in enumerate_job(job):
@@ -172,25 +175,11 @@ def enumerate_cmd(genus_max, frobenius, filters, count_only, json_path):
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def verify(genus_max, frobenius, checks, filters, resume_token, json_path):
     """Run named checks over a family; exit 1 on any counterexample."""
-    if (genus_max is None) == (frobenius is None):
-        raise click.UsageError("pass exactly one of --genus-max, --frobenius")
+    job = _family_job(genus_max, frobenius, filters, resume_token)
     check_names = tuple(name for name in checks.split(",") if name)
     for name in check_names:
         if name not in CHECKS:
             raise click.UsageError(f"unknown check {name!r}; known: {','.join(CHECKS)}")
-    filter_names = tuple(name for name in filters.split(",") if name)
-    for name in filter_names:
-        if name not in FILTERS:
-            raise click.UsageError(f"unknown filter {name!r}")
-    if resume_token is not None:
-        try:
-            parse_token(resume_token)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-    if genus_max is not None:
-        job = EnumerationJob("by-genus", genus_max, filter_names, resume_token)
-    else:
-        job = EnumerationJob("by-frobenius", frobenius, filter_names, resume_token)
 
     def progress(done: int, token: str) -> None:
         click.echo(f"checked {done} (token {token})", err=True)

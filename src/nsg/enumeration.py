@@ -47,6 +47,19 @@ def children(S: NumericalSemigroup) -> list[tuple[int, NumericalSemigroup]]:
     return out
 
 
+def walk_subtree(
+    S: NumericalSemigroup, path: Path, g_max: int
+) -> Iterator[tuple[NumericalSemigroup, Path]]:
+    """Depth-first preorder walk of the subtree under S, at tree path ``path``.
+
+    Descends to genus g_max; paths extend ``path`` by the removed generators.
+    """
+    yield S, path
+    if len(path) < g_max:
+        for g, child in children(S):
+            yield from walk_subtree(child, path + (g,), g_max)
+
+
 def walk_genus_tree(
     g_max: int, resume: Path | None = None
 ) -> Iterator[tuple[NumericalSemigroup, Path]]:
@@ -57,35 +70,22 @@ def walk_genus_tree(
     """
     if g_max < 0:
         return
+    root = NumericalSemigroup(1)
+    if resume is None:
+        yield from walk_subtree(root, (), g_max)
+        return
 
-    def visit(S: NumericalSemigroup, path: Path, token: Path | None):
-        if token is None:
-            yield S, path
+    def after(S: NumericalSemigroup, path: Path):
+        # path is a prefix of the resume point: only later nodes are yielded
         if len(path) == g_max:
             return
-        if token is not None and path == token:
-            token_child = None  # everything below comes after the resume point
-        elif token is not None:
-            token_child = token[len(path)]
-        else:
-            token_child = None
         for g, child in children(S):
-            if token is None or path == token:
-                yield from visit(child, path + (g,), None)
-            elif g < token_child:
-                continue
-            elif g == token_child:
-                yield from visit(child, path + (g,), token)
-            else:
-                yield from visit(child, path + (g,), None)
+            if path == resume or g > resume[len(path)]:
+                yield from walk_subtree(child, path + (g,), g_max)
+            elif g == resume[len(path)]:
+                yield from after(child, path + (g,))
 
-    root = NumericalSemigroup(1)
-    if resume is not None and resume != ():
-        yield from visit(root, (), resume)
-    elif resume == ():
-        yield from visit(root, (), ())
-    else:
-        yield from visit(root, (), None)
+    yield from after(root, ())
 
 
 def enumerate_by_genus(g_max: int) -> Iterator[NumericalSemigroup]:

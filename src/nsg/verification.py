@@ -1,10 +1,16 @@
 """Batch verification of structural claims over enumerated semigroup families.
 
 A job names an enumeration mode plus a bound and a list of named checks;
-the driver streams the family, evaluates each check per semigroup, and
-aggregates pass counters plus full report records for any counterexample.
-Aggregation is commutative, so subtree workers (capped by the NSG_THREADS
-environment variable) merge deterministically; exports are byte-stable.
+the driver streams the family and builds one
+:class:`~nsg.analysis.SemigroupAnalysis` per semigroup, which every filter,
+check and counterexample report reads, so each invariant of a semigroup is
+computed at most once. The analysis is dropped after its semigroup: caches
+are scoped to one evaluation and memory stays flat over a family.
+
+Outcomes accumulate in one tally type, :class:`VerificationSummary`, which
+the serial walk fills directly and subtree workers (capped by the
+NSG_THREADS environment variable) fill on their own and merge. Aggregation
+is commutative, so merges are deterministic and exports are byte-stable.
 """
 
 from __future__ import annotations
@@ -14,33 +20,27 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Callable, Iterator
 
-from .bettiposet import classify, verify_theorems
-from .ci import is_complete_intersection
+from .analysis import SemigroupAnalysis
 from .enumeration import (
     Path,
     children,
     enumerate_by_frobenius,
-    enumerate_by_genus,
     enumerate_ci_by_frobenius,
     format_token,
+    parse_token,
     walk_genus_tree,
+    walk_subtree,
 )
-from .factorization import betti_elements
 from .semigroup import NumericalSemigroup
-from .witt import (
-    exponent_sequence,
-    exponents_from_cyclotomic_factors,
-    factor_into_cyclotomics,
-    is_cyclotomic,
-)
 
-FILTERS: dict[str, Callable[[NumericalSemigroup], bool]] = {
-    "ci": is_complete_intersection,
-    "cyclotomic": is_cyclotomic,
-    "betti-sorted": lambda S: classify(S).betti_sorted,
-    "betti-divisible": lambda S: classify(S).betti_divisible,
-    "unique-betti": lambda S: classify(S).unique_betti,
-    "forest": lambda S: classify(S).betti_forest,
+# Predicates on the analysis of one semigroup.
+FILTERS: dict[str, Callable[[SemigroupAnalysis], bool]] = {
+    "ci": lambda a: a.complete_intersection,
+    "cyclotomic": lambda a: a.cyclotomic,
+    "betti-sorted": lambda a: a.classification.betti_sorted,
+    "betti-divisible": lambda a: a.classification.betti_divisible,
+    "unique-betti": lambda a: a.classification.unique_betti,
+    "forest": lambda a: a.classification.betti_forest,
 }
 
 
@@ -60,30 +60,41 @@ class EnumerationJob:
             raise ValueError("limit must be >= 0")
         for name in self.filters:
             if name not in FILTERS:
-                raise ValueError(f"unknown filter {name!r}")
+                raise ValueError(f"unknown filter {name!r}; known: {','.join(FILTERS)}")
+        if self.resume_token is not None:
+            if self.mode != "by-genus":
+                raise ValueError("resume tokens apply to by-genus jobs only")
+            parse_token(self.resume_token)
+
+
+def _stream(job: EnumerationJob) -> Iterator[tuple[SemigroupAnalysis, Path]]:
+    """The job's family as (analysis, tree path) pairs, filters applied.
+
+    Paths are tree paths in by-genus mode (honouring the resume token) and
+    empty otherwise. A by-frobenius job filtered on "ci" is routed through
+    the gluing-based enumerator: it reaches Frobenius numbers the full tree
+    cannot, and makes the "ci" filter redundant.
+    """
+    glued = job.mode == "ci-by-frobenius" or (
+        job.mode == "by-frobenius" and "ci" in job.filters
+    )
+    if job.mode == "by-genus":
+        resume = None if job.resume_token is None else parse_token(job.resume_token)
+        family = walk_genus_tree(job.limit, resume=resume)
+    else:
+        enumerate_family = enumerate_ci_by_frobenius if glued else enumerate_by_frobenius
+        family = ((S, ()) for S in enumerate_family(job.limit))
+    predicates = [FILTERS[name] for name in job.filters if not (glued and name == "ci")]
+    for S, path in family:
+        analysis = SemigroupAnalysis(S)
+        if all(predicate(analysis) for predicate in predicates):
+            yield analysis, path
 
 
 def enumerate_job(job: EnumerationJob) -> Iterator[NumericalSemigroup]:
-    """Stream the family of a job, filters applied.
-
-    A by-frobenius job filtered on "ci" is routed through the gluing-based
-    enumerator: it reaches Frobenius numbers the full tree cannot.
-    """
-    if job.mode == "by-genus":
-        stream = enumerate_by_genus(job.limit)
-    elif job.mode == "ci-by-frobenius":
-        stream = enumerate_ci_by_frobenius(job.limit)
-    elif "ci" in job.filters:
-        stream = enumerate_ci_by_frobenius(job.limit)
-    else:
-        stream = enumerate_by_frobenius(job.limit)
-    redundant = {"ci"} if job.mode == "ci-by-frobenius" or (
-        job.mode == "by-frobenius" and "ci" in job.filters
-    ) else set()
-    predicates = [FILTERS[name] for name in job.filters if name not in redundant]
-    for S in stream:
-        if all(predicate(S) for predicate in predicates):
-            yield S
+    """Stream the family of a job, filters applied."""
+    for analysis, _ in _stream(job):
+        yield analysis.semigroup
 
 
 @dataclass(frozen=True)
@@ -110,66 +121,60 @@ class ReportRecord:
         }
 
 
-def build_report(S: NumericalSemigroup, verdicts: dict[str, bool] | None = None) -> ReportRecord:
-    catalog = betti_elements(S)
-    flags = classify(S)
+def build_report(
+    S: NumericalSemigroup | SemigroupAnalysis, verdicts: dict[str, bool] | None = None
+) -> ReportRecord:
+    """The report record of a semigroup, read from its analysis when given one."""
+    analysis = S if isinstance(S, SemigroupAnalysis) else SemigroupAnalysis(S)
+    S = analysis.semigroup
     return ReportRecord(
         generators=S.generators,
         frobenius=S.frobenius,
         genus=S.genus,
-        betti={b: (data.nc, data.isolated_count) for b, data in catalog.items()},
-        exponent_prefix=tuple(exponent_sequence(S)),
-        flags=flags.to_json_dict(),
+        betti={b: (data.nc, data.isolated_count) for b, data in analysis.betti.items()},
+        exponent_prefix=tuple(analysis.sequence),
+        flags=analysis.classification.to_json_dict(),
         verdicts=dict(verdicts or {}),
     )
 
 
-def _check_ci_cyclotomic(S: NumericalSemigroup) -> bool:
-    return is_complete_intersection(S) == is_cyclotomic(S)
+def _check_ci_cyclotomic(analysis: SemigroupAnalysis) -> bool:
+    return analysis.complete_intersection == analysis.cyclotomic
 
 
-def _theorem_check(check_id: str) -> Callable[[NumericalSemigroup], bool]:
-    def check(S: NumericalSemigroup) -> bool:
-        report = verify_theorems(S)
-        return next(c.passed for c in report.checks if c.check_id == check_id)
+def _theorem_check(check_id: str) -> Callable[[SemigroupAnalysis], bool]:
+    def check(analysis: SemigroupAnalysis) -> bool:
+        return next(
+            c.passed for c in analysis.theorem_report.checks if c.check_id == check_id
+        )
 
     return check
 
 
-def _full_exponents(S: NumericalSemigroup) -> dict[int, int] | None:
-    """Complete exponent support for finitely supported sequences, else None."""
-    if S.is_trivial:
-        return {}
-    if not S.is_symmetric():
-        return None
-    factorization = factor_into_cyclotomics(S.polynomial())
-    if not factorization.complete:
-        return None
-    return exponents_from_cyclotomic_factors(factorization.factors)
-
-
-def _check_negative_support_is_generators(S: NumericalSemigroup) -> bool:
+def _check_negative_support_is_generators(analysis: SemigroupAnalysis) -> bool:
     """Finite support only: indices with negative exponent = minimal generators."""
-    exponents = _full_exponents(S)
+    exponents = analysis.full_exponents
     if exponents is None:
         return True  # vacuous: the claim quantifies over finitely supported sequences
     negative = {j for j, e in exponents.items() if e < 0}
-    return negative == set(S.generators)
+    return negative == set(analysis.semigroup.generators)
 
 
-def _check_betti_exponents(S: NumericalSemigroup) -> bool:
+def _check_betti_exponents(analysis: SemigroupAnalysis) -> bool:
     """Finite support only: e_b = nc - 1 at every Betti element."""
-    exponents = _full_exponents(S)
+    exponents = analysis.full_exponents
     if exponents is None:
         return True
-    catalog = betti_elements(S)
-    support = {j for j, e in exponents.items() if j >= 2 and j not in S.generators}
+    generators = analysis.semigroup.generators
+    catalog = analysis.betti
+    support = {j for j, e in exponents.items() if j >= 2 and j not in generators}
     if not set(catalog) <= support:
         return False
     return all(exponents.get(b, 0) == data.nc - 1 for b, data in catalog.items())
 
 
-CHECKS: dict[str, Callable[[NumericalSemigroup], bool]] = {
+# Verdicts on the analysis of one semigroup.
+CHECKS: dict[str, Callable[[SemigroupAnalysis], bool]] = {
     "ci-cyclotomic": _check_ci_cyclotomic,
     "thm1": _theorem_check("exponent-values-at-generators-and-gaps"),
     "thm2": _theorem_check("chain-betti-vs-chain-support"),
@@ -181,6 +186,12 @@ CHECKS: dict[str, Callable[[NumericalSemigroup], bool]] = {
 
 @dataclass
 class VerificationSummary:
+    """The tally of a run: pass counts, counterexamples and the resume point.
+
+    Serial runs add semigroups one at a time; each pool worker fills its own
+    summary for a subtree and the parent merges them in subtree order.
+    """
+
     job: EnumerationJob
     checks: tuple[str, ...]
     total: int = 0
@@ -188,9 +199,31 @@ class VerificationSummary:
     counterexamples: list[ReportRecord] = field(default_factory=list)
     last_token: str | None = None
 
+    def __post_init__(self):
+        for name in self.checks:
+            self.pass_counts.setdefault(name, 0)
+
     @property
     def all_pass(self) -> bool:
         return not self.counterexamples
+
+    def add(self, analysis: SemigroupAnalysis, path: Path) -> None:
+        """Run the checks on one semigroup; a failure keeps its full report."""
+        verdicts = {name: CHECKS[name](analysis) for name in self.checks}
+        self.total += 1
+        for name, ok in verdicts.items():
+            self.pass_counts[name] += ok
+        if not all(verdicts.values()):
+            self.counterexamples.append(build_report(analysis, verdicts))
+        self.last_token = format_token(path)
+
+    def merge(self, other: "VerificationSummary") -> None:
+        """Fold in the tally of a later part of the same walk."""
+        self.total += other.total
+        for name, count in other.pass_counts.items():
+            self.pass_counts[name] += count
+        self.counterexamples.extend(other.counterexamples)
+        self.last_token = other.last_token
 
     def to_json_dict(self) -> dict:
         return {
@@ -206,45 +239,12 @@ class VerificationSummary:
         }
 
 
-def _evaluate(S: NumericalSemigroup, checks: tuple[str, ...]):
-    verdicts = {name: CHECKS[name](S) for name in checks}
-    record = None
-    if not all(verdicts.values()):
-        record = build_report(S, verdicts)
-    return verdicts, record
-
-
 def worker_count() -> int:
     value = os.environ.get("NSG_THREADS", "1")
     try:
         return max(1, int(value))
     except ValueError:
         return 1
-
-
-def _subtree_task(args) -> tuple[int, dict[str, int], list[ReportRecord], str]:
-    generators, base_path, g_max, checks = args
-    root = NumericalSemigroup(generators)
-    total = 0
-    pass_counts = {name: 0 for name in checks}
-    counterexamples: list[ReportRecord] = []
-    last = base_path
-
-    def visit(S: NumericalSemigroup, path: Path):
-        nonlocal total, last
-        total += 1
-        last = path
-        verdicts, record = _evaluate(S, checks)
-        for name, ok in verdicts.items():
-            pass_counts[name] += ok
-        if record is not None:
-            counterexamples.append(record)
-        if len(path) < g_max:
-            for g, child in children(S):
-                visit(child, path + (g,))
-
-    visit(root, base_path)
-    return total, pass_counts, counterexamples, format_token(last)
 
 
 def run_verification(
@@ -265,7 +265,7 @@ def run_verification(
     for name in checks:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}")
-    summary = VerificationSummary(job, checks, pass_counts={name: 0 for name in checks})
+    summary = VerificationSummary(job, checks)
 
     workers = worker_count()
     if (
@@ -275,67 +275,40 @@ def run_verification(
         and not job.filters
         and job.limit >= 4
     ):
-        _run_parallel(job, checks, summary, workers)
+        _run_parallel(summary, workers)
     else:
-        _run_serial(job, checks, summary, progress)
+        for analysis, path in _stream(job):
+            summary.add(analysis, path)
+            if progress is not None and summary.total % 500 == 0:
+                progress(summary.total, summary.last_token)
     summary.counterexamples.sort(key=lambda r: r.generators)
     return summary
-
-
-def _run_serial(job, checks, summary, progress):
-    if job.mode == "by-genus":
-        resume = None
-        if job.resume_token is not None:
-            from .enumeration import parse_token
-
-            resume = parse_token(job.resume_token)
-        stream = walk_genus_tree(job.limit, resume=resume)
-    else:
-        stream = ((S, ()) for S in enumerate_job(job))
-    predicates = [FILTERS[name] for name in job.filters] if job.mode == "by-genus" else []
-    for S, path in stream:
-        if predicates and not all(p(S) for p in predicates):
-            continue
-        verdicts, record = _evaluate(S, checks)
-        summary.total += 1
-        for name, ok in verdicts.items():
-            summary.pass_counts[name] += ok
-        if record is not None:
-            summary.counterexamples.append(record)
-        summary.last_token = format_token(path)
-        if progress is not None and summary.total % 500 == 0:
-            progress(summary.total, summary.last_token)
 
 
 _SPLIT_DEPTH = 4
 
 
-def _run_parallel(job, checks, summary, workers):
+def _subtree_task(args) -> VerificationSummary:
+    job, checks, generators, path = args
+    tally = VerificationSummary(job, checks)
+    for S, node_path in walk_subtree(NumericalSemigroup(generators), path, job.limit):
+        tally.add(SemigroupAnalysis(S), node_path)
+    return tally
+
+
+def _run_parallel(summary: VerificationSummary, workers: int) -> None:
+    job = summary.job
     split_depth = min(_SPLIT_DEPTH, job.limit - 1)
-    frontier: list[tuple[tuple[int, ...], Path]] = []
-
-    # nodes above the split depth are processed here; the subtrees hanging
-    # off the split depth go to the pool in DFS order
-    def shallow(S: NumericalSemigroup, path: Path):
-        verdicts, record = _evaluate(S, checks)
-        summary.total += 1
-        for name, ok in verdicts.items():
-            summary.pass_counts[name] += ok
-        if record is not None:
-            summary.counterexamples.append(record)
-        for g, child in children(S):
-            child_path = path + (g,)
-            if len(child_path) == split_depth:
-                frontier.append((child.generators, child_path))
-            else:
-                shallow(child, child_path)
-
-    shallow(NumericalSemigroup(1), ())
-    tasks = [(generators, path, job.limit, checks) for generators, path in frontier]
+    # nodes above the split depth are checked here; the subtrees hanging off
+    # the split depth go to the pool in DFS order
+    tasks = []
+    for S, path in walk_genus_tree(split_depth - 1):
+        summary.add(SemigroupAnalysis(S), path)
+        if len(path) == split_depth - 1:
+            tasks.extend(
+                (job, summary.checks, child.generators, path + (g,))
+                for g, child in children(S)
+            )
     with Pool(workers) as pool:
-        for total, pass_counts, counterexamples, last in pool.imap(_subtree_task, tasks):
-            summary.total += total
-            for name, count in pass_counts.items():
-                summary.pass_counts[name] += count
-            summary.counterexamples.extend(counterexamples)
-            summary.last_token = last
+        for part in pool.imap(_subtree_task, tasks):
+            summary.merge(part)

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import intpoly
 from .arith import divisor_count, divisors, euler_phi, mobius
 from .errors import BadConstantTermError, IntegralityError, RootSeparationError
@@ -225,18 +223,24 @@ def exponents_from_cyclotomic_factors(factors: dict[int, int]) -> dict[int, int]
     return {j: e for j, e in sorted(exponents.items()) if e != 0}
 
 
+def cyclotomic_factorization(S: NumericalSemigroup) -> CyclotomicFactorization | None:
+    """The cyclotomic part of the semigroup polynomial; None if S is not symmetric.
+
+    A product of cyclotomic polynomials of index >= 2 is self-reciprocal, so
+    non-symmetric semigroups are rejected before the factor search.
+    """
+    if not S.is_trivial and not S.is_symmetric():
+        return None
+    return factor_into_cyclotomics(S.polynomial())
+
+
 def is_cyclotomic(S: NumericalSemigroup) -> bool:
     """Whether the semigroup polynomial is a product of cyclotomic polynomials.
 
-    Equivalent to the exponent sequence having finite support. A product of
-    cyclotomic polynomials of index >= 2 is self-reciprocal, so non-symmetric
-    semigroups are rejected before the factor search.
+    Equivalent to the exponent sequence having finite support.
     """
-    if S.is_trivial:
-        return True
-    if not S.is_symmetric():
-        return False
-    return factor_into_cyclotomics(S.polynomial()).complete
+    factorization = cyclotomic_factorization(S)
+    return factorization is not None and factorization.complete
 
 
 def necklace_coefficient(alpha: int, k: int) -> int:
@@ -277,6 +281,8 @@ def growth_envelope_check(poly: Sequence[int], ks: Sequence[int]) -> GrowthRepor
     of the main term ``alpha_1^(-k)/k``; for linear f the alpha_2 term drops.
     Exponents are exact; only the root moduli are floating point.
     """
+    import numpy as np  # only needed here; importing nsg stays numpy-free
+
     coeffs = intpoly.trim(_check_constant_term(poly))
     deg = len(coeffs) - 1
     if deg == 0:

@@ -38,3 +38,110 @@ EXPONENTS_4_6_9_18 = (1, 0, 0, -1, 0, -1, 0, 0, -1, 0, 0, 1, 0, 0, 0, 0, 0, 1)
 # genus 8 are re-derived in-suite by the gap-subset oracle
 SEMIGROUPS_PER_GENUS = (1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592,
                         1001, 1693, 2857, 4806, 8045, 13467)
+
+# build_report(S).to_json_dict() for a few semigroups, computed when each part
+# of the report came from its own call (betti_elements, classify,
+# exponent_sequence) rather than from one shared SemigroupAnalysis
+REPORTS = {(1,): {'generators': [1],
+        'frobenius': -1,
+        'genus': 0,
+        'betti': {},
+        'exponent_prefix': ['0', '0'],
+        'flags': {'betti_sorted': True,
+                  'betti_divisible': True,
+                  'unique_betti': False,
+                  'betti_forest': True,
+                  'e_forest': True},
+        'verdicts': {}},
+ (4, 6, 9): {'generators': [4, 6, 9],
+             'frobenius': 11,
+             'genus': 6,
+             'betti': {'12': [2, 2], '18': [2, 1]},
+             'exponent_prefix': ['1', '0', '0', '-1', '0', '-1', '0', '0', '-1', '0',
+                                 '0', '1', '0', '0', '0', '0', '0', '1', '0', '0', '0',
+                                 '0', '0', '0', '0', '0', '0', '0', '0', '0'],
+             'flags': {'betti_sorted': True,
+                       'betti_divisible': False,
+                       'unique_betti': False,
+                       'betti_forest': True,
+                       'e_forest': True},
+             'verdicts': {}},
+ (3, 5, 7): {'generators': [3, 5, 7],
+             'frobenius': 4,
+             'genus': 3,
+             'betti': {'10': [2, 2], '12': [2, 2], '14': [2, 2]},
+             'exponent_prefix': ['1', '0', '-1', '0', '-1', '0', '-1', '0', '0', '1',
+                                 '0', '1', '0', '1', '0', '0', '-1', '0', '-1'],
+             'flags': {'betti_sorted': False,
+                       'betti_divisible': False,
+                       'unique_betti': False,
+                       'betti_forest': True,
+                       'e_forest': False},
+             'verdicts': {}},
+ (5, 6, 7): {'generators': [5, 6, 7],
+             'frobenius': 9,
+             'genus': 6,
+             'betti': {'12': [2, 2], '20': [2, 2], '21': [2, 2]},
+             'exponent_prefix': ['1', '0', '0', '0', '-1', '-1', '-1', '0', '0', '0',
+                                 '0', '1', '0', '0', '0', '0', '0', '0', '0', '1', '1',
+                                 '0', '0', '0'],
+             'flags': {'betti_sorted': False,
+                       'betti_divisible': False,
+                       'unique_betti': False,
+                       'betti_forest': True,
+                       'e_forest': None},
+             'verdicts': {}},
+ (8, 12, 18, 25): {'generators': [8, 12, 18, 25],
+                   'frobenius': 47,
+                   'genus': 24,
+                   'betti': {'24': [2, 2], '36': [2, 1], '50': [2, 1]},
+                   'exponent_prefix': ['1', '0', '0', '0', '0', '0', '0', '-1', '0',
+                                       '0', '0', '-1', '0', '0', '0', '0', '0', '-1',
+                                       '0', '0', '0', '0', '0', '1', '-1', '0', '0',
+                                       '0', '0', '0', '0', '0', '0', '0', '0', '1', '0',
+                                       '0', '0', '0', '0', '0', '0', '0', '0', '0', '0',
+                                       '0', '0', '1', '0', '0', '0', '0', '0', '0', '0',
+                                       '0', '0', '0', '0', '0', '0', '0', '0', '0', '0',
+                                       '0', '0', '0', '0', '0', '0', '0', '0', '0', '0',
+                                       '0', '0', '0', '0', '0', '0', '0', '0', '0', '0',
+                                       '0', '0', '0', '0', '0', '0', '0', '0', '0', '0',
+                                       '0'],
+                   'flags': {'betti_sorted': False,
+                             'betti_divisible': False,
+                             'unique_betti': False,
+                             'betti_forest': True,
+                             'e_forest': True},
+                   'verdicts': {}}}
+
+# run_verification(EnumerationJob("by-genus", 7), CHECKS).to_json_dict(),
+# computed with the reports above, when every check ran its own pipeline;
+# <1> is the known conj-msg counterexample
+GENUS_7_ALL_CHECKS = {'mode': 'by-genus',
+ 'limit': 7,
+ 'filters': [],
+ 'checks': ['ci-cyclotomic', 'thm1', 'thm2', 'thm5.2', 'conj-msg', 'conj-betti'],
+ 'total': 89,
+ 'pass_counts': {'ci-cyclotomic': 89,
+                 'conj-betti': 89,
+                 'conj-msg': 88,
+                 'thm1': 89,
+                 'thm2': 89,
+                 'thm5.2': 89},
+ 'counterexamples': [{'generators': [1],
+                      'frobenius': -1,
+                      'genus': 0,
+                      'betti': {},
+                      'exponent_prefix': ['0', '0'],
+                      'flags': {'betti_sorted': True,
+                                'betti_divisible': True,
+                                'unique_betti': False,
+                                'betti_forest': True,
+                                'e_forest': True},
+                      'verdicts': {'ci-cyclotomic': True,
+                                   'thm1': True,
+                                   'thm2': True,
+                                   'thm5.2': True,
+                                   'conj-msg': False,
+                                   'conj-betti': True}}],
+ 'all_pass': False,
+ 'last_token': '1.3.5.7.9.11.13'}

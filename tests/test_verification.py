@@ -1,0 +1,114 @@
+import json
+
+import pytest
+
+from nsg import NumericalSemigroup, SemigroupAnalysis, classify, walk_genus_tree
+from nsg import analysis as analysis_module
+from nsg.enumeration import format_token
+from nsg.errors import BoundTooSmallError
+from nsg.verification import (
+    CHECKS,
+    EnumerationJob,
+    build_report,
+    enumerate_job,
+    run_verification,
+)
+
+from expected import GENUS_7_ALL_CHECKS, REPORTS, SEMIGROUPS_PER_GENUS
+
+
+def _dumps(data) -> str:
+    return json.dumps(data)  # keeps key order, as the exports do
+
+
+class TestFrozenExports:
+    @pytest.mark.parametrize("generators", list(REPORTS))
+    def test_build_report(self, generators):
+        record = build_report(NumericalSemigroup(generators))
+        assert _dumps(record.to_json_dict()) == _dumps(REPORTS[generators])
+
+    def test_build_report_from_analysis(self):
+        analysis = SemigroupAnalysis(NumericalSemigroup(5, 6, 7))
+        record = build_report(analysis, {"thm1": True})
+        expected = dict(REPORTS[(5, 6, 7)], verdicts={"thm1": True})
+        assert record.to_json_dict() == expected
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_genus_7_all_checks(self, monkeypatch, threads):
+        monkeypatch.setenv("NSG_THREADS", threads)
+        summary = run_verification(EnumerationJob("by-genus", 7), tuple(CHECKS))
+        assert _dumps(summary.to_json_dict()) == _dumps(GENUS_7_ALL_CHECKS)
+
+
+class TestSharedAnalysis:
+    def _count_calls(self, monkeypatch, name):
+        calls = []
+        original = getattr(analysis_module, name)
+
+        def counted(S, *args):
+            calls.append(S)
+            return original(S, *args)
+
+        monkeypatch.setattr(analysis_module, name, counted)
+        return calls
+
+    def test_each_invariant_once_per_semigroup(self, monkeypatch):
+        monkeypatch.setenv("NSG_THREADS", "1")
+        counted = {
+            name: self._count_calls(monkeypatch, name)
+            for name in ("exponent_sequence", "betti_elements", "cyclotomic_factorization")
+        }
+        summary = run_verification(EnumerationJob("by-genus", 6), tuple(CHECKS))
+        assert summary.total == 50
+        for name, calls in counted.items():
+            assert len(calls) == len(set(calls)) == 50, name
+
+    def test_filter_reads_the_analysis_the_checks_read(self, monkeypatch):
+        monkeypatch.setenv("NSG_THREADS", "1")
+        betti_calls = self._count_calls(monkeypatch, "betti_elements")
+        job = EnumerationJob("by-genus", 7, ("betti-sorted",))
+        summary = run_verification(job, tuple(CHECKS))
+        family = [S for S, _ in walk_genus_tree(7)]
+        # the filter computed the catalog of every semigroup, the checks and
+        # the <1> report reused it
+        assert betti_calls == family
+        sorted_family = [S for S in family if classify(S).betti_sorted]
+        assert list(enumerate_job(job)) == sorted_family
+        assert summary.total == len(sorted_family) == 15
+        assert summary.pass_counts == {name: 15 for name in CHECKS} | {"conj-msg": 14}
+        assert [r.generators for r in summary.counterexamples] == [(1,)]
+
+    def test_bound_below_default_rejected(self, s357):
+        with pytest.raises(BoundTooSmallError):
+            SemigroupAnalysis(s357, s357.default_bound - 1)
+
+    def test_larger_bound_extends_the_prefix(self, s357):
+        analysis = SemigroupAnalysis(s357, 30)
+        assert len(analysis.sequence) == 30
+        assert len(analysis.denumerants) == 31
+        assert analysis.support.bound == 30
+
+
+class TestEnumerationJob:
+    @pytest.mark.parametrize("mode", ["by-frobenius", "ci-by-frobenius"])
+    def test_resume_outside_by_genus_rejected(self, mode):
+        with pytest.raises(ValueError, match="by-genus"):
+            EnumerationJob(mode, 7, resume_token="2.3")
+
+    def test_malformed_resume_token_rejected(self):
+        with pytest.raises(ValueError, match="malformed"):
+            EnumerationJob("by-genus", 4, resume_token="2.x")
+
+    def test_resume_gives_the_exact_suffix(self, monkeypatch):
+        monkeypatch.setenv("NSG_THREADS", "1")
+        walk = [path for _, path in walk_genus_tree(5)]
+        assert len(walk) == sum(SEMIGROUPS_PER_GENUS[:6])
+        full = run_verification(EnumerationJob("by-genus", 5), ("thm1",))
+        for i, path in enumerate(walk):
+            token = format_token(path)
+            suffix = [p for _, p in walk_genus_tree(5, resume=path)]
+            assert suffix == walk[i + 1:], token
+            resumed = run_verification(EnumerationJob("by-genus", 5, resume_token=token), ("thm1",))
+            assert resumed.total == len(walk) - i - 1
+            if resumed.total:
+                assert resumed.last_token == full.last_token

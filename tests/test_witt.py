@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from nsg import (
     BadConstantTermError,
     NumericalSemigroup,
     RootSeparationError,
+    cyclotomic_factorization,
     cyclotomic_polynomial,
     exponent_sequence,
     exponents_from_cyclotomic_factors,
@@ -181,6 +187,14 @@ class TestIsCyclotomic:
         S = NumericalSemigroup(5, 6, 7, 8)
         assert S.is_symmetric() and not is_cyclotomic(S)
 
+    def test_factorization_gated_on_symmetry(self, s469, s357, naturals):
+        assert cyclotomic_factorization(s357) is None
+        assert cyclotomic_factorization(naturals).factors == {}
+        factorization = cyclotomic_factorization(s469)
+        assert factorization.complete
+        assert factorization == factor_into_cyclotomics(s469.polynomial())
+        assert not cyclotomic_factorization(NumericalSemigroup(5, 6, 7, 8)).complete
+
 
 class TestNecklace:
     def test_values(self):
@@ -215,3 +229,9 @@ class TestGrowthEnvelope:
     def test_unseparated_moduli(self):
         with pytest.raises(RootSeparationError):
             growth_envelope_check([1, -1, 1], range(1, 5))
+
+    def test_numpy_loaded_only_by_the_envelope_check(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = "import nsg.cli, sys; assert 'numpy' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
