@@ -28,14 +28,12 @@ from .ci import (
     Leaf,
     gluing_decompose,
     is_complete_intersection,
-    k_polynomial,
     verify_ci_identities,
 )
 from .enumeration import (
     ci_with_frobenius,
     enumerate_by_frobenius,
     enumerate_by_genus,
-    enumerate_ci_by_frobenius,
     gap_subset_oracle,
     walk_genus_tree,
 )

@@ -10,8 +10,9 @@ and report on one semigroup shares a single copy.
 An analysis holds its semigroup and nothing else across calls; callers
 create one per semigroup and drop it when done, so no cache outlives the
 semigroup it describes. :func:`~nsg.bettiposet.verify_theorems`,
-:func:`~nsg.bettiposet.classify` and :func:`~nsg.bettiposet.exponent_support`
-are entry points onto a fresh analysis.
+:func:`~nsg.bettiposet.classify`, :func:`~nsg.bettiposet.exponent_support`
+and :func:`~nsg.ci.is_complete_intersection` are entry points onto a fresh
+analysis.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .bettiposet import (
     TheoremReport,
     leq,
 )
-from .ci import is_complete_intersection
 from .errors import BoundTooSmallError
 from .factorization import BettiData, betti_elements, denumerant_series
 from .semigroup import NumericalSemigroup
@@ -71,7 +71,20 @@ class SemigroupAnalysis:
 
     @cached_property
     def complete_intersection(self) -> bool:
-        return is_complete_intersection(self.semigroup)
+        """Whether a minimal presentation has embedding dimension - 1 relations.
+
+        Complete intersections are symmetric (Herzog 1970), so the Betti
+        catalog is read only behind the symmetry gate. ``is_symmetric`` is
+        undefined on the trivial semigroup, a complete intersection with an
+        empty presentation, so that case is settled first.
+        """
+        S = self.semigroup
+        if S.is_trivial:
+            return True
+        if not S.is_symmetric():
+            return False
+        size = sum(data.nc - 1 for data in self.betti.values())
+        return size == S.embedding_dimension - 1
 
     @cached_property
     def cyclotomic_factorization(self) -> CyclotomicFactorization | None:

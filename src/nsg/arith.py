@@ -6,7 +6,6 @@ stay cheap.
 """
 
 from functools import reduce
-from math import gcd
 
 _spf: list[int] = [0, 1]  # smallest prime factor; _spf[1] = 1 by convention
 
@@ -65,6 +64,3 @@ def divisors(n: int) -> list[int]:
 def divisor_count(n: int) -> int:
     return reduce(lambda acc, e: acc * (e + 1), prime_factors(n).values(), 1)
 
-
-def gcd_all(values) -> int:
-    return reduce(gcd, values, 0)

@@ -5,8 +5,12 @@ least possible size, embedding dimension minus one. Equivalently it is built
 recursively by gluings ``a1*S1 + a2*S2`` from copies of the non-negative
 integers, and equivalently again its membership series is the quotient of
 ``prod_b (1 - x^b)^(nc(b) - 1)`` over Betti elements by
-``prod_i (1 - x^(n_i))`` over generators. All three routes are implemented;
-the test suite checks they agree.
+``prod_i (1 - x^(n_i))`` over generators.
+
+:func:`is_complete_intersection` decides by the presentation size, read from
+the Betti catalog of a :class:`~nsg.analysis.SemigroupAnalysis` behind its
+symmetry gate (every complete intersection is symmetric). Gluing trees and
+the product identities are witnesses; the test suite checks all routes agree.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import intpoly
+from .analysis import SemigroupAnalysis
 from .errors import NotCompleteIntersectionError
-from .factorization import betti_elements, presentation_size
+from .factorization import betti_elements
 from .semigroup import NumericalSemigroup
 
 
@@ -103,10 +108,11 @@ LEAF = Leaf()
 def is_complete_intersection(S: NumericalSemigroup) -> bool:
     """Whether the minimal presentation has size embedding dimension - 1.
 
-    The presentation scan early-exits once the size target is exceeded.
+    Non-symmetric semigroups are rejected without factorizations; otherwise
+    the size is summed over the Betti catalog (see
+    :attr:`~nsg.analysis.SemigroupAnalysis.complete_intersection`).
     """
-    target = S.embedding_dimension - 1
-    return presentation_size(S, stop_above=target) == target
+    return SemigroupAnalysis(S).complete_intersection
 
 
 _decompose_cache: dict[tuple[int, ...], GluingTree | None] = {}
@@ -171,16 +177,6 @@ def _decompose(gens: tuple[int, ...]) -> GluingTree | None:
     return None
 
 
-def k_polynomial(S: NumericalSemigroup) -> list[int]:
-    """The polynomial ``prod_i (1 - x^(n_i)) * H_S``, of degree F + sum(n_i)."""
-    degree = S.frobenius + sum(S.generators)
-    coefficients = S.hilbert_prefix(degree)
-    for n in S.generators:
-        coefficients = intpoly.mul_one_minus_xk_pow(coefficients, n, 1, degree)
-    assert len(intpoly.trim(coefficients)) - 1 == degree
-    return coefficients
-
-
 @dataclass(frozen=True)
 class CiCheck:
     check_id: str
@@ -205,9 +201,10 @@ def verify_ci_identities(S: NumericalSemigroup) -> CiReport:
     the induced degree identity, the product formula at every node of the
     gluing tree, and the Betti-set composition rule of gluings.
     """
-    if not is_complete_intersection(S):
+    analysis = SemigroupAnalysis(S)
+    if not analysis.complete_intersection:
         raise NotCompleteIntersectionError(f"{S!r} is not a complete intersection")
-    catalog = betti_elements(S)
+    catalog = analysis.betti
     checks = []
 
     lhs = S.polynomial()

@@ -18,7 +18,6 @@ from itertools import combinations
 from math import gcd
 from typing import Iterator
 
-from .ci import is_complete_intersection
 from .semigroup import NumericalSemigroup
 
 Path = tuple[int, ...]
@@ -206,14 +205,3 @@ def ci_with_frobenius(frobenius: int) -> tuple[NumericalSemigroup, ...]:
     _ci_cache[frobenius] = result
     return result
 
-
-def enumerate_ci_by_frobenius(frobenius: int) -> Iterator[NumericalSemigroup]:
-    """Stream the complete intersections with the given Frobenius number.
-
-    Each emitted semigroup is re-verified by the presentation-size test.
-    """
-    if frobenius < 1:
-        raise ValueError("frobenius must be >= 1")
-    for S in ci_with_frobenius(frobenius):
-        assert is_complete_intersection(S)
-        yield S

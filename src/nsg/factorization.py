@@ -181,23 +181,9 @@ def betti_elements(S: NumericalSemigroup) -> dict[int, BettiData]:
     return catalog
 
 
-def presentation_size(S: NumericalSemigroup, stop_above: int | None = None) -> int:
-    """Cardinality of any minimal presentation, ``sum_b (nc(b) - 1)``.
-
-    With ``stop_above`` the scan short-circuits once the partial sum exceeds
-    it, returning the partial sum (useful to test equality with a target).
-    """
-    total = 0
-    bound = betti_search_bound(S)
-    counts = denumerant_series(S, bound)
-    for s in range(2 * S.multiplicity, bound + 1):
-        if counts[s] < 2:
-            continue
-        graph = factorization_graph(S, s)
-        total += graph.n_classes - 1
-        if stop_above is not None and total > stop_above:
-            return total
-    return total
+def presentation_size(S: NumericalSemigroup) -> int:
+    """Cardinality of any minimal presentation, ``sum_b (nc(b) - 1)`` over Betti elements."""
+    return sum(data.nc - 1 for data in betti_elements(S).values())
 
 
 def isolated_factorizations(S: NumericalSemigroup, s: int) -> list[Vector]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from math import gcd
 
-from . import intpoly
 from .errors import (
     EmptyGeneratorsError,
     NonCoprimeGeneratorsError,
@@ -192,15 +191,12 @@ class NumericalSemigroup:
         """Whether exactly one of n, frobenius - n belongs to S for all n.
 
         Equivalent to the coefficient list of the semigroup polynomial being
-        palindromic; both formulations are evaluated and compared.
+        palindromic; the test suite checks the two criteria agree.
         """
         if self.is_trivial:
             raise TrivialSemigroupError("symmetry is undefined for the trivial semigroup")
         frobenius = self.frobenius
-        by_pairing = all((n in self) != (frobenius - n in self) for n in range(frobenius + 1))
-        by_polynomial = intpoly.is_self_reciprocal(self.polynomial())
-        assert by_pairing == by_polynomial, "symmetry criteria disagree"
-        return by_pairing
+        return all((n in self) != (frobenius - n in self) for n in range(frobenius + 1))
 
     # -- serialization and dunder plumbing --------------------------------------
 

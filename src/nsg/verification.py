@@ -24,8 +24,8 @@ from .analysis import SemigroupAnalysis
 from .enumeration import (
     Path,
     children,
+    ci_with_frobenius,
     enumerate_by_frobenius,
-    enumerate_ci_by_frobenius,
     format_token,
     parse_token,
     walk_genus_tree,
@@ -56,8 +56,9 @@ class EnumerationJob:
     def __post_init__(self):
         if self.mode not in ("by-genus", "by-frobenius", "ci-by-frobenius"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.limit < 0:
-            raise ValueError("limit must be >= 0")
+        least = 0 if self.mode == "by-genus" else 1
+        if self.limit < least:
+            raise ValueError(f"limit must be >= {least} in {self.mode} mode")
         for name in self.filters:
             if name not in FILTERS:
                 raise ValueError(f"unknown filter {name!r}; known: {','.join(FILTERS)}")
@@ -71,9 +72,11 @@ def _stream(job: EnumerationJob) -> Iterator[tuple[SemigroupAnalysis, Path]]:
     """The job's family as (analysis, tree path) pairs, filters applied.
 
     Paths are tree paths in by-genus mode (honouring the resume token) and
-    empty otherwise. A by-frobenius job filtered on "ci" is routed through
-    the gluing-based enumerator: it reaches Frobenius numbers the full tree
-    cannot, and makes the "ci" filter redundant.
+    empty otherwise. A by-frobenius job filtered on "ci" walks the gluing
+    enumerator, as a ci-by-frobenius job does: it reaches Frobenius numbers
+    the full tree cannot. Every glued semigroup is re-verified by the
+    presentation-size test of its analysis, whose Betti catalog the filters
+    and checks then share.
     """
     glued = job.mode == "ci-by-frobenius" or (
         job.mode == "by-frobenius" and "ci" in job.filters
@@ -82,11 +85,12 @@ def _stream(job: EnumerationJob) -> Iterator[tuple[SemigroupAnalysis, Path]]:
         resume = None if job.resume_token is None else parse_token(job.resume_token)
         family = walk_genus_tree(job.limit, resume=resume)
     else:
-        enumerate_family = enumerate_ci_by_frobenius if glued else enumerate_by_frobenius
+        enumerate_family = ci_with_frobenius if glued else enumerate_by_frobenius
         family = ((S, ()) for S in enumerate_family(job.limit))
-    predicates = [FILTERS[name] for name in job.filters if not (glued and name == "ci")]
+    predicates = [FILTERS[name] for name in job.filters]
     for S, path in family:
         analysis = SemigroupAnalysis(S)
+        assert not glued or analysis.complete_intersection
         if all(predicate(analysis) for predicate in predicates):
             yield analysis, path
 

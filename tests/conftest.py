@@ -1,6 +1,18 @@
+import os
+
 import pytest
 
 from nsg import NumericalSemigroup
+
+
+def pytest_collection_modifyitems(config, items):
+    """Skip tests marked ``stretch`` unless NSG_STRETCH=1."""
+    if os.environ.get("NSG_STRETCH") == "1":
+        return
+    skip = pytest.mark.skip(reason="long sweep; run with NSG_STRETCH=1")
+    for item in items:
+        if "stretch" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.fixture(scope="session")

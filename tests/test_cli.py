@@ -32,6 +32,7 @@ class TestVerifyExitCodes:
             ("--genus-max", "4", "--resume", "2.x", "--checks", "thm1"),
             ("--genus-max", "4", "--filter", "nope", "--checks", "thm1"),
             ("--genus-max", "-1", "--checks", "thm1"),
+            ("--frobenius", "0", "--checks", "thm1"),
         ],
     )
     def test_usage_errors_exit_2(self, run, args):
@@ -48,6 +49,11 @@ class TestEnumerate:
         result = run("enumerate", "--genus-max", "4", "--filter", "ci", "--count-only")
         assert result.exit_code == 0, result.output
         assert result.output.strip() == "8"
+
+    def test_frobenius_0_exits_2(self, run):
+        result = run("enumerate", "--frobenius", "0", "--filter", "ci")
+        assert result.exit_code == 2, result.output
+        assert ">= 1" in result.output
 
     def test_unknown_filter_exits_2(self, run):
         result = run("enumerate", "--frobenius", "7", "--filter", "nope")

@@ -205,12 +205,7 @@ class TestMinimalPresentation:
         catalog = betti_elements(five_gen)
         assert len(minimal_presentation(five_gen)) == sum(
             data.nc - 1 for data in catalog.values()
-        )
-
-    def test_presentation_size_early_exit(self, five_gen):
-        full = presentation_size(five_gen)
-        assert presentation_size(five_gen, stop_above=full) == full
-        assert presentation_size(five_gen, stop_above=2) > 2
+        ) == presentation_size(five_gen)
 
 
 class TestRestrictedFactorizations:

@@ -8,6 +8,7 @@ from nsg import (
     NotAMemberError,
     NumericalSemigroup,
     TrivialSemigroupError,
+    enumerate_by_genus,
 )
 from nsg import intpoly
 
@@ -154,6 +155,18 @@ class TestSymmetry:
     def test_trivial_raises(self, naturals):
         with pytest.raises(TrivialSemigroupError):
             naturals.is_symmetric()
+
+    def test_pairing_matches_self_reciprocal_polynomial(self):
+        # the second criterion, kept here as the oracle for is_symmetric
+        verdicts = []
+        for S in enumerate_by_genus(10):
+            if S.is_trivial:
+                continue
+            symmetric = S.is_symmetric()
+            assert symmetric == intpoly.is_self_reciprocal(S.polynomial()), S
+            verdicts.append(symmetric)
+        # 66 symmetric ones: OEIS A158206 at F = 1, 3, ..., 19 (F = 2g - 1)
+        assert len(verdicts) == 477 and sum(verdicts) == 66
 
 
 class TestSerialization:

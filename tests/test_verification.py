@@ -1,9 +1,11 @@
 import json
+from collections import Counter
 
 import pytest
 
 from nsg import NumericalSemigroup, SemigroupAnalysis, classify, walk_genus_tree
 from nsg import analysis as analysis_module
+from nsg import factorization as factorization_module
 from nsg.enumeration import format_token
 from nsg.errors import BoundTooSmallError
 from nsg.verification import (
@@ -89,11 +91,43 @@ class TestSharedAnalysis:
         assert analysis.support.bound == 30
 
 
+class TestOneGraphPerElement:
+    @pytest.mark.parametrize(
+        "job",
+        [
+            EnumerationJob("by-genus", 7),
+            EnumerationJob("by-frobenius", 21, ("ci",)),
+            EnumerationJob("ci-by-frobenius", 45),
+        ],
+        ids=lambda job: f"{job.mode}-{job.limit}{'-ci' if job.filters else ''}",
+    )
+    def test_no_factorization_graph_built_twice(self, monkeypatch, job):
+        """The CI decision, the filters and the checks share one Betti catalog."""
+        monkeypatch.setenv("NSG_THREADS", "1")
+        builds = Counter()
+        original = factorization_module.factorization_graph
+
+        def counted(S, s):
+            builds[S.generators, s] += 1
+            return original(S, s)
+
+        monkeypatch.setattr(factorization_module, "factorization_graph", counted)
+        summary = run_verification(job, tuple(CHECKS))
+        assert summary.total and builds
+        assert [key for key, count in builds.items() if count > 1] == []
+
+
 class TestEnumerationJob:
     @pytest.mark.parametrize("mode", ["by-frobenius", "ci-by-frobenius"])
     def test_resume_outside_by_genus_rejected(self, mode):
         with pytest.raises(ValueError, match="by-genus"):
             EnumerationJob(mode, 7, resume_token="2.3")
+
+    @pytest.mark.parametrize("mode", ["by-frobenius", "ci-by-frobenius"])
+    def test_frobenius_below_1_rejected(self, mode):
+        with pytest.raises(ValueError, match=">= 1"):
+            EnumerationJob(mode, 0)
+        assert EnumerationJob("by-genus", 0).limit == 0
 
     def test_malformed_resume_token_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
