@@ -11,6 +11,7 @@ this on concrete semigroups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from .errors import ChainNotSortedError, NotInSubsetError
@@ -73,11 +74,18 @@ class OrderedSubset:
         )
 
     def u_set(self) -> "OrderedSubset":
-        """Elements whose down-set is a chain; keeps the same minimals."""
-        return OrderedSubset(
-            self.S,
-            [x for x in self.elements if self.down_set(x).is_totally_ordered()],
-        )
+        """Elements whose down-set is a chain; keeps the same minimals.
+
+        Read from the cached order: x qualifies when the elements below it
+        are pairwise comparable.
+        """
+        leq = self._leq
+        chosen = []
+        for j, x in enumerate(self.elements):
+            below = [i for i, row in enumerate(leq) if row[j]]
+            if all(leq[a][b] or leq[b][a] for a, b in combinations(below, 2)):
+                chosen.append(x)
+        return OrderedSubset(self.S, chosen)
 
     def hasse(self) -> "HasseDiagram":
         """Cover graph by transitive reduction of the cached order."""

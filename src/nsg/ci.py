@@ -236,7 +236,7 @@ def verify_ci_identities(S: NumericalSemigroup) -> CiReport:
     node_ok, node_witness = _check_tree_polynomials(tree)
     checks.append(CiCheck("gluing-polynomial-identity", node_ok, node_witness))
 
-    betti_ok, betti_witness = _check_tree_betti(tree)
+    betti_ok, betti_witness = _check_tree_betti(tree, frozenset(catalog))
     checks.append(CiCheck("gluing-betti-composition", betti_ok, betti_witness))
     return CiReport(S.generators, tuple(checks))
 
@@ -268,7 +268,10 @@ def _check_tree_polynomials(tree: GluingTree) -> tuple[bool, str | None]:
     return True, None
 
 
-def _check_tree_betti(tree: GluingTree) -> tuple[bool, str | None]:
+def _check_tree_betti(
+    tree: GluingTree, actual: frozenset[int] | None = None
+) -> tuple[bool, str | None]:
+    """Betti composition at every gluing; ``actual`` is the root's known Betti set."""
     if isinstance(tree, Leaf):
         return True, None
     assert isinstance(tree, Gluing)
@@ -277,7 +280,8 @@ def _check_tree_betti(tree: GluingTree) -> tuple[bool, str | None]:
         if not ok:
             return ok, witness
     composed = tree.betti_values()
-    actual = frozenset(betti_elements(tree.semigroup()))
+    if actual is None:
+        actual = frozenset(betti_elements(tree.semigroup()))
     if composed != actual:
         return False, f"Betti composition fails: {sorted(composed)} vs {sorted(actual)}"
     return True, None

@@ -5,7 +5,12 @@ whole of the non-negative integers and the children of S are the semigroups
 S minus one minimal generator exceeding the Frobenius number. Every semigroup
 of genus g appears exactly once at depth g, children visited in ascending
 order of the removed generator, so walks are deterministic and resumable by
-the path of removed generators.
+the path of removed generators. A child is built from its parent's membership
+table (:meth:`~nsg.semigroup.NumericalSemigroup.remove_generator`), at
+O(g + e^2) rather than a fresh sieve, and a walk capped at a Frobenius number
+builds no child beyond the cap, since a child's Frobenius number is its
+removed generator. :meth:`~nsg.semigroup.NumericalSemigroup.from_gaps` and
+:func:`gap_subset_oracle` stay as independent routes for the tests.
 
 Complete intersections are enumerated separately, bottom-up by Frobenius
 number through gluings, which reaches Frobenius values far beyond what the
@@ -37,13 +42,21 @@ def parse_token(token: str) -> Path:
         raise ValueError(f"malformed resume token {token!r}") from exc
 
 
-def children(S: NumericalSemigroup) -> list[tuple[int, NumericalSemigroup]]:
-    """The tree children: remove each minimal generator above the Frobenius."""
-    out = []
-    for g in S.generators:
-        if g > S.frobenius:
-            out.append((g, NumericalSemigroup.from_gaps(S.gaps + (g,))))
-    return out
+def children(
+    S: NumericalSemigroup, limit: int | None = None
+) -> list[tuple[int, NumericalSemigroup]]:
+    """The tree children (g, S minus g), ascending in the removed generator g.
+
+    g runs over the minimal generators above the Frobenius number, capped at
+    ``limit`` when given, so a walk builds only the children it visits. Each
+    child comes from :meth:`NumericalSemigroup.remove_generator`, which
+    derives it from S's own table.
+    """
+    return [
+        (g, S.remove_generator(g))
+        for g in S.generators
+        if S.frobenius < g and (limit is None or g <= limit)
+    ]
 
 
 def walk_subtree(
@@ -97,7 +110,8 @@ def enumerate_by_frobenius(frobenius: int) -> Iterator[NumericalSemigroup]:
     """Every numerical semigroup with the given Frobenius number, exactly once.
 
     Same tree, pruned: a child's Frobenius number equals the removed
-    generator, so branches through generators above the target never recover.
+    generator, so branches through generators above the target never recover
+    and are never built.
     """
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1")
@@ -105,9 +119,8 @@ def enumerate_by_frobenius(frobenius: int) -> Iterator[NumericalSemigroup]:
     def visit(S: NumericalSemigroup):
         if S.frobenius == frobenius:
             yield S
-        for g, child in children(S):
-            if g <= frobenius:
-                yield from visit(child)
+        for _, child in children(S, frobenius):
+            yield from visit(child)
 
     yield from visit(NumericalSemigroup(1))
 

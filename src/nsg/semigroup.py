@@ -4,7 +4,8 @@ A numerical semigroup is an additively closed subset of the non-negative
 integers containing 0 whose complement (the set of *gaps*) is finite. It is
 determined by its unique minimal generating system. Everything a
 :class:`NumericalSemigroup` exposes is precomputed at construction from a
-dynamic-programming membership sieve, so instances are immutable and safe to
+dynamic-programming membership sieve (or, for a child in the semigroup tree,
+derived from its parent's table), so instances are immutable and safe to
 share across workers.
 """
 
@@ -112,6 +113,50 @@ class NumericalSemigroup:
             ):
                 generators.append(n)
         return cls(generators)
+
+    def remove_generator(self, g: int) -> "NumericalSemigroup":
+        """S minus g, for a minimal generator g above the Frobenius number.
+
+        This is a child in the semigroup tree. Every slot is derived from
+        this semigroup without a sieve: the child's Frobenius number is g,
+        its gaps are ours plus g, and its membership table is ours with g
+        cleared. Removing g keeps the other minimal generators minimal, and
+        every new one is g + a for a minimal generator a (2g included) or
+        3g: a new generator h is g + s for some non-zero s, and unless s is
+        a generator or 2g, h splits further inside the child. A candidate c
+        is a minimal generator iff c - a is not a member for every smaller
+        generator a (a split x + y of c has a generator a <= x, and then
+        c - a = (x - a) + y), so the cost is the O(g) table copy plus O(e^2)
+        lookups. :meth:`from_gaps` builds the same semigroup independently
+        and serves as the test oracle.
+        """
+        if g <= self.frobenius or g not in self.generators:
+            raise ValueError(
+                f"{g} is not a minimal generator above the Frobenius number {self.frobenius}"
+            )
+        candidates = sorted({g + a for a in self.generators} | {3 * g})
+        table = self._table[:g]
+        table.append(False)
+        table.extend([True] * (candidates[-1] - g))
+        generators = [a for a in self.generators if a != g]
+        for c in candidates:  # ascending, so every generator below c is known
+            if not any(table[c - a] for a in generators if a < c):
+                generators.append(c)
+        generators.sort()
+        bound = g + 2 * generators[-1] + 1  # the window __init__ keeps
+        del table[bound + 1 :]
+        table.extend([True] * (bound + 1 - len(table)))
+        child = object.__new__(NumericalSemigroup)
+        for name, value in (
+            ("generators", tuple(generators)),
+            ("gaps", self.gaps + (g,)),
+            ("frobenius", g),
+            ("genus", self.genus + 1),
+            ("multiplicity", generators[0]),
+            ("_table", table),
+        ):
+            object.__setattr__(child, name, value)
+        return child
 
     # -- membership and basic invariants --------------------------------------
 

@@ -260,8 +260,9 @@ def run_verification(
 
     Counterexamples are collected as full report records (sorted by
     generators in the summary). A progress callback receives (count, token)
-    every few hundred semigroups and the final summary carries the last
-    token, so interrupted runs can resume. Parallel workers split the genus
+    each time the count passes a multiple of 500, on the serial and the
+    parallel path alike, and the final summary carries the last token, so
+    interrupted runs can resume. Parallel workers split the genus
     tree at a fixed shallow depth and merge in subtree order; resumed runs
     are processed serially.
     """
@@ -279,17 +280,23 @@ def run_verification(
         and not job.filters
         and job.limit >= 4
     ):
-        _run_parallel(summary, workers)
+        _run_parallel(summary, workers, progress)
     else:
         for analysis, path in _stream(job):
             summary.add(analysis, path)
-            if progress is not None and summary.total % 500 == 0:
-                progress(summary.total, summary.last_token)
+            _report_progress(summary, summary.total - 1, progress)
     summary.counterexamples.sort(key=lambda r: r.generators)
     return summary
 
 
 _SPLIT_DEPTH = 4
+_PROGRESS_EVERY = 500
+
+
+def _report_progress(summary: VerificationSummary, before: int, progress) -> None:
+    """Call ``progress`` when the total has just passed a multiple of 500."""
+    if progress is not None and summary.total // _PROGRESS_EVERY > before // _PROGRESS_EVERY:
+        progress(summary.total, summary.last_token)
 
 
 def _subtree_task(args) -> VerificationSummary:
@@ -300,7 +307,7 @@ def _subtree_task(args) -> VerificationSummary:
     return tally
 
 
-def _run_parallel(summary: VerificationSummary, workers: int) -> None:
+def _run_parallel(summary: VerificationSummary, workers: int, progress) -> None:
     job = summary.job
     split_depth = min(_SPLIT_DEPTH, job.limit - 1)
     # nodes above the split depth are checked here; the subtrees hanging off
@@ -315,4 +322,6 @@ def _run_parallel(summary: VerificationSummary, workers: int) -> None:
             )
     with Pool(workers) as pool:
         for part in pool.imap(_subtree_task, tasks):
+            before = summary.total
             summary.merge(part)
+            _report_progress(summary, before, progress)

@@ -145,3 +145,21 @@ GENUS_7_ALL_CHECKS = {'mode': 'by-genus',
                                    'conj-betti': True}}],
  'all_pass': False,
  'last_token': '1.3.5.7.9.11.13'}
+
+# enumerate_by_frobenius(F) for F <= 23, captured from the tree walk that
+# built every child with from_gaps: the count (OEIS A124506) and the first 16
+# hex digits of sha256(repr(sorted generator tuples))
+FROBENIUS_FAMILIES = {
+    1: (1, "506e77c7db3cda13"), 2: (1, "188b3e654c38a3bc"),
+    3: (2, "da7b4f44443628c6"), 4: (2, "5636767bdca4a7ec"),
+    5: (5, "fa7fc708c95d0dd8"), 6: (4, "49fddf32f9afd236"),
+    7: (11, "94761e1146630eec"), 8: (10, "fadfb748d1ea688a"),
+    9: (21, "cfc2a982ee074cd5"), 10: (22, "5cbca3ae5709379e"),
+    11: (51, "69a5406d9f18474f"), 12: (40, "bd1212c98425be5f"),
+    13: (106, "5521a0a1e6d8f186"), 14: (103, "1127b4344097c588"),
+    15: (200, "f49ef853b72bb4cc"), 16: (205, "6c217e3ffe4c14c9"),
+    17: (465, "bcc9aadf31177149"), 18: (405, "19af1c21ed6fc9bb"),
+    19: (961, "54c7cabab5ade09f"), 20: (900, "d5c47d394cf508a8"),
+    21: (1828, "465a96aa3448ce03"), 22: (1913, "cc5abe6755cab399"),
+    23: (4096, "6f7894937c0d965b"),
+}

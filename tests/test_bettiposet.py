@@ -15,6 +15,7 @@ from nsg import (
     restricted_factorizations,
     verify_theorems,
 )
+from nsg.analysis import SemigroupAnalysis
 from nsg.bettiposet import OrderedSubset
 
 
@@ -77,6 +78,14 @@ class TestUSet:
         for S in enumerate_by_genus(7):
             betti = OrderedSubset(S, betti_elements(S))
             assert betti.is_totally_ordered() == betti.u_set().is_totally_ordered()
+
+    def test_matches_down_set_definition(self):
+        # the definition, one down-set subset per element, as the oracle
+        for S in enumerate_by_genus(9):
+            analysis = SemigroupAnalysis(S)
+            for subset in (analysis.betti_order, analysis.prefix_support_order):
+                expected = [x for x in subset if subset.down_set(x).is_totally_ordered()]
+                assert list(subset.u_set()) == expected, S
 
 
 class TestHasse:

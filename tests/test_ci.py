@@ -1,5 +1,7 @@
 """Complete intersections: every route to the answer agrees with the gluings."""
 
+from collections import Counter
+
 import pytest
 
 from nsg import (
@@ -53,7 +55,7 @@ class TestSymmetryGate:
         original = factorization_module.factorization_graph
 
         def counted(S, s):
-            built.append(s)
+            built.append((S.generators, s))
             return original(S, s)
 
         monkeypatch.setattr(factorization_module, "factorization_graph", counted)
@@ -72,3 +74,8 @@ class TestSymmetryGate:
     def test_identities_refuse_a_non_complete_intersection(self, s357):
         with pytest.raises(NotCompleteIntersectionError):
             verify_ci_identities(s357)
+
+    def test_identities_build_each_graph_once(self, glued, graphs):
+        # the root of the gluing tree reuses the catalog of the analysis
+        assert verify_ci_identities(glued).all_pass
+        assert graphs and [key for key, n in Counter(graphs).items() if n > 1] == []

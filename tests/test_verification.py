@@ -146,3 +146,15 @@ class TestEnumerationJob:
             assert resumed.total == len(walk) - i - 1
             if resumed.total:
                 assert resumed.last_token == full.last_token
+
+
+class TestProgress:
+    def test_parallel_path_reports_progress(self, monkeypatch):
+        monkeypatch.setenv("NSG_THREADS", "2")
+        calls = []
+        summary = run_verification(
+            EnumerationJob("by-genus", 11), ("thm1",), lambda n, token: calls.append(n)
+        )
+        assert calls
+        assert all(a < b for a, b in zip(calls, calls[1:]))
+        assert calls[-1] <= summary.total
