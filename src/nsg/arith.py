@@ -8,6 +8,12 @@ stay cheap.
 from functools import reduce
 
 _spf: list[int] = [0, 1]  # smallest prime factor; _spf[1] = 1 by convention
+"""The sieve behind every helper here, bounded by the queries made.
+
+It grows only when a query n is past its end, to max(n + 1, twice its old
+length); since the old length is at most n, it never holds more than twice
+the largest query.
+"""
 
 
 def _ensure_sieve(n: int) -> None:

@@ -16,6 +16,7 @@ the product identities are witnesses; the test suite checks all routes agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from . import intpoly
@@ -115,9 +116,6 @@ def is_complete_intersection(S: NumericalSemigroup) -> bool:
     return SemigroupAnalysis(S).complete_intersection
 
 
-_decompose_cache: dict[tuple[int, ...], GluingTree | None] = {}
-
-
 def gluing_decompose(S: NumericalSemigroup) -> GluingTree | None:
     """Recursive gluing witness, or None when no full tree exists.
 
@@ -125,17 +123,12 @@ def gluing_decompose(S: NumericalSemigroup) -> GluingTree | None:
     tried in ascending order; the first fully decomposable split is returned.
     Gluings are not unique, so this fixes one deterministic choice.
     """
-    gens = S.generators
-    cached = _decompose_cache.get(gens)
-    if cached is not None or gens in _decompose_cache:
-        return cached
     if S.is_trivial:
         return LEAF
-    tree = _decompose(gens)
-    _decompose_cache[gens] = tree
-    return tree
+    return _decompose(S.generators)
 
 
+@lru_cache(maxsize=1024)  # one entry per generator tuple, gluing parts included
 def _decompose(gens: tuple[int, ...]) -> GluingTree | None:
     e = len(gens)
     if e == 1:

@@ -4,7 +4,8 @@ Subcommands: ``analyze`` (one-semigroup report), ``exponents`` (print the
 expansion exponents), ``betti`` (Betti structure), ``enumerate`` (families by
 genus or Frobenius number, with filters), ``verify`` (batch checks over a
 family). Exit status 0 means every requested check passed, 1 signals a
-counterexample, 2 a usage error. NSG_THREADS caps verification workers.
+counterexample, 2 a usage error. ``verify`` walks its family serially, in
+this process.
 """
 
 from __future__ import annotations

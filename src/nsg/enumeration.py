@@ -19,6 +19,7 @@ full tree can cover.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Iterator
@@ -165,9 +166,9 @@ def _try_from_gaps(gaps) -> NumericalSemigroup | None:
         return None
 
 
-_ci_cache: dict[int, tuple[NumericalSemigroup, ...]] = {}
-
-
+# A target F recurses into at most -1 and the odd numbers below it, so 512
+# entries cover every target below 1000 without evictions.
+@lru_cache(maxsize=512)
 def ci_with_frobenius(frobenius: int) -> tuple[NumericalSemigroup, ...]:
     """All complete intersections with the given Frobenius number.
 
@@ -183,9 +184,6 @@ def ci_with_frobenius(frobenius: int) -> tuple[NumericalSemigroup, ...]:
         return (NumericalSemigroup(1),)
     if frobenius < 1 or frobenius % 2 == 0:
         return ()
-    cached = _ci_cache.get(frobenius)
-    if cached is not None:
-        return cached
     found: set[NumericalSemigroup] = set()
     a1 = 2
     while (a1 - 1) * a1 <= frobenius + 1:
@@ -214,7 +212,5 @@ def ci_with_frobenius(frobenius: int) -> tuple[NumericalSemigroup, ...]:
                         assert glued.frobenius == frobenius
                         found.add(glued)
         a1 += 1
-    result = tuple(sorted(found, key=lambda s: s.generators))
-    _ci_cache[frobenius] = result
-    return result
+    return tuple(sorted(found, key=lambda s: s.generators))
 

@@ -7,29 +7,25 @@ check and counterexample report reads, so each invariant of a semigroup is
 computed at most once. The analysis is dropped after its semigroup: caches
 are scoped to one evaluation and memory stays flat over a family.
 
-Outcomes accumulate in one tally type, :class:`VerificationSummary`, which
-the serial walk fills directly and subtree workers (capped by the
-NSG_THREADS environment variable) fill on their own and merge. Aggregation
-is commutative, so merges are deterministic and exports are byte-stable.
+Every job, resumed or filtered, by genus, by Frobenius number or over
+complete intersections, takes the same single serial walk. Outcomes
+accumulate in one :class:`VerificationSummary` in walk order, so exports
+are byte-stable.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 from typing import Callable, Iterator
 
 from .analysis import SemigroupAnalysis
 from .enumeration import (
     Path,
-    children,
     ci_with_frobenius,
     enumerate_by_frobenius,
     format_token,
     parse_token,
     walk_genus_tree,
-    walk_subtree,
 )
 from .semigroup import NumericalSemigroup
 
@@ -192,8 +188,7 @@ CHECKS: dict[str, Callable[[SemigroupAnalysis], bool]] = {
 class VerificationSummary:
     """The tally of a run: pass counts, counterexamples and the resume point.
 
-    Serial runs add semigroups one at a time; each pool worker fills its own
-    summary for a subtree and the parent merges them in subtree order.
+    The walk adds semigroups one at a time, in the order it visits them.
     """
 
     job: EnumerationJob
@@ -221,14 +216,6 @@ class VerificationSummary:
             self.counterexamples.append(build_report(analysis, verdicts))
         self.last_token = format_token(path)
 
-    def merge(self, other: "VerificationSummary") -> None:
-        """Fold in the tally of a later part of the same walk."""
-        self.total += other.total
-        for name, count in other.pass_counts.items():
-            self.pass_counts[name] += count
-        self.counterexamples.extend(other.counterexamples)
-        self.last_token = other.last_token
-
     def to_json_dict(self) -> dict:
         return {
             "mode": self.job.mode,
@@ -244,11 +231,15 @@ class VerificationSummary:
 
 
 def worker_count() -> int:
-    value = os.environ.get("NSG_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
+    """Always 1: verification runs in this process, on one serial walk.
+
+    Kept only because ``perfbench/trace.py`` imports it for its pool
+    metrics, which now read 0; it goes with the next benchmark change.
+    """
+    return 1
+
+
+_PROGRESS_EVERY = 500
 
 
 def run_verification(
@@ -260,68 +251,17 @@ def run_verification(
 
     Counterexamples are collected as full report records (sorted by
     generators in the summary). A progress callback receives (count, token)
-    each time the count passes a multiple of 500, on the serial and the
-    parallel path alike, and the final summary carries the last token, so
-    interrupted runs can resume. Parallel workers split the genus
-    tree at a fixed shallow depth and merge in subtree order; resumed runs
-    are processed serially.
+    each time the count reaches a multiple of 500, and the final summary
+    carries the last token, so interrupted by-genus runs can resume.
     """
     checks = tuple(checks)
     for name in checks:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}")
     summary = VerificationSummary(job, checks)
-
-    workers = worker_count()
-    if (
-        job.mode == "by-genus"
-        and workers > 1
-        and job.resume_token is None
-        and not job.filters
-        and job.limit >= 4
-    ):
-        _run_parallel(summary, workers, progress)
-    else:
-        for analysis, path in _stream(job):
-            summary.add(analysis, path)
-            _report_progress(summary, summary.total - 1, progress)
+    for analysis, path in _stream(job):
+        summary.add(analysis, path)
+        if progress is not None and summary.total % _PROGRESS_EVERY == 0:
+            progress(summary.total, summary.last_token)
     summary.counterexamples.sort(key=lambda r: r.generators)
     return summary
-
-
-_SPLIT_DEPTH = 4
-_PROGRESS_EVERY = 500
-
-
-def _report_progress(summary: VerificationSummary, before: int, progress) -> None:
-    """Call ``progress`` when the total has just passed a multiple of 500."""
-    if progress is not None and summary.total // _PROGRESS_EVERY > before // _PROGRESS_EVERY:
-        progress(summary.total, summary.last_token)
-
-
-def _subtree_task(args) -> VerificationSummary:
-    job, checks, generators, path = args
-    tally = VerificationSummary(job, checks)
-    for S, node_path in walk_subtree(NumericalSemigroup(generators), path, job.limit):
-        tally.add(SemigroupAnalysis(S), node_path)
-    return tally
-
-
-def _run_parallel(summary: VerificationSummary, workers: int, progress) -> None:
-    job = summary.job
-    split_depth = min(_SPLIT_DEPTH, job.limit - 1)
-    # nodes above the split depth are checked here; the subtrees hanging off
-    # the split depth go to the pool in DFS order
-    tasks = []
-    for S, path in walk_genus_tree(split_depth - 1):
-        summary.add(SemigroupAnalysis(S), path)
-        if len(path) == split_depth - 1:
-            tasks.extend(
-                (job, summary.checks, child.generators, path + (g,))
-                for g, child in children(S)
-            )
-    with Pool(workers) as pool:
-        for part in pool.imap(_subtree_task, tasks):
-            before = summary.total
-            summary.merge(part)
-            _report_progress(summary, before, progress)

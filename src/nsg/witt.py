@@ -24,6 +24,7 @@ Python integer; floating point appears only in the root-modulus estimates of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from . import intpoly
@@ -161,26 +162,22 @@ def reconstruct_prefix(entries: Sequence[int], bound: int) -> list[int]:
     return prefix
 
 
-_cyclotomic_cache: dict[int, list[int]] = {}
-
-
 def cyclotomic_polynomial(n: int) -> list[int]:
     """The n-th cyclotomic polynomial via exact division of x^n - 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    cached = _cyclotomic_cache.get(n)
-    if cached is not None:
-        return cached[:]
+    return list(_cyclotomic(n))
+
+
+@lru_cache(maxsize=256)  # above the 137 polynomials a ci-frobenius benchmark run holds
+def _cyclotomic(n: int) -> tuple[int, ...]:
     if n == 1:
-        result = [-1, 1]
-    else:
-        quotient = intpoly.sub([0] * n + [1], intpoly.ONE)  # x^n - 1
-        for d in divisors(n):
-            if d < n:
-                quotient = intpoly.divexact(quotient, cyclotomic_polynomial(d))
-        result = quotient
-    _cyclotomic_cache[n] = result
-    return result[:]
+        return (-1, 1)
+    quotient = intpoly.sub([0] * n + [1], intpoly.ONE)  # x^n - 1
+    for d in divisors(n):
+        if d < n:
+            quotient = intpoly.divexact(quotient, _cyclotomic(d))
+    return tuple(quotient)
 
 
 def factor_into_cyclotomics(poly: Sequence[int]) -> CyclotomicFactorization:
@@ -281,7 +278,12 @@ def growth_envelope_check(poly: Sequence[int], ks: Sequence[int]) -> GrowthRepor
     of the main term ``alpha_1^(-k)/k``; for linear f the alpha_2 term drops.
     Exponents are exact; only the root moduli are floating point.
     """
-    import numpy as np  # only needed here; importing nsg stays numpy-free
+    try:
+        import numpy as np  # only needed here; importing nsg stays numpy-free
+    except ImportError as exc:
+        raise ImportError(
+            "growth_envelope_check needs numpy; install the nsg[growth] extra"
+        ) from exc
 
     coeffs = intpoly.trim(_check_constant_term(poly))
     deg = len(coeffs) - 1

@@ -60,6 +60,15 @@ def test_large_query_then_small(cold_sieve):
         assert arith.prime_factors(n) == _brute_prime_factors(n)
 
 
+def test_sieve_holds_at_most_twice_the_largest_query(cold_sieve):
+    largest = 0
+    for n in [1, 2, 3, 5, 4, 9, 17, 16, 100, 101, 50, 257, 1000, 1999, 2000, 4001]:
+        arith.prime_factors(n)
+        largest = max(largest, n)
+        assert len(arith._spf) <= 2 * largest, n
+    assert len(arith._spf) > largest
+
+
 @pytest.mark.parametrize("n", [0, -1, -12])
 def test_prime_factors_below_1_raises(n):
     with pytest.raises(ValueError):

@@ -7,8 +7,7 @@ from nsg.cli import main
 
 
 @pytest.fixture
-def run(monkeypatch):
-    monkeypatch.setenv("NSG_THREADS", "1")
+def run():
     runner = CliRunner()
     return lambda *args: runner.invoke(main, list(args))
 

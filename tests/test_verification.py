@@ -35,9 +35,7 @@ class TestFrozenExports:
         expected = dict(REPORTS[(5, 6, 7)], verdicts={"thm1": True})
         assert record.to_json_dict() == expected
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_genus_7_all_checks(self, monkeypatch, threads):
-        monkeypatch.setenv("NSG_THREADS", threads)
+    def test_genus_7_all_checks(self):
         summary = run_verification(EnumerationJob("by-genus", 7), tuple(CHECKS))
         assert _dumps(summary.to_json_dict()) == _dumps(GENUS_7_ALL_CHECKS)
 
@@ -55,7 +53,6 @@ class TestSharedAnalysis:
         return calls
 
     def test_each_invariant_once_per_semigroup(self, monkeypatch):
-        monkeypatch.setenv("NSG_THREADS", "1")
         counted = {
             name: self._count_calls(monkeypatch, name)
             for name in ("exponent_sequence", "betti_elements", "cyclotomic_factorization")
@@ -66,7 +63,6 @@ class TestSharedAnalysis:
             assert len(calls) == len(set(calls)) == 50, name
 
     def test_filter_reads_the_analysis_the_checks_read(self, monkeypatch):
-        monkeypatch.setenv("NSG_THREADS", "1")
         betti_calls = self._count_calls(monkeypatch, "betti_elements")
         job = EnumerationJob("by-genus", 7, ("betti-sorted",))
         summary = run_verification(job, tuple(CHECKS))
@@ -103,7 +99,6 @@ class TestOneGraphPerElement:
     )
     def test_no_factorization_graph_built_twice(self, monkeypatch, job):
         """The CI decision, the filters and the checks share one Betti catalog."""
-        monkeypatch.setenv("NSG_THREADS", "1")
         builds = Counter()
         original = factorization_module.factorization_graph
 
@@ -133,8 +128,7 @@ class TestEnumerationJob:
         with pytest.raises(ValueError, match="malformed"):
             EnumerationJob("by-genus", 4, resume_token="2.x")
 
-    def test_resume_gives_the_exact_suffix(self, monkeypatch):
-        monkeypatch.setenv("NSG_THREADS", "1")
+    def test_resume_gives_the_exact_suffix(self):
         walk = [path for _, path in walk_genus_tree(5)]
         assert len(walk) == sum(SEMIGROUPS_PER_GENUS[:6])
         full = run_verification(EnumerationJob("by-genus", 5), ("thm1",))
@@ -149,12 +143,19 @@ class TestEnumerationJob:
 
 
 class TestProgress:
-    def test_parallel_path_reports_progress(self, monkeypatch):
-        monkeypatch.setenv("NSG_THREADS", "2")
+    def _calls(self, job):
         calls = []
-        summary = run_verification(
-            EnumerationJob("by-genus", 11), ("thm1",), lambda n, token: calls.append(n)
-        )
-        assert calls
-        assert all(a < b for a, b in zip(calls, calls[1:]))
-        assert calls[-1] <= summary.total
+        summary = run_verification(job, ("conj-msg",), lambda n, token: calls.append((n, token)))
+        return calls, summary
+
+    def test_every_500_semigroups(self):
+        calls, summary = self._calls(EnumerationJob("by-frobenius", 21))
+        assert summary.total == 1828
+        assert [n for n, _ in calls] == [500, 1000, 1500]
+
+    def test_token_is_the_path_reached(self):
+        calls, summary = self._calls(EnumerationJob("by-genus", 11))
+        assert summary.total == 821
+        path = [path for _, path in walk_genus_tree(11)][499]
+        assert calls == [(500, format_token(path))]
+        assert calls == [(500, "1.2.3.4.5.7.8.9.11.13.14")]

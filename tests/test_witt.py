@@ -230,8 +230,14 @@ class TestGrowthEnvelope:
         with pytest.raises(RootSeparationError):
             growth_envelope_check([1, -1, 1], range(1, 5))
 
-    def test_numpy_loaded_only_by_the_envelope_check(self):
+    @pytest.mark.parametrize("module", ["numpy", "multiprocessing"])
+    def test_numpy_loaded_only_by_the_envelope_check(self, module):
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
-        code = "import nsg.cli, sys; assert 'numpy' not in sys.modules"
+        code = f"import nsg.cli, sys; assert {module!r} not in sys.modules"
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    def test_missing_numpy_names_the_extra(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        with pytest.raises(ImportError, match=r"nsg\[growth\]"):
+            growth_envelope_check([1, -1], range(1, 11))
