@@ -34,7 +34,6 @@ from .enumeration import (
     ci_with_frobenius,
     enumerate_by_frobenius,
     enumerate_by_genus,
-    gap_subset_oracle,
     walk_genus_tree,
 )
 from .errors import (
@@ -50,7 +49,6 @@ from .errors import (
     NotIsolatedBettiError,
     NsgError,
     RootSeparationError,
-    TrivialSemigroupError,
 )
 from .factorization import (
     BettiData,

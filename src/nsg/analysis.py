@@ -74,13 +74,11 @@ class SemigroupAnalysis:
         """Whether a minimal presentation has embedding dimension - 1 relations.
 
         Complete intersections are symmetric (Herzog 1970), so the Betti
-        catalog is read only behind the symmetry gate. ``is_symmetric`` is
-        undefined on the trivial semigroup, a complete intersection with an
-        empty presentation, so that case is settled first.
+        catalog is read only behind the symmetry gate. The trivial semigroup
+        is symmetric with an empty catalog and embedding dimension 1, so it
+        is a complete intersection by the same sum.
         """
         S = self.semigroup
-        if S.is_trivial:
-            return True
         if not S.is_symmetric():
             return False
         size = sum(data.nc - 1 for data in self.betti.values())

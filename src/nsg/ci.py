@@ -35,9 +35,6 @@ class GluingTree:
     def generator_values(self) -> tuple[int, ...]:
         raise NotImplementedError
 
-    def frobenius(self) -> int:
-        raise NotImplementedError
-
     def betti_values(self) -> frozenset[int]:
         raise NotImplementedError
 
@@ -48,9 +45,6 @@ class Leaf(GluingTree):
 
     def generator_values(self) -> tuple[int, ...]:
         return (1,)
-
-    def frobenius(self) -> int:
-        return -1
 
     def betti_values(self) -> frozenset[int]:
         return frozenset()
@@ -64,10 +58,12 @@ class Gluing(GluingTree):
     """An internal node ``a1*left + a2*right`` with coprime scales.
 
     The scales satisfy: a2 is a non-generator member of the left semigroup
-    and a1 a non-generator member of the right one. The Frobenius number
-    composes as ``a1*a2 + a1*F(left) + a2*F(right)`` (compare degrees in the
-    product formula for the glued polynomial), and the Betti set is
-    ``{a1*a2}`` together with the scaled Betti sets of the parts.
+    and a1 a non-generator member of the right one. The Betti set is
+    ``{a1*a2}`` together with the scaled Betti sets of the parts. The
+    Frobenius number composes as ``a1*a2 + a1*F(left) + a2*F(right)``
+    (compare degrees in the product formula for the glued polynomial);
+    :func:`~nsg.enumeration.ci_with_frobenius` solves this for the parts to
+    enumerate complete intersections by Frobenius number.
     """
 
     a1: int
@@ -79,13 +75,6 @@ class Gluing(GluingTree):
         scaled = [self.a1 * g for g in self.left.generator_values()]
         scaled += [self.a2 * g for g in self.right.generator_values()]
         return tuple(sorted(scaled))
-
-    def frobenius(self) -> int:
-        return (
-            self.a1 * self.a2
-            + self.a1 * self.left.frobenius()
-            + self.a2 * self.right.frobenius()
-        )
 
     def betti_values(self) -> frozenset[int]:
         return (
@@ -123,8 +112,6 @@ def gluing_decompose(S: NumericalSemigroup) -> GluingTree | None:
     tried in ascending order; the first fully decomposable split is returned.
     Gluings are not unique, so this fixes one deterministic choice.
     """
-    if S.is_trivial:
-        return LEAF
     return _decompose(S.generators)
 
 

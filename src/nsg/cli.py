@@ -69,8 +69,7 @@ def analyze(generators, bound, json_path, dot_path):
     click.echo(f"generators: {', '.join(map(str, S.generators))}")
     click.echo(f"frobenius: {S.frobenius}   genus: {S.genus}   multiplicity: {S.multiplicity}")
     click.echo(f"gaps: {', '.join(map(str, S.gaps)) or '-'}")
-    if not S.is_trivial:
-        click.echo(f"symmetric: {S.is_symmetric()}")
+    click.echo(f"symmetric: {S.is_symmetric()}")
     click.echo(f"cyclotomic: {analysis.cyclotomic}")
     ci = analysis.complete_intersection
     click.echo(f"complete intersection: {ci}")

@@ -9,8 +9,9 @@ the path of removed generators. A child is built from its parent's membership
 table (:meth:`~nsg.semigroup.NumericalSemigroup.remove_generator`), at
 O(g + e^2) rather than a fresh sieve, and a walk capped at a Frobenius number
 builds no child beyond the cap, since a child's Frobenius number is its
-removed generator. :meth:`~nsg.semigroup.NumericalSemigroup.from_gaps` and
-:func:`gap_subset_oracle` stay as independent routes for the tests.
+removed generator. One recursive walk serves whole and resumed genus walks;
+the walk by Frobenius number is its own pruned recursion, which needs no
+paths.
 
 Complete intersections are enumerated separately, bottom-up by Frobenius
 number through gluings, which reaches Frobenius values far beyond what the
@@ -20,7 +21,6 @@ full tree can cover.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import gcd
 from typing import Iterator
 
@@ -60,45 +60,30 @@ def children(
     ]
 
 
-def walk_subtree(
-    S: NumericalSemigroup, path: Path, g_max: int
-) -> Iterator[tuple[NumericalSemigroup, Path]]:
-    """Depth-first preorder walk of the subtree under S, at tree path ``path``.
-
-    Descends to genus g_max; paths extend ``path`` by the removed generators.
-    """
-    yield S, path
-    if len(path) < g_max:
-        for g, child in children(S):
-            yield from walk_subtree(child, path + (g,), g_max)
-
-
 def walk_genus_tree(
     g_max: int, resume: Path | None = None
 ) -> Iterator[tuple[NumericalSemigroup, Path]]:
     """Depth-first preorder walk of all semigroups with genus <= g_max.
 
-    With ``resume`` the walk reproduces the suffix strictly after that path,
-    skipping fully earlier subtrees without materializing them.
+    Yields (semigroup, tree path) pairs. With ``resume`` the walk reproduces
+    the suffix strictly after that path, skipping fully earlier subtrees
+    without walking them.
     """
-    if g_max < 0:
-        return
-    root = NumericalSemigroup(1)
-    if resume is None:
-        yield from walk_subtree(root, (), g_max)
-        return
 
-    def after(S: NumericalSemigroup, path: Path):
-        # path is a prefix of the resume point: only later nodes are yielded
+    def visit(S: NumericalSemigroup, path: Path, after: Path | None):
+        # after is the resume point while path is a prefix of it, else None
+        if after is None:
+            yield S, path
         if len(path) == g_max:
             return
         for g, child in children(S):
-            if path == resume or g > resume[len(path)]:
-                yield from walk_subtree(child, path + (g,), g_max)
-            elif g == resume[len(path)]:
-                yield from after(child, path + (g,))
+            if after is None or path == after or g > after[len(path)]:
+                yield from visit(child, path + (g,), None)
+            elif g == after[len(path)]:
+                yield from visit(child, path + (g,), after)
 
-    yield from after(root, ())
+    if g_max >= 0:
+        yield from visit(NumericalSemigroup(1), (), resume)
 
 
 def enumerate_by_genus(g_max: int) -> Iterator[NumericalSemigroup]:
@@ -124,46 +109,6 @@ def enumerate_by_frobenius(frobenius: int) -> Iterator[NumericalSemigroup]:
             yield from visit(child)
 
     yield from visit(NumericalSemigroup(1))
-
-
-def gap_subset_oracle(
-    g_max: int | None = None, frobenius: int | None = None
-) -> list[NumericalSemigroup]:
-    """Brute-force enumeration over candidate gap sets, for cross-validation.
-
-    Tries every subset of the feasible gap window and keeps those whose
-    complement is additively closed. Exponential; only usable for small
-    bounds, which is exactly its role as an independent oracle.
-    """
-    if (g_max is None) == (frobenius is None):
-        raise ValueError("pass exactly one of g_max, frobenius")
-    out = []
-    if g_max is not None:
-        if g_max == 0:
-            return [NumericalSemigroup(1)]
-        window = 2 * g_max - 1  # the largest gap of a genus-g semigroup is < 2g
-        pool = range(1, window + 1)
-        out.append(NumericalSemigroup(1))
-        for size in range(1, g_max + 1):
-            for gaps in combinations(pool, size):
-                candidate = _try_from_gaps(gaps)
-                if candidate is not None:
-                    out.append(candidate)
-    else:
-        pool = range(1, frobenius)
-        for size in range(frobenius):
-            for rest in combinations(pool, size):
-                candidate = _try_from_gaps(rest + (frobenius,))
-                if candidate is not None:
-                    out.append(candidate)
-    return out
-
-
-def _try_from_gaps(gaps) -> NumericalSemigroup | None:
-    try:
-        return NumericalSemigroup.from_gaps(gaps)
-    except ValueError:
-        return None
 
 
 # A target F recurses into at most -1 and the odd numbers below it, so 512

@@ -17,10 +17,6 @@ class NotAMemberError(NsgError, ValueError):
     """An operation required an element of the semigroup and got a non-member."""
 
 
-class TrivialSemigroupError(NsgError, ValueError):
-    """The operation is undefined for the semigroup of all non-negative integers."""
-
-
 class BadConstantTermError(NsgError, ValueError):
     """Series/polynomial input must have constant coefficient 1."""
 

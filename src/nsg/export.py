@@ -14,17 +14,9 @@ def write_json(data, path) -> None:
     Path(path).write_text(dumps_json(data), encoding="utf-8")
 
 
-def csv_text(rows, header: list[str] | None = None) -> str:
-    lines = []
-    if header is not None:
-        lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(str(value) for value in row))
-    return "\n".join(lines) + "\n"
-
-
-def write_csv(rows, path, header: list[str] | None = None) -> None:
-    Path(path).write_text(csv_text(rows, header), encoding="utf-8")
+def write_csv(rows, path) -> None:
+    lines = [",".join(str(value) for value in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_dot(text: str, path) -> None:

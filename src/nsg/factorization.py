@@ -147,11 +147,10 @@ def factorization_graph(S: NumericalSemigroup, s: int) -> FactorizationGraph:
 
 @dataclass(frozen=True)
 class BettiData:
-    """Per-Betti-element record: class count, isolated count, factorizations."""
+    """Per-Betti-element record: R-class count and isolated factorization count."""
 
     nc: int
     isolated_count: int
-    factorizations: tuple[Vector, ...]
 
 
 def betti_search_bound(S: NumericalSemigroup) -> int:
@@ -176,7 +175,6 @@ def betti_elements(S: NumericalSemigroup) -> dict[int, BettiData]:
             catalog[s] = BettiData(
                 nc=graph.n_classes,
                 isolated_count=sum(1 for cls in graph.r_classes if len(cls) == 1),
-                factorizations=graph.vertices,
             )
     return catalog
 

@@ -24,15 +24,6 @@ def degree(poly: list[int]) -> int:
     return len(trim(poly)) - 1
 
 
-def add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a[:]
-    for i, c in enumerate(b):
-        out[i] += c
-    return trim(out)
-
-
 def sub(a: list[int], b: list[int]) -> list[int]:
     out = a[:] + [0] * (len(b) - len(a))
     for i, c in enumerate(b):
@@ -153,27 +144,3 @@ def evaluate(poly: list[int], x: int) -> int:
 def is_self_reciprocal(poly: list[int]) -> bool:
     poly = trim(poly)
     return poly == poly[::-1]
-
-
-def to_string(poly: list[int], var: str = "x") -> str:
-    """Human-readable form, highest degree first, e.g. ``x^5 - x^4 + 1``."""
-    poly = trim(poly)
-    if not poly:
-        return "0"
-    parts: list[str] = []
-    for i in range(len(poly) - 1, -1, -1):
-        c = poly[i]
-        if c == 0:
-            continue
-        sign = " - " if c < 0 else (" + " if parts else "")
-        if not parts and c < 0:
-            sign = "-"
-        magnitude = abs(c)
-        if i == 0:
-            body = str(magnitude)
-        else:
-            coeff = "" if magnitude == 1 else str(magnitude)
-            power = var if i == 1 else f"{var}^{i}"
-            body = coeff + power
-        parts.append(sign + body)
-    return "".join(parts)

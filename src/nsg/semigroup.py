@@ -13,12 +13,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import (
-    EmptyGeneratorsError,
-    NonCoprimeGeneratorsError,
-    NotAMemberError,
-    TrivialSemigroupError,
-)
+from .errors import EmptyGeneratorsError, NonCoprimeGeneratorsError, NotAMemberError
 
 
 class NumericalSemigroup:
@@ -89,7 +84,10 @@ class NumericalSemigroup:
         """Build the semigroup whose gap set is exactly ``gaps``.
 
         The complement of a valid gap set is closed under addition; this is
-        checked and a ValueError raised otherwise.
+        checked and a ValueError raised otherwise. No walk in the package
+        calls it: it stays as the independent oracle the tests hold
+        :meth:`remove_generator` to, and ``perfbench/trace.py`` wraps it by
+        name.
         """
         gap_set = frozenset(gaps)
         if not gap_set:
@@ -167,9 +165,6 @@ class NumericalSemigroup:
             return self._table[n]
         return True
 
-    def contains(self, n: int) -> bool:
-        return n in self
-
     @property
     def embedding_dimension(self) -> int:
         return len(self.generators)
@@ -236,10 +231,10 @@ class NumericalSemigroup:
         """Whether exactly one of n, frobenius - n belongs to S for all n.
 
         Equivalent to the coefficient list of the semigroup polynomial being
-        palindromic; the test suite checks the two criteria agree.
+        palindromic; the test suite checks the two criteria agree. For the
+        trivial semigroup (F = -1) there is nothing to pair, so it is
+        symmetric, as its polynomial ``[1]`` is self-reciprocal.
         """
-        if self.is_trivial:
-            raise TrivialSemigroupError("symmetry is undefined for the trivial semigroup")
         frobenius = self.frobenius
         return all((n in self) != (frobenius - n in self) for n in range(frobenius + 1))
 
@@ -275,8 +270,6 @@ def _membership_sieve(values: list[int]) -> list[bool]:
     from that point on every integer is a member, so the largest gap is final.
     """
     multiplicity = values[0]
-    if multiplicity == 1:
-        return [True] * (2 * values[-1] + 3)
     bound = 2 * values[-1] + 2
     table = [False] * (bound + 1)
     table[0] = True
@@ -309,13 +302,13 @@ def _last_false(table: list[bool]) -> int:
 
 
 def _minimal_generators(values: list[int], table: list[bool]) -> list[int]:
-    """Filter a generating set down to the minimal system.
+    """Filter an ascending generating set down to the minimal system.
 
-    A generator is redundant iff it splits as a sum of two non-zero members.
+    n is kept iff n - a is not a member for every kept generator a, the test
+    :meth:`NumericalSemigroup.remove_generator` applies to its candidates.
     """
     out = []
-    for n in values:
-        if any(table[a] and table[n - a] for a in range(1, n // 2 + 1)):
-            continue
-        out.append(n)
+    for n in values:  # ascending, so every minimal generator below n is kept
+        if not any(table[n - a] for a in out):
+            out.append(n)
     return out

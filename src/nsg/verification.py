@@ -7,8 +7,8 @@ check and counterexample report reads, so each invariant of a semigroup is
 computed at most once. The analysis is dropped after its semigroup: caches
 are scoped to one evaluation and memory stays flat over a family.
 
-Every job, resumed or filtered, by genus, by Frobenius number or over
-complete intersections, takes the same single serial walk. Outcomes
+Every job, resumed or filtered, by genus or by Frobenius number, takes the
+same single serial walk. Outcomes
 accumulate in one :class:`VerificationSummary` in walk order, so exports
 are byte-stable.
 """
@@ -44,13 +44,13 @@ FILTERS: dict[str, Callable[[SemigroupAnalysis], bool]] = {
 class EnumerationJob:
     """What to enumerate: mode, bound, optional filters and resume point."""
 
-    mode: str  # by-genus | by-frobenius | ci-by-frobenius
+    mode: str  # by-genus | by-frobenius (filtered on "ci": the gluing enumerator)
     limit: int
     filters: tuple[str, ...] = ()
     resume_token: str | None = None
 
     def __post_init__(self):
-        if self.mode not in ("by-genus", "by-frobenius", "ci-by-frobenius"):
+        if self.mode not in ("by-genus", "by-frobenius"):
             raise ValueError(f"unknown mode {self.mode!r}")
         least = 0 if self.mode == "by-genus" else 1
         if self.limit < least:
@@ -68,15 +68,13 @@ def _stream(job: EnumerationJob) -> Iterator[tuple[SemigroupAnalysis, Path]]:
     """The job's family as (analysis, tree path) pairs, filters applied.
 
     Paths are tree paths in by-genus mode (honouring the resume token) and
-    empty otherwise. A by-frobenius job filtered on "ci" walks the gluing
-    enumerator, as a ci-by-frobenius job does: it reaches Frobenius numbers
-    the full tree cannot. Every glued semigroup is re-verified by the
-    presentation-size test of its analysis, whose Betti catalog the filters
-    and checks then share.
+    empty otherwise. A by-frobenius job filtered on "ci" is the one route to
+    the gluing enumerator, which reaches Frobenius numbers the full tree
+    cannot. Every glued semigroup is re-verified by the presentation-size
+    test of its analysis, whose Betti catalog the filters and checks then
+    share.
     """
-    glued = job.mode == "ci-by-frobenius" or (
-        job.mode == "by-frobenius" and "ci" in job.filters
-    )
+    glued = job.mode == "by-frobenius" and "ci" in job.filters
     if job.mode == "by-genus":
         resume = None if job.resume_token is None else parse_token(job.resume_token)
         family = walk_genus_tree(job.limit, resume=resume)
@@ -188,7 +186,8 @@ CHECKS: dict[str, Callable[[SemigroupAnalysis], bool]] = {
 class VerificationSummary:
     """The tally of a run: pass counts, counterexamples and the resume point.
 
-    The walk adds semigroups one at a time, in the order it visits them.
+    :func:`run_verification` tallies semigroups one at a time, in the order
+    the walk visits them.
     """
 
     job: EnumerationJob
@@ -205,16 +204,6 @@ class VerificationSummary:
     @property
     def all_pass(self) -> bool:
         return not self.counterexamples
-
-    def add(self, analysis: SemigroupAnalysis, path: Path) -> None:
-        """Run the checks on one semigroup; a failure keeps its full report."""
-        verdicts = {name: CHECKS[name](analysis) for name in self.checks}
-        self.total += 1
-        for name, ok in verdicts.items():
-            self.pass_counts[name] += ok
-        if not all(verdicts.values()):
-            self.counterexamples.append(build_report(analysis, verdicts))
-        self.last_token = format_token(path)
 
     def to_json_dict(self) -> dict:
         return {
@@ -260,7 +249,13 @@ def run_verification(
             raise ValueError(f"unknown check {name!r}")
     summary = VerificationSummary(job, checks)
     for analysis, path in _stream(job):
-        summary.add(analysis, path)
+        verdicts = {name: CHECKS[name](analysis) for name in checks}
+        summary.total += 1
+        for name, ok in verdicts.items():
+            summary.pass_counts[name] += ok
+        if not all(verdicts.values()):
+            summary.counterexamples.append(build_report(analysis, verdicts))
+        summary.last_token = format_token(path)
         if progress is not None and summary.total % _PROGRESS_EVERY == 0:
             progress(summary.total, summary.last_token)
     summary.counterexamples.sort(key=lambda r: r.generators)

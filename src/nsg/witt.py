@@ -226,7 +226,7 @@ def cyclotomic_factorization(S: NumericalSemigroup) -> CyclotomicFactorization |
     A product of cyclotomic polynomials of index >= 2 is self-reciprocal, so
     non-symmetric semigroups are rejected before the factor search.
     """
-    if not S.is_trivial and not S.is_symmetric():
+    if not S.is_symmetric():
         return None
     return factor_into_cyclotomics(S.polynomial())
 

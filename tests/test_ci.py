@@ -40,7 +40,8 @@ def test_gluings_find_exactly_the_complete_intersections(frobenius):
         assert {S for S in family if route(S)} == set(glued), name
     for S in glued:
         assert verify_ci_identities(S).all_pass, S
-    assert list(enumerate_job(EnumerationJob("ci-by-frobenius", frobenius))) == list(glued)
+    job = EnumerationJob("by-frobenius", frobenius, ("ci",))
+    assert list(enumerate_job(job)) == list(glued)
 
 
 def test_trivial_semigroup(naturals):

@@ -58,3 +58,10 @@ class TestEnumerate:
         result = run("enumerate", "--frobenius", "7", "--filter", "nope")
         assert result.exit_code == 2
         assert "known:" in result.output
+
+
+class TestAnalyze:
+    def test_trivial_semigroup_is_symmetric(self, run):
+        result = run("analyze", "1")
+        assert result.exit_code == 0, result.output
+        assert "symmetric: True" in result.output.splitlines()

@@ -1,6 +1,7 @@
 """The semigroup tree: cheap children against from_gaps, counts and oracles."""
 
 import hashlib
+from itertools import combinations
 
 import pytest
 
@@ -9,7 +10,6 @@ from nsg.enumeration import (
     children,
     enumerate_by_frobenius,
     enumerate_by_genus,
-    gap_subset_oracle,
     walk_genus_tree,
 )
 
@@ -89,6 +89,41 @@ class TestCounts:
         family = list(enumerate_by_frobenius(frobenius))
         assert all(S.frobenius == frobenius for S in family)
         assert _digest(family) == FROBENIUS_FAMILIES[frobenius]
+
+
+def gap_subset_oracle(
+    g_max: int | None = None, frobenius: int | None = None
+) -> list[NumericalSemigroup]:
+    """Brute-force enumeration over candidate gap sets, for cross-validation.
+
+    Tries every subset of the feasible gap window and keeps those whose
+    complement is additively closed. Exponential; only usable for small
+    bounds, which is exactly its role as an independent oracle.
+    """
+    assert (g_max is None) != (frobenius is None), "pass exactly one of g_max, frobenius"
+    out = []
+    if g_max is not None:
+        window = 2 * g_max - 1  # the largest gap of a genus-g semigroup is < 2g
+        out.append(NumericalSemigroup(1))
+        for size in range(1, g_max + 1):
+            for gaps in combinations(range(1, window + 1), size):
+                candidate = _try_from_gaps(gaps)
+                if candidate is not None:
+                    out.append(candidate)
+    else:
+        for size in range(frobenius):
+            for rest in combinations(range(1, frobenius), size):
+                candidate = _try_from_gaps(rest + (frobenius,))
+                if candidate is not None:
+                    out.append(candidate)
+    return out
+
+
+def _try_from_gaps(gaps) -> NumericalSemigroup | None:
+    try:
+        return NumericalSemigroup.from_gaps(gaps)
+    except ValueError:
+        return None
 
 
 class TestGapSubsetOracle:

@@ -22,11 +22,6 @@ class TestBasics:
     def test_evaluate(self):
         assert intpoly.evaluate([1, -1, 1], 2) == 3
 
-    def test_to_string(self):
-        assert intpoly.to_string([1, -1, 1]) == "x^2 - x + 1"
-        assert intpoly.to_string([]) == "0"
-        assert intpoly.to_string([-2, 0, 3]) == "3x^2 - 2"
-
 
 class TestDivision:
     def test_exact(self):

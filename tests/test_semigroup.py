@@ -1,13 +1,14 @@
 import json
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from nsg import (
     EmptyGeneratorsError,
     NonCoprimeGeneratorsError,
     NotAMemberError,
     NumericalSemigroup,
-    TrivialSemigroupError,
     enumerate_by_genus,
 )
 from nsg import intpoly
@@ -35,6 +36,18 @@ class TestConstruction:
 
     def test_trivial_with_redundant_generators(self):
         assert NumericalSemigroup(1, 5).generators == (1,)
+
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=8))
+    def test_minimal_generators_match_the_split_definition(self, values):
+        assume(gcd(*values) == 1)
+        S = NumericalSemigroup(values)
+        # n is redundant iff it is a sum of two non-zero members
+        expected = sorted(
+            n
+            for n in set(values)
+            if not any(a in S and n - a in S for a in range(1, n // 2 + 1))
+        )
+        assert S.generators == tuple(expected)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyGeneratorsError):
@@ -152,21 +165,20 @@ class TestSymmetry:
         assert not s357.is_symmetric()
         assert NumericalSemigroup(2, 3).is_symmetric()
 
-    def test_trivial_raises(self, naturals):
-        with pytest.raises(TrivialSemigroupError):
-            naturals.is_symmetric()
+    def test_trivial_is_symmetric(self, naturals):
+        # F = -1 leaves nothing to pair; the polynomial [1] is self-reciprocal
+        assert naturals.is_symmetric()
 
     def test_pairing_matches_self_reciprocal_polynomial(self):
         # the second criterion, kept here as the oracle for is_symmetric
         verdicts = []
         for S in enumerate_by_genus(10):
-            if S.is_trivial:
-                continue
             symmetric = S.is_symmetric()
             assert symmetric == intpoly.is_self_reciprocal(S.polynomial()), S
             verdicts.append(symmetric)
-        # 66 symmetric ones: OEIS A158206 at F = 1, 3, ..., 19 (F = 2g - 1)
-        assert len(verdicts) == 477 and sum(verdicts) == 66
+        # 66 symmetric ones of positive genus, OEIS A158206 at F = 1, 3, ..., 19
+        # (F = 2g - 1), plus the trivial semigroup
+        assert len(verdicts) == 478 and sum(verdicts) == 67
 
 
 class TestSerialization:

@@ -93,7 +93,7 @@ class TestOneGraphPerElement:
         [
             EnumerationJob("by-genus", 7),
             EnumerationJob("by-frobenius", 21, ("ci",)),
-            EnumerationJob("ci-by-frobenius", 45),
+            EnumerationJob("by-frobenius", 45, ("ci",)),
         ],
         ids=lambda job: f"{job.mode}-{job.limit}{'-ci' if job.filters else ''}",
     )
@@ -113,16 +113,21 @@ class TestOneGraphPerElement:
 
 
 class TestEnumerationJob:
-    @pytest.mark.parametrize("mode", ["by-frobenius", "ci-by-frobenius"])
+    @pytest.mark.parametrize("mode", ["by-frobenius"])
     def test_resume_outside_by_genus_rejected(self, mode):
         with pytest.raises(ValueError, match="by-genus"):
             EnumerationJob(mode, 7, resume_token="2.3")
 
-    @pytest.mark.parametrize("mode", ["by-frobenius", "ci-by-frobenius"])
+    @pytest.mark.parametrize("mode", ["by-frobenius"])
     def test_frobenius_below_1_rejected(self, mode):
         with pytest.raises(ValueError, match=">= 1"):
             EnumerationJob(mode, 0)
         assert EnumerationJob("by-genus", 0).limit == 0
+
+    def test_glued_mode_is_a_filter_not_a_mode(self):
+        # complete intersections by Frobenius number: by-frobenius with "ci"
+        with pytest.raises(ValueError, match="unknown mode"):
+            EnumerationJob("ci-by-frobenius", 45)
 
     def test_malformed_resume_token_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
