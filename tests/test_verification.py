@@ -91,11 +91,15 @@ class TestOneGraphPerElement:
     @pytest.mark.parametrize(
         "job",
         [
-            EnumerationJob("by-genus", 7),
-            EnumerationJob("by-frobenius", 21, ("ci",)),
-            EnumerationJob("by-frobenius", 45, ("ci",)),
+            pytest.param(EnumerationJob("by-genus", 7), id="by-genus-7"),
+            pytest.param(
+                EnumerationJob("by-frobenius", 21, ("ci",)), id="by-frobenius-21-ci"
+            ),
+            # the complete intersections up to F = 45, glued by Frobenius number
+            pytest.param(
+                EnumerationJob("by-frobenius", 45, ("ci",)), id="ci-by-frobenius-45"
+            ),
         ],
-        ids=lambda job: f"{job.mode}-{job.limit}{'-ci' if job.filters else ''}",
     )
     def test_no_factorization_graph_built_twice(self, monkeypatch, job):
         """The CI decision, the filters and the checks share one Betti catalog."""
