@@ -61,6 +61,8 @@ def main():
 @click.option("--dot", "dot_path", type=click.Path(), default=None)
 def analyze(generators, bound, json_path, dot_path):
     """Full structural report for one semigroup, e.g. `nsg analyze 4,6,9`."""
+    if bound is not None and bound < 1:
+        raise click.UsageError("--bound must be >= 1")
     S = _parse_semigroup(generators)
     analysis = SemigroupAnalysis(S)
     catalog = analysis.betti
@@ -177,6 +179,8 @@ def verify(genus_max, frobenius, checks, filters, resume_token, json_path):
     """Run named checks over a family; exit 1 on any counterexample."""
     job = _family_job(genus_max, frobenius, filters, resume_token)
     check_names = tuple(name for name in checks.split(",") if name)
+    if not check_names:
+        raise click.UsageError("--checks names no check; known: " + ",".join(CHECKS))
     for name in check_names:
         if name not in CHECKS:
             raise click.UsageError(f"unknown check {name!r}; known: {','.join(CHECKS)}")

@@ -5,10 +5,16 @@ generators summing to s. The graph on the factorizations of s joining vectors
 with a common support generator splits into R-classes; s is a *Betti element*
 when there are at least two classes.
 
+The R-classes of s are read off the graph ∇_s on the generators: its
+vertices are the n_i with s - n_i in S, and n_i, n_j are joined when
+s - n_i - n_j in S. The number of R-classes nc(s) is the number of connected
+components of ∇_s (Rosales & García-Sánchez, *Numerical Semigroups*,
+Springer 2009, ch. 7). The support of a factorization is a clique of ∇_s, so
+each R-class is the set of factorizations supported in one component.
+
 Betti search bound: every s > frobenius + 2*max(A) has a connected graph.
-Indeed, take factorizations x using generator n_i and y using n_j; then
-s - n_i - n_j > frobenius lies in S, and any factorization z of it gives
-z + e_i + e_j, which shares n_i with x and n_j with y. The bound is also
+This is the same fact: for any two vertices n_i, n_j of ∇_s,
+s - n_i - n_j > frobenius lies in S, so ∇_s is complete. The bound is also
 re-checked empirically by the test suite on a window above it.
 """
 
@@ -70,9 +76,14 @@ def denumerant_series(S: NumericalSemigroup, bound: int) -> list[int]:
 
     Matches the coefficients of ``prod_{n in A} 1/(1 - x^n)``.
     """
+    return _ways(S.generators, bound)
+
+
+def _ways(generators, bound: int) -> list[int]:
+    """Counts of factorizations over ``generators`` for every 0 <= s <= bound."""
     ways = [0] * (bound + 1)
     ways[0] = 1
-    for g in S.generators:
+    for g in generators:
         for k in range(g, bound + 1):
             ways[k] += ways[k - g]
     return ways
@@ -125,7 +136,12 @@ def factorization_graph(S: NumericalSemigroup, s: int) -> FactorizationGraph:
     """R-class partition via union-find keyed on generator supports.
 
     All vertices using a given generator are unioned against the first one
-    seen, which is linear in the total support size.
+    seen, which is linear in the total support size. It lists every
+    factorization of s, so in the package only what needs the vectors calls
+    it: :func:`minimal_presentation`, :func:`isolated_factorizations` and
+    :func:`restricted_factorizations`; users get the graph and its
+    :meth:`FactorizationGraph.to_dot`. :func:`betti_elements` counts the
+    same classes on ∇_s, and the tests hold it to this route.
     """
     if s not in S:
         raise NotAMemberError(f"{s} is not in the semigroup")
@@ -147,7 +163,13 @@ def factorization_graph(S: NumericalSemigroup, s: int) -> FactorizationGraph:
 
 @dataclass(frozen=True)
 class BettiData:
-    """Per-Betti-element record: R-class count and isolated factorization count."""
+    """Per-Betti-element record: R-class count and isolated factorization count.
+
+    ``nc`` is the number of connected components of ∇_s. ``isolated_count``
+    is the number of components C whose restricted denumerant is 1, that is,
+    exactly one factorization of s uses only generators in C: that
+    factorization is then a singleton R-class.
+    """
 
     nc: int
     isolated_count: int
@@ -162,19 +184,34 @@ def betti_elements(S: NumericalSemigroup) -> dict[int, BettiData]:
 
     Scans members with at least two factorizations up to the search bound;
     candidates start at twice the multiplicity since every factorization of a
-    non-generator splits into at least two parts.
+    non-generator splits into at least two parts. Each candidate's classes
+    are the components of ∇_s (see the module docstring), so no factorization
+    is listed; :func:`factorization_graph` is the independent route the tests
+    hold this one to.
     """
     catalog: dict[int, BettiData] = {}
+    gens = S.generators
     bound = betti_search_bound(S)
     counts = denumerant_series(S, bound)
     for s in range(2 * S.multiplicity, bound + 1):
         if counts[s] < 2:
             continue
-        graph = factorization_graph(S, s)
-        if graph.n_classes >= 2:
+        vertices = [i for i, g in enumerate(gens) if s - g in S]
+        uf = _UnionFind(len(gens))
+        for a, i in enumerate(vertices):
+            rest = s - gens[i]
+            for j in vertices[a + 1:]:
+                if rest - gens[j] in S:
+                    uf.union(i, j)
+        components: dict[int, list[int]] = {}
+        for i in vertices:
+            components.setdefault(uf.find(i), []).append(gens[i])
+        if len(components) >= 2:
             catalog[s] = BettiData(
-                nc=graph.n_classes,
-                isolated_count=sum(1 for cls in graph.r_classes if len(cls) == 1),
+                nc=len(components),
+                isolated_count=sum(
+                    1 for part in components.values() if _ways(part, s)[s] == 1
+                ),
             )
     return catalog
 

@@ -1,8 +1,11 @@
 import os
+import sys
+from collections import Counter
 
 import pytest
 
 from nsg import NumericalSemigroup
+from nsg import factorization as factorization_module
 
 
 def pytest_collection_modifyitems(config, items):
@@ -43,3 +46,30 @@ def glued():
 @pytest.fixture(scope="session")
 def naturals():
     return NumericalSemigroup(1)
+
+
+def _count_builds(monkeypatch, name, key):
+    """Count calls of a factorization function under every name nsg binds it to."""
+    builds = Counter()
+    original = getattr(factorization_module, name)
+
+    def counted(S, *args):
+        builds[key(S, *args)] += 1
+        return original(S, *args)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "nsg" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return builds
+
+
+@pytest.fixture
+def catalog_builds(monkeypatch):
+    """Generators -> number of ``betti_elements`` calls."""
+    return _count_builds(monkeypatch, "betti_elements", lambda S: S.generators)
+
+
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """(generators, element) -> number of ``factorization_graph`` calls."""
+    return _count_builds(monkeypatch, "factorization_graph", lambda S, s: (S.generators, s))

@@ -1,7 +1,5 @@
 """Complete intersections: every route to the answer agrees with the gluings."""
 
-from collections import Counter
-
 import pytest
 
 from nsg import (
@@ -17,7 +15,6 @@ from nsg import (
     presentation_size,
     verify_ci_identities,
 )
-from nsg import factorization as factorization_module
 
 ROUTES = {
     "is_complete_intersection": is_complete_intersection,
@@ -50,33 +47,24 @@ def test_trivial_semigroup(naturals):
 
 
 class TestSymmetryGate:
-    @pytest.fixture
-    def graphs(self, monkeypatch):
-        built = []
-        original = factorization_module.factorization_graph
-
-        def counted(S, s):
-            built.append((S.generators, s))
-            return original(S, s)
-
-        monkeypatch.setattr(factorization_module, "factorization_graph", counted)
-        return built
-
-    def test_non_symmetric_rejected_without_factorizations(self, s357, graphs):
+    def test_non_symmetric_rejected_without_factorizations(self, s357, graph_builds):
         assert not is_complete_intersection(s357)
-        assert graphs == []
+        assert not graph_builds
 
-    def test_symmetric_decided_by_the_catalog(self, graphs):
+    def test_symmetric_decided_by_the_catalog(self, catalog_builds, graph_builds):
         S = NumericalSemigroup(5, 6, 7, 8)  # symmetric, presentation size 5 > e - 1
         assert S.is_symmetric()
         assert not is_complete_intersection(S)
-        assert graphs and presentation_size(S) == 5
+        assert catalog_builds == {S.generators: 1} and not graph_builds
+        assert presentation_size(S) == 5
 
     def test_identities_refuse_a_non_complete_intersection(self, s357):
         with pytest.raises(NotCompleteIntersectionError):
             verify_ci_identities(s357)
 
-    def test_identities_build_each_graph_once(self, glued, graphs):
-        # the root of the gluing tree reuses the catalog of the analysis
+    def test_identities_build_each_graph_once(self, glued, catalog_builds, graph_builds):
+        # the root of the gluing tree reuses the catalog of the analysis;
+        # each part of the tree gets one catalog, and no factorization graph
         assert verify_ci_identities(glued).all_pass
-        assert graphs and [key for key, n in Counter(graphs).items() if n > 1] == []
+        assert catalog_builds[glued.generators] == 1
+        assert set(catalog_builds.values()) == {1} and not graph_builds

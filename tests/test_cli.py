@@ -32,6 +32,7 @@ class TestVerifyExitCodes:
             ("--genus-max", "4", "--filter", "nope", "--checks", "thm1"),
             ("--genus-max", "-1", "--checks", "thm1"),
             ("--frobenius", "0", "--checks", "thm1"),
+            ("--genus-max", "3", "--checks", ","),
         ],
     )
     def test_usage_errors_exit_2(self, run, args):
@@ -65,3 +66,9 @@ class TestAnalyze:
         result = run("analyze", "1")
         assert result.exit_code == 0, result.output
         assert "symmetric: True" in result.output.splitlines()
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_bound_below_1_exits_2(self, run, bound):
+        result = run("analyze", "4,6,9", "--bound", bound)
+        assert result.exit_code == 2, result.output
+        assert ">= 1" in result.output

@@ -1,6 +1,7 @@
-from math import comb
+from math import comb, gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nsg import (
     NotAMemberError,
@@ -10,6 +11,7 @@ from nsg import (
     betti_search_bound,
     denumerant,
     denumerant_series,
+    enumerate_by_frobenius,
     enumerate_by_genus,
     factorization_graph,
     factorizations,
@@ -119,6 +121,47 @@ class TestBettiCatalog:
             bound = betti_search_bound(S)
             for s in range(bound + 1, bound + S.max_generator + 1):
                 assert factorization_graph(S, s).n_classes == 1
+
+
+def graph_catalog(S):
+    """The oracle: {b: (nc, isolated count)} from the factorization graphs."""
+    bound = betti_search_bound(S)
+    counts = denumerant_series(S, bound)
+    catalog = {}
+    for s in range(2 * S.multiplicity, bound + 1):
+        if counts[s] >= 2:
+            graph = factorization_graph(S, s)
+            if graph.n_classes >= 2:
+                catalog[s] = (graph.n_classes, len(graph.isolated()))
+    return catalog
+
+
+def nabla_catalog(S):
+    return {b: (data.nc, data.isolated_count) for b, data in betti_elements(S).items()}
+
+
+class TestCatalogMatchesGraphs:
+    """The ∇_s catalog against the factorization graphs over the same candidates."""
+
+    @pytest.mark.parametrize(
+        "genus_max", [10, pytest.param(12, marks=pytest.mark.stretch)]
+    )
+    def test_by_genus(self, genus_max):
+        for S in enumerate_by_genus(genus_max):
+            assert nabla_catalog(S) == graph_catalog(S), S.generators
+
+    @pytest.mark.stretch
+    def test_by_frobenius_up_to_21(self):
+        for frobenius in range(1, 22):
+            for S in enumerate_by_frobenius(frobenius):
+                assert nabla_catalog(S) == graph_catalog(S), S.generators
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    def test_random_generating_sets(self, values):
+        assume(gcd(*values) == 1)
+        S = NumericalSemigroup(values)
+        assert nabla_catalog(S) == graph_catalog(S)
 
 
 class TestIsolated:

@@ -1,11 +1,9 @@
 import json
-from collections import Counter
 
 import pytest
 
 from nsg import NumericalSemigroup, SemigroupAnalysis, classify, walk_genus_tree
 from nsg import analysis as analysis_module
-from nsg import factorization as factorization_module
 from nsg.enumeration import format_token
 from nsg.errors import BoundTooSmallError
 from nsg.verification import (
@@ -101,19 +99,16 @@ class TestOneGraphPerElement:
             ),
         ],
     )
-    def test_no_factorization_graph_built_twice(self, monkeypatch, job):
-        """The CI decision, the filters and the checks share one Betti catalog."""
-        builds = Counter()
-        original = factorization_module.factorization_graph
+    def test_no_factorization_graph_built_twice(self, job, catalog_builds, graph_builds):
+        """The CI decision, the filters and the checks share one Betti catalog.
 
-        def counted(S, s):
-            builds[S.generators, s] += 1
-            return original(S, s)
-
-        monkeypatch.setattr(factorization_module, "factorization_graph", counted)
+        It is built once per semigroup from the graphs ∇_s, so no
+        factorization graph is built at all.
+        """
         summary = run_verification(job, tuple(CHECKS))
-        assert summary.total and builds
-        assert [key for key, count in builds.items() if count > 1] == []
+        assert summary.total and len(catalog_builds) == summary.total
+        assert set(catalog_builds.values()) == {1}
+        assert not graph_builds
 
 
 class TestEnumerationJob:
