@@ -90,7 +90,6 @@ from .witt import (
     necklace_coefficient,
     power_sums,
     reconstruct_prefix,
-    witt_expand_iterative,
     witt_expand_moebius,
 )
 

@@ -25,6 +25,7 @@ from .verification import (
     build_report,
     enumerate_job,
     run_verification,
+    validate_checks,
 )
 from .witt import exponent_sequence
 
@@ -178,12 +179,10 @@ def enumerate_cmd(genus_max, frobenius, filters, count_only, json_path):
 def verify(genus_max, frobenius, checks, filters, resume_token, json_path):
     """Run named checks over a family; exit 1 on any counterexample."""
     job = _family_job(genus_max, frobenius, filters, resume_token)
-    check_names = tuple(name for name in checks.split(",") if name)
-    if not check_names:
-        raise click.UsageError("--checks names no check; known: " + ",".join(CHECKS))
-    for name in check_names:
-        if name not in CHECKS:
-            raise click.UsageError(f"unknown check {name!r}; known: {','.join(CHECKS)}")
+    try:
+        check_names = validate_checks(name for name in checks.split(",") if name)
+    except ValueError as exc:
+        raise click.UsageError(f"--checks: {exc}")
 
     def progress(done: int, token: str) -> None:
         click.echo(f"checked {done} (token {token})", err=True)

@@ -11,6 +11,9 @@ s - n_i - n_j in S. The number of R-classes nc(s) is the number of connected
 components of ∇_s (Rosales & García-Sánchez, *Numerical Semigroups*,
 Springer 2009, ch. 7). The support of a factorization is a clique of ∇_s, so
 each R-class is the set of factorizations supported in one component.
+One graph search (:func:`_components`) finds the components, and both
+:func:`betti_elements` and :func:`factorization_graph` read their classes
+from it; the tests hold it to the definition above.
 
 Betti search bound: every s > frobenius + 2*max(A) has a connected graph.
 This is the same fact: for any two vertices n_i, n_j of ∇_s,
@@ -26,24 +29,6 @@ from .errors import NotAMemberError, NotIsolatedBettiError
 from .semigroup import NumericalSemigroup
 
 Vector = tuple[int, ...]
-
-
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 def factorizations(S: NumericalSemigroup, s: int) -> list[Vector]:
@@ -132,33 +117,48 @@ def _shares_support(x: Vector, y: Vector) -> bool:
     return any(a and b for a, b in zip(x, y))
 
 
-def factorization_graph(S: NumericalSemigroup, s: int) -> FactorizationGraph:
-    """R-class partition via union-find keyed on generator supports.
+def _components(S: NumericalSemigroup, s: int) -> list[list[int]]:
+    """The connected components of ∇_s as ascending lists of generators.
 
-    All vertices using a given generator are unioned against the first one
-    seen, which is linear in the total support size. It lists every
+    A breadth-first search over the vertices n_i with s - n_i in S, joining
+    n_i and n_j when s - n_i - n_j in S. Components come ordered by their
+    smallest generator; s not in S (and s = 0) gives none.
+    """
+    unseen = [g for g in S.generators if s - g in S]
+    components = []
+    while unseen:
+        component = [unseen.pop(0)]
+        for g in component:  # the list grows while it is read
+            rest, left = s - g, []
+            for h in unseen:
+                (component if rest - h in S else left).append(h)
+            unseen = left
+        components.append(sorted(component))
+    return components
+
+
+def factorization_graph(S: NumericalSemigroup, s: int) -> FactorizationGraph:
+    """The factorizations of s with their R-classes, read from ∇_s.
+
+    The support of a factorization is a clique of ∇_s, so each vector goes
+    into the class of the component holding its support; the zero vector of
+    s = 0 has empty support and forms a class of its own. It lists every
     factorization of s, so in the package only what needs the vectors calls
     it: :func:`minimal_presentation`, :func:`isolated_factorizations` and
     :func:`restricted_factorizations`; users get the graph and its
-    :meth:`FactorizationGraph.to_dot`. :func:`betti_elements` counts the
-    same classes on ∇_s, and the tests hold it to this route.
+    :meth:`FactorizationGraph.to_dot`. The tests hold its classes to the
+    definition (vectors joined when their supports meet).
     """
     if s not in S:
         raise NotAMemberError(f"{s} is not in the semigroup")
     vertices = tuple(factorizations(S, s))
-    uf = _UnionFind(len(vertices))
-    first_with_generator: dict[int, int] = {}
-    for index, vector in enumerate(vertices):
-        for position, exponent in enumerate(vector):
-            if exponent:
-                anchor = first_with_generator.setdefault(position, index)
-                if anchor != index:
-                    uf.union(anchor, index)
+    component_of = {g: c for c, part in enumerate(_components(S, s)) for g in part}
     classes: dict[int, list[int]] = {}
-    for index in range(len(vertices)):
-        classes.setdefault(uf.find(index), []).append(index)
-    ordered = tuple(tuple(members) for _, members in sorted(classes.items()))
-    return FactorizationGraph(s, vertices, ordered)
+    for index, vector in enumerate(vertices):
+        support = next((g for g, e in zip(S.generators, vector) if e), None)
+        classes.setdefault(component_of.get(support), []).append(index)
+    # indices ascend, so the classes appear ordered by their smallest index
+    return FactorizationGraph(s, vertices, tuple(map(tuple, classes.values())))
 
 
 @dataclass(frozen=True)
@@ -185,33 +185,21 @@ def betti_elements(S: NumericalSemigroup) -> dict[int, BettiData]:
     Scans members with at least two factorizations up to the search bound;
     candidates start at twice the multiplicity since every factorization of a
     non-generator splits into at least two parts. Each candidate's classes
-    are the components of ∇_s (see the module docstring), so no factorization
-    is listed; :func:`factorization_graph` is the independent route the tests
-    hold this one to.
+    are the components of ∇_s found by :func:`_components`, so no
+    factorization is listed. A component C holds an isolated factorization
+    when its restricted denumerant (the factorizations of s over C alone) is 1.
     """
     catalog: dict[int, BettiData] = {}
-    gens = S.generators
     bound = betti_search_bound(S)
     counts = denumerant_series(S, bound)
     for s in range(2 * S.multiplicity, bound + 1):
         if counts[s] < 2:
             continue
-        vertices = [i for i, g in enumerate(gens) if s - g in S]
-        uf = _UnionFind(len(gens))
-        for a, i in enumerate(vertices):
-            rest = s - gens[i]
-            for j in vertices[a + 1:]:
-                if rest - gens[j] in S:
-                    uf.union(i, j)
-        components: dict[int, list[int]] = {}
-        for i in vertices:
-            components.setdefault(uf.find(i), []).append(gens[i])
+        components = _components(S, s)
         if len(components) >= 2:
             catalog[s] = BettiData(
                 nc=len(components),
-                isolated_count=sum(
-                    1 for part in components.values() if _ways(part, s)[s] == 1
-                ),
+                isolated_count=sum(1 for part in components if _ways(part, s)[s] == 1),
             )
     return catalog
 

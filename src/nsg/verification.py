@@ -42,7 +42,10 @@ FILTERS: dict[str, Callable[[SemigroupAnalysis], bool]] = {
 
 @dataclass(frozen=True)
 class EnumerationJob:
-    """What to enumerate: mode, bound, optional filters and resume point."""
+    """What to enumerate: mode, bound, optional filters and resume point.
+
+    A resume token must name a node of the semigroup tree, at any depth.
+    """
 
     mode: str  # by-genus | by-frobenius (filtered on "ci": the gluing enumerator)
     limit: int
@@ -61,7 +64,15 @@ class EnumerationJob:
         if self.resume_token is not None:
             if self.mode != "by-genus":
                 raise ValueError("resume tokens apply to by-genus jobs only")
-            parse_token(self.resume_token)
+            path = parse_token(self.resume_token)
+            node = NumericalSemigroup(1)
+            try:
+                for g in path:  # each step must remove a tree child's generator
+                    node = node.remove_generator(g)
+            except ValueError as exc:
+                raise ValueError(
+                    f"resume token {self.resume_token!r} names no node of the tree: {exc}"
+                ) from exc
 
 
 def _stream(job: EnumerationJob) -> Iterator[tuple[SemigroupAnalysis, Path]]:
@@ -182,6 +193,19 @@ CHECKS: dict[str, Callable[[SemigroupAnalysis], bool]] = {
 }
 
 
+def validate_checks(names) -> tuple[str, ...]:
+    """The check names as a tuple; unknown, empty or repeated names are a ValueError."""
+    names = tuple(names)
+    if not names:
+        raise ValueError("no check named; known: " + ",".join(CHECKS))
+    for i, name in enumerate(names):
+        if name not in CHECKS:
+            raise ValueError(f"unknown check {name!r}; known: {','.join(CHECKS)}")
+        if name in names[:i]:
+            raise ValueError(f"check {name!r} named twice")
+    return names
+
+
 @dataclass
 class VerificationSummary:
     """The tally of a run: pass counts, counterexamples and the resume point.
@@ -238,15 +262,13 @@ def run_verification(
 ) -> VerificationSummary:
     """Run the named checks over a job's family and aggregate the outcome.
 
+    The names go through :func:`validate_checks` before the walk starts.
     Counterexamples are collected as full report records (sorted by
     generators in the summary). A progress callback receives (count, token)
     each time the count reaches a multiple of 500, and the final summary
     carries the last token, so interrupted by-genus runs can resume.
     """
-    checks = tuple(checks)
-    for name in checks:
-        if name not in CHECKS:
-            raise ValueError(f"unknown check {name!r}")
+    checks = validate_checks(checks)
     summary = VerificationSummary(job, checks)
     for analysis, path in _stream(job):
         verdicts = {name: CHECKS[name](analysis) for name in checks}

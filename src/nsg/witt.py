@@ -1,14 +1,12 @@
 """Product expansions of integer series into powers of (1 - x^k).
 
 Any integer power series f with constant term 1 factors uniquely as
-``f = prod_k (1 - x^k)^(e_k)`` with integer exponents e_k. Two independent
-routes compute the exponents:
-
-* :func:`witt_expand_iterative` eliminates one factor per degree, directly
-  following the uniqueness argument;
-* :func:`witt_expand_moebius` runs the Newton recursion for the power sums of
-  the inverse roots and Moebius-inverts them, which is much faster for
-  polynomial input.
+``f = prod_k (1 - x^k)^(e_k)`` with integer exponents e_k. For a polynomial
+:func:`witt_expand_moebius` computes them: it runs the Newton recursion for
+the power sums of the inverse roots and Moebius-inverts them in one
+divisor-sum sweep. That is the one route here; the tests hold it to an
+independent oracle that eliminates one factor (1 - x^m) per degree,
+directly following the uniqueness argument.
 
 Applied to the semigroup polynomial this yields the cyclotomic exponent
 sequence of a numerical semigroup; the remaining operations decide whether
@@ -85,27 +83,6 @@ def _check_constant_term(coeffs: Sequence[int]) -> list[int]:
     return coeffs
 
 
-def witt_expand_iterative(prefix: Sequence[int], bound: int | None = None) -> ExponentSequence:
-    """Expand a series prefix by successive elimination.
-
-    Maintains ``h = f * prod_{k<=m} (1 - x^k)^(-e_k)``; at step m the series
-    h is congruent to ``1 - e_m x^m`` modulo ``x^(m+1)``, which reads off e_m.
-    """
-    coeffs = _check_constant_term(prefix)
-    if bound is None:
-        bound = len(coeffs) - 1
-    if bound > len(coeffs) - 1:
-        raise ValueError(f"bound {bound} exceeds prefix length {len(coeffs) - 1}")
-    h = coeffs[: bound + 1] + [0] * (bound + 1 - len(coeffs))
-    entries = []
-    for m in range(1, bound + 1):
-        e = -h[m]
-        entries.append(e)
-        if e:
-            h = intpoly.mul_one_minus_xk_pow(h, m, -e, bound)
-    return ExponentSequence(tuple(entries), bound)
-
-
 def power_sums(poly: Sequence[int], count: int) -> list[int]:
     """Sums of the k-th powers of the inverse roots, k = 1..count.
 
@@ -127,16 +104,22 @@ def power_sums(poly: Sequence[int], count: int) -> list[int]:
 def witt_expand_moebius(poly: Sequence[int], bound: int) -> ExponentSequence:
     """Exponents of a polynomial via Moebius inversion of its power sums.
 
-    ``e_f(k) = (1/k) * sum_{j | k} s_f(j) mu(k/j)``; the division is exact by
-    construction and asserted.
+    Taking logarithmic derivatives of ``f = prod_k (1 - x^k)^(e_k)`` gives
+    the divisor-sum identity ``s_f(n) = sum_{k | n} k * e_k``. One sweep
+    inverts it in place: for k = 1, 2, ... the value left at k is k * e_k,
+    and it is subtracted from every proper multiple of k. The division by k
+    is exact by construction and checked.
     """
-    sums = power_sums(poly, bound)
+    sums = [0] + power_sums(poly, bound)  # 1-indexed
     entries = []
     for k in range(1, bound + 1):
-        total = sum(sums[j - 1] * mobius(k // j) for j in divisors(k))
+        total = sums[k]
         if total % k != 0:
             raise IntegralityError(f"exponent sum {total} not divisible by {k}")
         entries.append(total // k)
+        if total:
+            for multiple in range(2 * k, bound + 1, k):
+                sums[multiple] -= total
     return ExponentSequence(tuple(entries), bound)
 
 

@@ -33,11 +33,21 @@ class TestVerifyExitCodes:
             ("--genus-max", "-1", "--checks", "thm1"),
             ("--frobenius", "0", "--checks", "thm1"),
             ("--genus-max", "3", "--checks", ","),
+            ("--genus-max", "3", "--resume", "5", "--checks", "thm1"),
+            ("--genus-max", "3", "--resume", "0", "--checks", "thm1"),
+            ("--genus-max", "3", "--resume", "1.1", "--checks", "thm1"),
+            ("--genus-max", "3", "--checks", "thm1,thm1"),
         ],
     )
     def test_usage_errors_exit_2(self, run, args):
         result = run("verify", *args)
         assert result.exit_code == 2, result.output
+
+    def test_resume_below_the_limit_is_a_node(self, run):
+        # a real tree node deeper than --genus-max: the walk after it
+        result = run("verify", "--genus-max", "3", "--resume", "1.2.3.4.5.6", "--checks", "thm1")
+        assert result.exit_code == 0, result.output
+        assert "thm1: 4/4 pass" in result.output
 
     def test_resume_outside_by_genus_is_named(self, run):
         result = run("verify", "--frobenius", "7", "--resume", "2.3", "--checks", "conj-msg")

@@ -123,45 +123,58 @@ class TestBettiCatalog:
                 assert factorization_graph(S, s).n_classes == 1
 
 
-def graph_catalog(S):
-    """The oracle: {b: (nc, isolated count)} from the factorization graphs."""
-    bound = betti_search_bound(S)
-    counts = denumerant_series(S, bound)
+def definition_classes(S, s):
+    """The oracle: the R-classes of s by their definition.
+
+    Factorizations are joined when their supports meet; the result lists
+    vertex indices per class, classes ordered by their smallest index.
+    """
+    classes = []  # (indices, union of supports)
+    for index, vector in enumerate(factorizations(S, s)):
+        indices, support = [index], {i for i, e in enumerate(vector) if e}
+        for other in [c for c in classes if c[1] & support]:
+            classes.remove(other)
+            indices += other[0]
+            support |= other[1]
+        classes.append((indices, support))
+    return tuple(sorted(tuple(sorted(indices)) for indices, _ in classes))
+
+
+def assert_matches_definition(S):
+    """Every graph's classes and the whole Betti catalog against the definition."""
     catalog = {}
-    for s in range(2 * S.multiplicity, bound + 1):
-        if counts[s] >= 2:
-            graph = factorization_graph(S, s)
-            if graph.n_classes >= 2:
-                catalog[s] = (graph.n_classes, len(graph.isolated()))
-    return catalog
-
-
-def nabla_catalog(S):
-    return {b: (data.nc, data.isolated_count) for b, data in betti_elements(S).items()}
+    for s in range(betti_search_bound(S) + 1):
+        if s not in S:
+            continue
+        classes = definition_classes(S, s)
+        assert factorization_graph(S, s).r_classes == classes, (S.generators, s)
+        if len(classes) >= 2:
+            catalog[s] = (len(classes), sum(1 for c in classes if len(c) == 1))
+    nabla = {b: (data.nc, data.isolated_count) for b, data in betti_elements(S).items()}
+    assert nabla == catalog, S.generators
 
 
 class TestCatalogMatchesGraphs:
-    """The ∇_s catalog against the factorization graphs over the same candidates."""
+    """The ∇_s classes, of the Betti catalog and of the graphs, against the definition."""
 
     @pytest.mark.parametrize(
         "genus_max", [10, pytest.param(12, marks=pytest.mark.stretch)]
     )
     def test_by_genus(self, genus_max):
         for S in enumerate_by_genus(genus_max):
-            assert nabla_catalog(S) == graph_catalog(S), S.generators
+            assert_matches_definition(S)
 
     @pytest.mark.stretch
     def test_by_frobenius_up_to_21(self):
         for frobenius in range(1, 22):
             for S in enumerate_by_frobenius(frobenius):
-                assert nabla_catalog(S) == graph_catalog(S), S.generators
+                assert_matches_definition(S)
 
     @settings(deadline=None)
     @given(st.lists(st.integers(1, 40), min_size=1, max_size=6))
     def test_random_generating_sets(self, values):
         assume(gcd(*values) == 1)
-        S = NumericalSemigroup(values)
-        assert nabla_catalog(S) == graph_catalog(S)
+        assert_matches_definition(NumericalSemigroup(values))
 
 
 class TestIsolated:

@@ -12,7 +12,9 @@ from nsg.verification import (
     build_report,
     enumerate_job,
     run_verification,
+    validate_checks,
 )
+from nsg import verification as verification_module
 
 from expected import GENUS_7_ALL_CHECKS, REPORTS, SEMIGROUPS_PER_GENUS
 
@@ -132,6 +134,11 @@ class TestEnumerationJob:
         with pytest.raises(ValueError, match="malformed"):
             EnumerationJob("by-genus", 4, resume_token="2.x")
 
+    @pytest.mark.parametrize("token", ["-1", "1.2.2"])
+    def test_token_naming_no_node_rejected(self, token):
+        with pytest.raises(ValueError, match="names no node"):
+            EnumerationJob("by-genus", 3, resume_token=token)
+
     def test_resume_gives_the_exact_suffix(self):
         walk = [path for _, path in walk_genus_tree(5)]
         assert len(walk) == sum(SEMIGROUPS_PER_GENUS[:6])
@@ -144,6 +151,24 @@ class TestEnumerationJob:
             assert resumed.total == len(walk) - i - 1
             if resumed.total:
                 assert resumed.last_token == full.last_token
+
+
+class TestValidateChecks:
+    def test_known_names_kept_in_order(self):
+        assert validate_checks(iter(["thm2", "thm1"])) == ("thm2", "thm1")
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [((), "no check"), (("thm9",), "unknown"), (("",), "unknown"), (("thm1", "thm1"), "twice")],
+    )
+    def test_bad_names_rejected(self, names, message):
+        with pytest.raises(ValueError, match=message):
+            validate_checks(names)
+
+    def test_run_rejects_before_the_walk(self, monkeypatch):
+        monkeypatch.setattr(verification_module, "_stream", lambda job: pytest.fail("walked"))
+        with pytest.raises(ValueError, match="twice"):
+            run_verification(EnumerationJob("by-genus", 3), ("thm1", "thm1"))
 
 
 class TestProgress:

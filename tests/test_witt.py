@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsg import (
     BadConstantTermError,
@@ -11,6 +12,7 @@ from nsg import (
     RootSeparationError,
     cyclotomic_factorization,
     cyclotomic_polynomial,
+    enumerate_by_genus,
     exponent_sequence,
     exponents_from_cyclotomic_factors,
     factor_into_cyclotomics,
@@ -19,13 +21,36 @@ from nsg import (
     necklace_coefficient,
     power_sums,
     reconstruct_prefix,
-    witt_expand_iterative,
     witt_expand_moebius,
 )
-from nsg import intpoly
+from nsg import ExponentSequence, intpoly
 from nsg.arith import euler_phi
+from nsg.witt import _check_constant_term
 
 from expected import EXPONENTS_3_5_7, EXPONENTS_4_6_9_18
+
+
+def witt_expand_iterative(prefix, bound=None):
+    """The oracle: expand a series prefix by successive elimination.
+
+    Maintains ``h = f * prod_{k<=m} (1 - x^k)^(-e_k)``; at step m the series
+    h is congruent to ``1 - e_m x^m`` modulo ``x^(m+1)``, which reads off e_m.
+    Independent of the power sums and the divisor sweep of
+    :func:`witt_expand_moebius`.
+    """
+    coeffs = _check_constant_term(prefix)
+    if bound is None:
+        bound = len(coeffs) - 1
+    if bound > len(coeffs) - 1:
+        raise ValueError(f"bound {bound} exceeds prefix length {len(coeffs) - 1}")
+    h = coeffs[: bound + 1]
+    entries = []
+    for m in range(1, bound + 1):
+        e = -h[m]
+        entries.append(e)
+        if e:
+            h = intpoly.mul_one_minus_xk_pow(h, m, -e, bound)
+    return ExponentSequence(tuple(entries), bound)
 
 
 class TestIterativeExpansion:
@@ -81,6 +106,13 @@ class TestMoebiusExpansion:
                 witt_expand_iterative(padded, bound)
             )
 
+    @settings(deadline=None)
+    @given(st.lists(st.integers(-5, 5), max_size=8), st.integers(1, 30))
+    def test_random_polynomials_match_iterative(self, tail, bound):
+        poly = [1] + tail
+        padded = (poly + [0] * bound)[: bound + 1]
+        assert witt_expand_moebius(poly, bound) == witt_expand_iterative(padded, bound)
+
     def test_round_trip(self, s469):
         bound = s469.default_bound
         entries = witt_expand_moebius(s469.polynomial(), bound)
@@ -106,6 +138,12 @@ class TestExponentSequence:
         with pytest.raises(IndexError):
             sequence[11]
         assert sequence.to_json() == [str(e) for e in sequence]
+
+    def test_matches_iterative_up_to_genus_10(self):
+        for S in enumerate_by_genus(10):
+            sequence = exponent_sequence(S)
+            padded = S.polynomial() + [0] * (sequence.bound + 1)
+            assert sequence == witt_expand_iterative(padded, sequence.bound), S.generators
 
     def test_sum_zero_for_finite_support(self, s469, glued):
         for S in (s469, glued):
