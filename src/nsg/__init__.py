@@ -83,7 +83,6 @@ from .witt import (
     cyclotomic_factorization,
     cyclotomic_polynomial,
     exponent_sequence,
-    exponents_from_cyclotomic_factors,
     factor_into_cyclotomics,
     growth_envelope_check,
     is_cyclotomic,

@@ -30,13 +30,7 @@ from .bettiposet import (
 from .errors import BoundTooSmallError
 from .factorization import BettiData, betti_elements, denumerant_series
 from .semigroup import NumericalSemigroup
-from .witt import (
-    CyclotomicFactorization,
-    ExponentSequence,
-    cyclotomic_factorization,
-    exponent_sequence,
-    exponents_from_cyclotomic_factors,
-)
+from .witt import ExponentSequence, cyclotomic_factorization, exponent_sequence
 
 
 class SemigroupAnalysis:
@@ -85,17 +79,12 @@ class SemigroupAnalysis:
         return size == S.embedding_dimension - 1
 
     @cached_property
-    def cyclotomic_factorization(self) -> CyclotomicFactorization | None:
-        """None when the semigroup is not symmetric."""
-        return cyclotomic_factorization(self.semigroup)
-
-    @cached_property
     def full_exponents(self) -> dict[int, int] | None:
         """The whole (finite) exponent support when the polynomial is cyclotomic, else None."""
-        factorization = self.cyclotomic_factorization
+        factorization = cyclotomic_factorization(self.semigroup)
         if factorization is None or not factorization.complete:
             return None
-        return exponents_from_cyclotomic_factors(factorization.factors)
+        return factorization.exponents
 
     @property
     def cyclotomic(self) -> bool:
@@ -103,21 +92,14 @@ class SemigroupAnalysis:
 
     @cached_property
     def support(self) -> ExponentSupport:
-        S, bound = self.semigroup, self.bound
+        """The whole support when it is finite, else its prefix up to the bound."""
+        S = self.semigroup
         generators = set(S.generators)
-        sequence = self.sequence
-        prefix_members = tuple(
-            j for j in range(2, bound + 1) if sequence[j] != 0 and j not in generators
-        )
         full = self.full_exponents
-        if full is None:
-            return ExponentSupport(prefix_members, bound, False)
-        members = tuple(
-            sorted(j for j, e in full.items() if j >= 2 and e != 0 and j not in generators)
-        )
-        assert prefix_members == tuple(j for j in members if j <= bound)
-        assert all(j in S for j in members)
-        return ExponentSupport(members, bound, True)
+        indices = self.sequence.support() if full is None else full
+        members = tuple(j for j in indices if j >= 2 and j not in generators)
+        assert full is None or all(j in S for j in members)
+        return ExponentSupport(members, self.bound, full is not None)
 
     @cached_property
     def betti_order(self) -> OrderedSubset:

@@ -9,9 +9,11 @@ independent oracle that eliminates one factor (1 - x^m) per degree,
 directly following the uniqueness argument.
 
 Applied to the semigroup polynomial this yields the cyclotomic exponent
-sequence of a numerical semigroup; the remaining operations decide whether
-that sequence has finite support by factoring the polynomial into cyclotomic
-polynomials.
+sequence of a numerical semigroup. Whether that sequence has finite support
+is decided from the same sweep: a product of cyclotomic polynomials has
+exponents only at indices up to a bound fixed by its degree, so one sweep
+that far reads off the whole support, and the cyclotomic multiplicities are
+its sums over multiples.
 
 Exponents grow exponentially for non-cyclotomic semigroups (they track the
 inverse powers of the smallest root modulus), so every value here is an exact
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Sequence
 
 from . import intpoly
@@ -66,14 +69,17 @@ class ExponentSequence:
 
 @dataclass(frozen=True)
 class CyclotomicFactorization:
-    """Multiplicities of the cyclotomic polynomials dividing a polynomial.
+    """Whether a polynomial is a product of cyclotomic polynomials, and which.
 
-    ``complete`` means the product of the recorded factors equals the input
-    exactly; the index 1 never appears.
+    When ``complete``, the product of the recorded factors (indices n >= 2)
+    equals the input exactly, and ``exponents`` is the whole, finite exponent
+    support {j: e_j != 0} they were read from. An incomplete result records
+    no factors and no exponents, not a greatest cyclotomic divisor.
     """
 
     factors: dict[int, int]
     complete: bool
+    exponents: dict[int, int]
 
 
 def _check_constant_term(coeffs: Sequence[int]) -> list[int]:
@@ -88,17 +94,23 @@ def power_sums(poly: Sequence[int], count: int) -> list[int]:
 
     For ``f = 1 + a_1 x + ... + a_d x^d`` the values satisfy the Newton
     recursion ``s(k) + a_1 s(k-1) + ... + a_{k-1} s(1) + k a_k = 0`` and, past
-    the degree, the linear recurrence with coefficients -a_1..-a_d.
+    the degree, the linear recurrence with coefficients -a_1..-a_d. The
+    recursion runs over the non-zero a_i only, so its cost per term is the
+    number of terms of f, not its degree: semigroup polynomials are sparse,
+    and the cyclotomic test runs it well past the degree.
     """
     coeffs = intpoly.trim(_check_constant_term(poly))
     d = len(coeffs) - 1
-    sums: list[int] = []
+    terms = [(i, a) for i, a in enumerate(coeffs) if i and a]
+    sums = [0]  # 1-indexed
     for k in range(1, count + 1):
         acc = k * coeffs[k] if k <= d else 0
-        for i in range(1, min(k - 1, d) + 1):
-            acc += coeffs[i] * sums[k - i - 1]
+        for i, a in terms:
+            if i >= k:
+                break
+            acc += a * sums[k - i]
         sums.append(-acc)
-    return sums
+    return sums[1:]
 
 
 def witt_expand_moebius(poly: Sequence[int], bound: int) -> ExponentSequence:
@@ -163,44 +175,49 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
     return tuple(quotient)
 
 
-def factor_into_cyclotomics(poly: Sequence[int]) -> CyclotomicFactorization:
-    """Greatest cyclotomic divisor of a monic-up-to-sign polynomial with f(0)=1.
+def _index_bound(deg: int) -> int:
+    """A bound N such that phi(n) <= deg only for n <= N.
 
-    Cyclotomic polynomials are irreducible and pairwise coprime, so greedy
-    exact division finds the full cyclotomic part. Candidate indices d need
-    phi(d) <= deg f, which confines the search to d <= 2 * (deg f)^2 because
-    phi(d) >= sqrt(d/2).
+    ``n = phi(n) * prod p/(p-1)`` and ``phi(n) >= prod (p-1)`` over the primes
+    p | n, both extreme on the first primes; so N = deg * prod p/(p-1) over
+    the longest run of first primes with ``prod (p-1) <= deg``.
+    """
+    primes, phi_floor, p = [], 1, 2
+    while True:
+        if all(p % q for q in primes):
+            if phi_floor * (p - 1) > deg:
+                return deg * prod(primes) // phi_floor
+            primes.append(p)
+            phi_floor *= p - 1
+        p += 1
+
+
+def factor_into_cyclotomics(poly: Sequence[int]) -> CyclotomicFactorization:
+    """Read the cyclotomic factors of a polynomial with f(0) = 1 off its exponents.
+
+    If ``f = prod_n Phi_n^(h_n)``, each such n has phi(n) <= deg f, so n <= N =
+    :func:`_index_bound` (deg f); as ``Phi_n = prod_{j | n} (1 - x^j)^(mu(n/j))``,
+    every non-zero exponent e_j of f has j <= N too. So one sweep to N holds the
+    whole support, and ``h_n = sum_{n | m <= N} e_m`` inverts the map. The
+    result is complete only when every non-zero h_n is positive, their degrees
+    add up to deg f and their product is f exactly.
     """
     coeffs = intpoly.trim(_check_constant_term(poly))
     if abs(coeffs[-1]) != 1:
         raise ValueError("polynomial must be monic up to sign")
-    remaining = coeffs
-    factors: dict[int, int] = {}
-    cap = 2 * (len(coeffs) - 1) ** 2
-    for d in range(2, cap + 1):
-        deg_left = len(remaining) - 1
-        if deg_left == 0:
-            break
-        if euler_phi(d) > deg_left:
-            continue
-        phi_d = cyclotomic_polynomial(d)
-        while intpoly.divides(phi_d, remaining):
-            remaining = intpoly.divexact(remaining, phi_d)
-            factors[d] = factors.get(d, 0) + 1
-    return CyclotomicFactorization(factors, complete=remaining == intpoly.ONE)
-
-
-def exponents_from_cyclotomic_factors(factors: dict[int, int]) -> dict[int, int]:
-    """Full exponent support of ``prod_d Phi_d^(h_d)``.
-
-    Uses ``Phi_d = prod_{j | d} (1 - x^j)^(mu(d/j))`` for d >= 2, giving
-    ``e_j = sum_{j | d} h_d * mu(d/j)``; only non-zero entries are returned.
-    """
-    exponents: dict[int, int] = {}
-    for d, multiplicity in factors.items():
-        for j in divisors(d):
-            exponents[j] = exponents.get(j, 0) + multiplicity * mobius(d // j)
-    return {j: e for j, e in sorted(exponents.items()) if e != 0}
+    deg = len(coeffs) - 1
+    bound = _index_bound(deg)
+    entries = (0,) + witt_expand_moebius(coeffs, bound).entries  # 1-indexed
+    factors = {n: h for n in range(2, bound + 1) if (h := sum(entries[n::n]))}
+    product = intpoly.ONE
+    positive = all(h > 0 for h in factors.values())
+    if positive and deg == sum(h * euler_phi(n) for n, h in factors.items()):
+        for n, h in factors.items():  # at most deg factors
+            for _ in range(h):
+                product = intpoly.mul(product, _cyclotomic(n))
+    if product != coeffs:  # still 1 when a test above failed, and deg > 0 then
+        return CyclotomicFactorization({}, False, {})
+    return CyclotomicFactorization(factors, True, {j: e for j, e in enumerate(entries) if e})
 
 
 def cyclotomic_factorization(S: NumericalSemigroup) -> CyclotomicFactorization | None:

@@ -13,8 +13,9 @@ from nsg import (
     cyclotomic_factorization,
     cyclotomic_polynomial,
     enumerate_by_genus,
+    ci_with_frobenius,
+    enumerate_by_frobenius,
     exponent_sequence,
-    exponents_from_cyclotomic_factors,
     factor_into_cyclotomics,
     growth_envelope_check,
     is_cyclotomic,
@@ -23,9 +24,9 @@ from nsg import (
     reconstruct_prefix,
     witt_expand_moebius,
 )
-from nsg import ExponentSequence, intpoly
-from nsg.arith import euler_phi
-from nsg.witt import _check_constant_term
+from nsg import CyclotomicFactorization, ExponentSequence, intpoly
+from nsg.arith import divisors, euler_phi, mobius
+from nsg.witt import _check_constant_term, _index_bound
 
 from expected import EXPONENTS_3_5_7, EXPONENTS_4_6_9_18
 
@@ -51,6 +52,70 @@ def witt_expand_iterative(prefix, bound=None):
         if e:
             h = intpoly.mul_one_minus_xk_pow(h, m, -e, bound)
     return ExponentSequence(tuple(entries), bound)
+
+
+def trial_division_factors(poly):
+    """The oracle: the greatest cyclotomic divisor, by greedy trial division.
+
+    Cyclotomic polynomials are irreducible and pairwise coprime, so dividing
+    out each Phi_d in turn finds the whole cyclotomic part. A factor Phi_d of
+    what is left needs phi(d) <= its degree, and phi(d) >= sqrt(d/2), so the
+    scan stops at d = 2 * (degree left)^2. Returns (factors, complete).
+    Independent of the exponent sweep.
+    """
+    remaining = intpoly.trim(list(poly))
+    factors = {}
+    d = 2
+    while d <= 2 * (len(remaining) - 1) ** 2:
+        if euler_phi(d) <= len(remaining) - 1:
+            phi_d = cyclotomic_polynomial(d)
+            while intpoly.divides(phi_d, remaining):
+                remaining = intpoly.divexact(remaining, phi_d)
+                factors[d] = factors.get(d, 0) + 1
+        d += 1
+    return factors, remaining == intpoly.ONE
+
+
+def exponents_of_cyclotomic_product(factors):
+    """The oracle: full exponent support of ``prod_d Phi_d^(h_d)``.
+
+    ``Phi_d = prod_{j | d} (1 - x^j)^(mu(d/j))`` gives
+    ``e_j = sum_{j | d} h_d * mu(d/j)``; only non-zero entries are returned.
+    """
+    exponents = {}
+    for d, multiplicity in factors.items():
+        for j in divisors(d):
+            exponents[j] = exponents.get(j, 0) + multiplicity * mobius(d // j)
+    return {j: e for j, e in sorted(exponents.items()) if e != 0}
+
+
+def assert_matches_oracles(poly):
+    """Factors, completeness and exponents of the one route against both oracles."""
+    result = factor_into_cyclotomics(poly)
+    factors, complete = trial_division_factors(poly)
+    assert result.complete == complete
+    if complete:
+        assert result.factors == factors
+        assert result.exponents == exponents_of_cyclotomic_product(factors)
+    else:
+        assert result.factors == {} and result.exponents == {}
+    return result
+
+
+def assert_semigroup_matches_oracles(S):
+    """The oracles on the semigroup polynomial; the exponents extend the sequence."""
+    result = assert_matches_oracles(S.polynomial())
+    if result.complete:
+        sequence = exponent_sequence(S)
+        assert list(sequence) == [
+            result.exponents.get(j, 0) for j in range(1, sequence.bound + 1)
+        ], S.generators
+    return result
+
+
+def _symmetric_up_to_frobenius(f_max):
+    for F in range(1, f_max + 1, 2):
+        yield from (S for S in enumerate_by_frobenius(F) if S.is_symmetric())
 
 
 class TestIterativeExpansion:
@@ -147,8 +212,7 @@ class TestExponentSequence:
 
     def test_sum_zero_for_finite_support(self, s469, glued):
         for S in (s469, glued):
-            factors = factor_into_cyclotomics(S.polynomial())
-            exponents = exponents_from_cyclotomic_factors(factors.factors)
+            exponents = factor_into_cyclotomics(S.polynomial()).exponents
             assert sum(exponents.values()) == 0
 
 
@@ -196,18 +260,88 @@ class TestCyclotomicFactorization:
 
     def test_constant(self):
         result = factor_into_cyclotomics([1])
-        assert result.complete and result.factors == {}
+        assert result.complete and result.factors == {} and result.exponents == {}
 
     def test_repeated_factor(self):
         poly = intpoly.mul(cyclotomic_polynomial(6), cyclotomic_polynomial(6))
         assert factor_into_cyclotomics(poly).factors == {6: 2}
 
+    def test_incomplete_records_no_factors(self):
+        # Phi_6 divides it, but an incomplete result reports no divisor
+        poly = intpoly.mul(cyclotomic_polynomial(6), [1, -3, 1])
+        assert factor_into_cyclotomics(poly) == CyclotomicFactorization({}, False, {})
+
+    def test_not_monic_rejected(self):
+        with pytest.raises(ValueError):
+            factor_into_cyclotomics([1, 1, 2])
+
     def test_factor_support_matches_sequence(self, glued):
-        factors = factor_into_cyclotomics(glued.polynomial())
-        exponents = exponents_from_cyclotomic_factors(factors.factors)
-        sequence = exponent_sequence(glued)
-        for j in range(1, sequence.bound + 1):
-            assert sequence[j] == exponents.get(j, 0)
+        assert assert_semigroup_matches_oracles(glued).complete
+
+    @pytest.mark.parametrize("indices", [(210,), (210, 330)])
+    def test_indices_far_above_the_degree(self, indices):
+        # phi(210) = 48 and phi(330) = 80: the sweep must reach past 4 * degree
+        poly = [1]
+        for n in indices:
+            poly = intpoly.mul(poly, cyclotomic_polynomial(n))
+        result = assert_matches_oracles(poly)
+        assert result.complete and result.factors == {n: 1 for n in indices}
+
+    def test_symmetric_up_to_genus_12(self):
+        symmetric = [S for S in enumerate_by_genus(12) if S.is_symmetric()]
+        assert len(symmetric) == 121
+        for S in symmetric:
+            assert_semigroup_matches_oracles(S)
+
+    def test_complete_intersections_up_to_frobenius_61(self):
+        for F in range(1, 62, 2):
+            for S in ci_with_frobenius(F):
+                assert assert_semigroup_matches_oracles(S).complete, S.generators
+
+    @pytest.mark.stretch
+    def test_symmetric_up_to_frobenius_29(self):
+        for S in _symmetric_up_to_frobenius(29):
+            assert_semigroup_matches_oracles(S)
+
+    @pytest.mark.stretch
+    def test_complete_intersections_up_to_frobenius_101(self):
+        for F in range(1, 102, 2):
+            for S in ci_with_frobenius(F):
+                assert assert_semigroup_matches_oracles(S).complete, S.generators
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(st.integers(2, 60), max_size=5),
+        st.one_of(st.none(), st.lists(st.integers(-3, 3), min_size=1, max_size=3)),
+    )
+    def test_random_products_of_cyclotomics(self, indices, middle):
+        poly = [1]
+        for n in indices:
+            poly = intpoly.mul(poly, cyclotomic_polynomial(n))
+        if middle is not None:
+            # times 1 + ... + x^k: cyclotomic or not, the oracle decides
+            poly = intpoly.mul(poly, [1] + middle + [1])
+        result = assert_matches_oracles(poly)
+        if middle is None:
+            assert result.complete
+            assert result.factors == {n: indices.count(n) for n in sorted(set(indices))}
+
+
+class TestIndexBound:
+    def test_covers_every_index_with_small_phi(self):
+        top = 300
+        largest = [0] * (top + 1)  # largest[d] = max{n : phi(n) = d}
+        for n in range(1, 2 * top**2 + 1):  # phi(n) >= sqrt(n / 2)
+            phi = euler_phi(n)
+            if phi <= top:
+                largest[phi] = max(largest[phi], n)
+        best = 0
+        for d in range(top + 1):
+            best = max(best, largest[d])
+            assert _index_bound(d) >= best, d
+
+    def test_values(self):
+        assert [_index_bound(d) for d in (0, 1, 82, 1560)] == [0, 2, 358, 7507]
 
 
 class TestIsCyclotomic:
