@@ -1,8 +1,7 @@
 """Small number-theoretic helpers: divisors, Euler phi, Moebius mu.
 
 All three are backed by a shared smallest-prime-factor sieve that grows on
-demand, so repeated queries (the cyclotomic factor search makes thousands)
-stay cheap.
+demand, so repeated queries stay cheap.
 """
 
 from functools import reduce

@@ -184,8 +184,8 @@ def verify(genus_max, frobenius, checks, filters, resume_token, json_path):
     except ValueError as exc:
         raise click.UsageError(f"--checks: {exc}")
 
-    def progress(done: int, token: str) -> None:
-        click.echo(f"checked {done} (token {token})", err=True)
+    def progress(done: int, token: str | None) -> None:
+        click.echo(f"checked {done}" + ("" if token is None else f" (token {token})"), err=True)
 
     summary = run_verification(job, check_names, progress=progress)
     for name in check_names:

@@ -58,9 +58,11 @@ class EnumerationJob:
         least = 0 if self.mode == "by-genus" else 1
         if self.limit < least:
             raise ValueError(f"limit must be >= {least} in {self.mode} mode")
-        for name in self.filters:
+        for i, name in enumerate(self.filters):
             if name not in FILTERS:
                 raise ValueError(f"unknown filter {name!r}; known: {','.join(FILTERS)}")
+            if name in self.filters[:i]:
+                raise ValueError(f"filter {name!r} named twice")
         if self.resume_token is not None:
             if self.mode != "by-genus":
                 raise ValueError("resume tokens apply to by-genus jobs only")
@@ -163,8 +165,8 @@ def _theorem_check(check_id: str) -> Callable[[SemigroupAnalysis], bool]:
 def _check_negative_support_is_generators(analysis: SemigroupAnalysis) -> bool:
     """Finite support only: indices with negative exponent = minimal generators."""
     exponents = analysis.full_exponents
-    if exponents is None:
-        return True  # vacuous: the claim quantifies over finitely supported sequences
+    if exponents is None or analysis.semigroup.is_trivial:
+        return True  # vacuous off finite support, and on <1>, whose exponents are all 0
     negative = {j for j, e in exponents.items() if e < 0}
     return negative == set(analysis.semigroup.generators)
 
@@ -258,7 +260,7 @@ _PROGRESS_EVERY = 500
 def run_verification(
     job: EnumerationJob,
     checks,
-    progress: Callable[[int, str], None] | None = None,
+    progress: Callable[[int, str | None], None] | None = None,
 ) -> VerificationSummary:
     """Run the named checks over a job's family and aggregate the outcome.
 
@@ -266,7 +268,7 @@ def run_verification(
     Counterexamples are collected as full report records (sorted by
     generators in the summary). A progress callback receives (count, token)
     each time the count reaches a multiple of 500, and the final summary
-    carries the last token, so interrupted by-genus runs can resume.
+    carries the last token (by-genus jobs only), so interrupted runs resume.
     """
     checks = validate_checks(checks)
     summary = VerificationSummary(job, checks)
@@ -277,7 +279,7 @@ def run_verification(
             summary.pass_counts[name] += ok
         if not all(verdicts.values()):
             summary.counterexamples.append(build_report(analysis, verdicts))
-        summary.last_token = format_token(path)
+        summary.last_token = format_token(path) if job.mode == "by-genus" else None
         if progress is not None and summary.total % _PROGRESS_EVERY == 0:
             progress(summary.total, summary.last_token)
     summary.counterexamples.sort(key=lambda r: r.generators)

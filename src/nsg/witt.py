@@ -164,7 +164,7 @@ def cyclotomic_polynomial(n: int) -> list[int]:
     return list(_cyclotomic(n))
 
 
-@lru_cache(maxsize=256)  # above the 137 polynomials a ci-frobenius benchmark run holds
+@lru_cache(maxsize=256)  # above the 85 polynomials a ci-frobenius benchmark run holds
 def _cyclotomic(n: int) -> tuple[int, ...]:
     if n == 1:
         return (-1, 1)

@@ -123,27 +123,12 @@ GENUS_7_ALL_CHECKS = {'mode': 'by-genus',
  'total': 89,
  'pass_counts': {'ci-cyclotomic': 89,
                  'conj-betti': 89,
-                 'conj-msg': 88,
+                 'conj-msg': 89,
                  'thm1': 89,
                  'thm2': 89,
                  'thm5.2': 89},
- 'counterexamples': [{'generators': [1],
-                      'frobenius': -1,
-                      'genus': 0,
-                      'betti': {},
-                      'exponent_prefix': ['0', '0'],
-                      'flags': {'betti_sorted': True,
-                                'betti_divisible': True,
-                                'unique_betti': False,
-                                'betti_forest': True,
-                                'e_forest': True},
-                      'verdicts': {'ci-cyclotomic': True,
-                                   'thm1': True,
-                                   'thm2': True,
-                                   'thm5.2': True,
-                                   'conj-msg': False,
-                                   'conj-betti': True}}],
- 'all_pass': False,
+ 'counterexamples': [],
+ 'all_pass': True,
  'last_token': '1.3.5.7.9.11.13'}
 
 # enumerate_by_frobenius(F) for F <= 23, captured from the tree walk that

@@ -60,21 +60,25 @@ class TestSharedAnalysis:
         summary = run_verification(EnumerationJob("by-genus", 6), tuple(CHECKS))
         assert summary.total == 50
         for name, calls in counted.items():
-            assert len(calls) == len(set(calls)) == 50, name
+            assert len(calls) == len(set(calls)), name
+        assert len(counted["betti_elements"]) == len(counted["cyclotomic_factorization"]) == 50
+        # every check is vacuous on <1>, so nothing reads its exponent sequence
+        family = {S for S, _ in walk_genus_tree(6)}
+        assert family - set(counted["exponent_sequence"]) == {NumericalSemigroup(1)}
 
     def test_filter_reads_the_analysis_the_checks_read(self, monkeypatch):
         betti_calls = self._count_calls(monkeypatch, "betti_elements")
         job = EnumerationJob("by-genus", 7, ("betti-sorted",))
         summary = run_verification(job, tuple(CHECKS))
         family = [S for S, _ in walk_genus_tree(7)]
-        # the filter computed the catalog of every semigroup, the checks and
-        # the <1> report reused it
+        # the filter computed the catalog of every semigroup, the checks
+        # reused it
         assert betti_calls == family
         sorted_family = [S for S in family if classify(S).betti_sorted]
         assert list(enumerate_job(job)) == sorted_family
         assert summary.total == len(sorted_family) == 15
-        assert summary.pass_counts == {name: 15 for name in CHECKS} | {"conj-msg": 14}
-        assert [r.generators for r in summary.counterexamples] == [(1,)]
+        assert summary.pass_counts == {name: 15 for name in CHECKS}
+        assert summary.counterexamples == []
 
     def test_bound_below_default_rejected(self, s357):
         with pytest.raises(BoundTooSmallError):
@@ -130,6 +134,11 @@ class TestEnumerationJob:
         with pytest.raises(ValueError, match="unknown mode"):
             EnumerationJob("ci-by-frobenius", 45)
 
+    @pytest.mark.parametrize("mode", ["by-genus", "by-frobenius"])
+    def test_repeated_filter_rejected(self, mode):
+        with pytest.raises(ValueError, match="filter 'ci' named twice"):
+            EnumerationJob(mode, 4, ("ci", "betti-sorted", "ci"))
+
     def test_malformed_resume_token_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
             EnumerationJob("by-genus", 4, resume_token="2.x")
@@ -180,7 +189,18 @@ class TestProgress:
     def test_every_500_semigroups(self):
         calls, summary = self._calls(EnumerationJob("by-frobenius", 21))
         assert summary.total == 1828
-        assert [n for n, _ in calls] == [500, 1000, 1500]
+        # a by-Frobenius walk cannot resume, so it reports no token
+        assert calls == [(500, None), (1000, None), (1500, None)]
+        assert summary.last_token is None
+
+    def test_glued_stream_has_no_token(self):
+        summary = run_verification(EnumerationJob("by-frobenius", 45, ("ci",)), ("conj-msg",))
+        assert summary.total and summary.last_token is None
+
+    def test_genus_0_ends_at_the_root(self):
+        summary = run_verification(EnumerationJob("by-genus", 0), ("conj-msg",))
+        assert summary.total == 1 and summary.last_token == "root"
+        assert summary.all_pass
 
     def test_token_is_the_path_reached(self):
         calls, summary = self._calls(EnumerationJob("by-genus", 11))
