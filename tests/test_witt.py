@@ -10,11 +10,11 @@ from nsg import (
     BadConstantTermError,
     NumericalSemigroup,
     RootSeparationError,
+    ci_with_frobenius,
     cyclotomic_factorization,
     cyclotomic_polynomial,
-    enumerate_by_genus,
-    ci_with_frobenius,
     enumerate_by_frobenius,
+    enumerate_by_genus,
     exponent_sequence,
     factor_into_cyclotomics,
     growth_envelope_check,
@@ -280,7 +280,8 @@ class TestCyclotomicFactorization:
 
     @pytest.mark.parametrize("indices", [(210,), (210, 330)])
     def test_indices_far_above_the_degree(self, indices):
-        # phi(210) = 48 and phi(330) = 80: the sweep must reach past 4 * degree
+        # phi(210) = 48, so Phi_210 alone needs a sweep past 4 * degree;
+        # phi(330) = 80 adds a second index far above its own degree
         poly = [1]
         for n in indices:
             poly = intpoly.mul(poly, cyclotomic_polynomial(n))
