@@ -209,15 +209,16 @@ def factor_into_cyclotomics(poly: Sequence[int]) -> CyclotomicFactorization:
     bound = _index_bound(deg)
     entries = (0,) + witt_expand_moebius(coeffs, bound).entries  # 1-indexed
     factors = {n: h for n in range(2, bound + 1) if (h := sum(entries[n::n]))}
-    product = intpoly.ONE
     positive = all(h > 0 for h in factors.values())
     if positive and deg == sum(h * euler_phi(n) for n, h in factors.items()):
+        product = intpoly.ONE
         for n, h in factors.items():  # at most deg factors
             for _ in range(h):
                 product = intpoly.mul(product, _cyclotomic(n))
-    if product != coeffs:  # still 1 when a test above failed, and deg > 0 then
-        return CyclotomicFactorization({}, False, {})
-    return CyclotomicFactorization(factors, True, {j: e for j, e in enumerate(entries) if e})
+        if product == coeffs:
+            exponents = {j: e for j, e in enumerate(entries) if e}
+            return CyclotomicFactorization(factors, True, exponents)
+    return CyclotomicFactorization({}, False, {})
 
 
 def cyclotomic_factorization(S: NumericalSemigroup) -> CyclotomicFactorization | None:
