@@ -148,3 +148,203 @@ FROBENIUS_FAMILIES = {
     21: (1828, "465a96aa3448ce03"), 22: (1913, "cc5abe6755cab399"),
     23: (4096, "6f7894937c0d965b"),
 }
+
+# Byte-exact CLI exports, captured before the test-only oracles moved out of
+# src/, for the commands that write files. Text outputs are literal; a JSON
+# file is frozen as the value it holds, and test_exports.py renders it with
+# the writer's layout (sorted keys, indent 2, final newline). `analyze --json`
+# writes the build_report record, frozen in REPORTS above. `analyze --dot` and
+# `betti --dot` both write the Hasse diagram of the Betti elements.
+EXPORTS = {
+    '1': {
+        'analyze': (
+            'generators: 1\n'
+            'frobenius: -1   genus: 0   multiplicity: 1\n'
+            'gaps: -\n'
+            'symmetric: True\n'
+            'cyclotomic: True\n'
+            'complete intersection: True\n'
+            'gluing tree: "N"\n'
+            'betti elements: none\n'
+            "classification: {'betti_sorted': True, 'betti_divisible': True, 'unique_betti': False, 'betti_forest': True, 'e_forest': True}\n"
+            'exponents (2 entries): 0, 0\n'
+        ),
+        'betti': (
+            'no betti elements\n'
+            'forest: True\n'
+            'chain-downset part: -\n'
+        ),
+        'betti.json': {'betti': {}, 'covers': [], 'forest': True},
+        'hasse.dot': (
+            'digraph hasse {\n'
+            '}\n'
+        ),
+        'exponents': '0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0\n',
+        'exponents.csv': '0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n',
+        'exponents.json': ['0', '0', '0', '0', '0', '0', '0', '0', '0', '0', '0', '0',
+                           '0', '0', '0', '0', '0', '0', '0', '0'],
+    },
+    '3,5,7': {
+        'analyze': (
+            'generators: 3, 5, 7\n'
+            'frobenius: 4   genus: 3   multiplicity: 3\n'
+            'gaps: 1, 2, 4\n'
+            'symmetric: False\n'
+            'cyclotomic: False\n'
+            'complete intersection: False\n'
+            'betti elements (element: classes, isolated):\n'
+            '  10: nc=2, isolated=2\n'
+            '  12: nc=2, isolated=2\n'
+            '  14: nc=2, isolated=2\n'
+            "classification: {'betti_sorted': False, 'betti_divisible': False, 'unique_betti': False, 'betti_forest': True, 'e_forest': False}\n"
+            'exponents (19 entries): 1, 0, -1, 0, -1, 0, -1, 0, 0, 1, 0, 1, 0, 1, 0, 0, -1, 0, -1\n'
+        ),
+        'betti': (
+            '10: nc=2, isolated=2\n'
+            '12: nc=2, isolated=2\n'
+            '14: nc=2, isolated=2\n'
+            'forest: True\n'
+            'chain-downset part: 10, 12, 14\n'
+        ),
+        'betti.json': {'betti': {'10': [2, 2], '12': [2, 2], '14': [2, 2]},
+                       'covers': [],
+                       'forest': True},
+        'hasse.dot': (
+            'digraph hasse {\n'
+            '  "10";\n'
+            '  "12";\n'
+            '  "14";\n'
+            '}\n'
+        ),
+        'exponents': '1, 0, -1, 0, -1, 0, -1, 0, 0, 1, 0, 1, 0, 1, 0, 0, -1, 0, -1, 0\n',
+        'exponents.csv': '1,0,-1,0,-1,0,-1,0,0,1,0,1,0,1,0,0,-1,0,-1,0\n',
+        'exponents.json': ['1', '0', '-1', '0', '-1', '0', '-1', '0', '0', '1', '0',
+                           '1', '0', '1', '0', '0', '-1', '0', '-1', '0'],
+    },
+    '4,6,9': {
+        'analyze': (
+            'generators: 4, 6, 9\n'
+            'frobenius: 11   genus: 6   multiplicity: 4\n'
+            'gaps: 1, 2, 3, 5, 7, 11\n'
+            'symmetric: True\n'
+            'cyclotomic: True\n'
+            'complete intersection: True\n'
+            'gluing tree: {\n'
+            '  "a1": 2,\n'
+            '  "a2": 9,\n'
+            '  "left": {\n'
+            '    "a1": 2,\n'
+            '    "a2": 3,\n'
+            '    "left": "N",\n'
+            '    "right": "N"\n'
+            '  },\n'
+            '  "right": "N"\n'
+            '}\n'
+            'betti elements (element: classes, isolated):\n'
+            '  12: nc=2, isolated=2\n'
+            '  18: nc=2, isolated=1\n'
+            "classification: {'betti_sorted': True, 'betti_divisible': False, 'unique_betti': False, 'betti_forest': True, 'e_forest': True}\n"
+            'exponents (30 entries): 1, 0, 0, -1, 0, -1, 0, 0, -1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0\n'
+        ),
+        'betti': (
+            '12: nc=2, isolated=2\n'
+            '18: nc=2, isolated=1\n'
+            'covers: 12->18\n'
+            'forest: True\n'
+            'chain-downset part: 12, 18\n'
+        ),
+        'betti.json': {'betti': {'12': [2, 2], '18': [2, 1]},
+                       'covers': [[12, 18]],
+                       'forest': True},
+        'hasse.dot': (
+            'digraph hasse {\n'
+            '  "12";\n'
+            '  "18";\n'
+            '  "12" -> "18";\n'
+            '}\n'
+        ),
+        'exponents': '1, 0, 0, -1, 0, -1, 0, 0, -1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0\n',
+        'exponents.csv': '1,0,0,-1,0,-1,0,0,-1,0,0,1,0,0,0,0,0,1,0,0\n',
+        'exponents.json': ['1', '0', '0', '-1', '0', '-1', '0', '0', '-1', '0', '0',
+                           '1', '0', '0', '0', '0', '0', '1', '0', '0'],
+    },
+    '8,12,18,25': {
+        'analyze': (
+            'generators: 8, 12, 18, 25\n'
+            'frobenius: 47   genus: 24   multiplicity: 8\n'
+            'gaps: 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 27, 29, 31, 35, 39, 47\n'
+            'symmetric: True\n'
+            'cyclotomic: True\n'
+            'complete intersection: True\n'
+            'gluing tree: {\n'
+            '  "a1": 2,\n'
+            '  "a2": 25,\n'
+            '  "left": {\n'
+            '    "a1": 2,\n'
+            '    "a2": 9,\n'
+            '    "left": {\n'
+            '      "a1": 2,\n'
+            '      "a2": 3,\n'
+            '      "left": "N",\n'
+            '      "right": "N"\n'
+            '    },\n'
+            '    "right": "N"\n'
+            '  },\n'
+            '  "right": "N"\n'
+            '}\n'
+            'betti elements (element: classes, isolated):\n'
+            '  24: nc=2, isolated=2\n'
+            '  36: nc=2, isolated=1\n'
+            '  50: nc=2, isolated=1\n'
+            "classification: {'betti_sorted': False, 'betti_divisible': False, 'unique_betti': False, 'betti_forest': True, 'e_forest': True}\n"
+            'exponents (98 entries): 1, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, -1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0\n'
+        ),
+        'betti': (
+            '24: nc=2, isolated=2\n'
+            '36: nc=2, isolated=1\n'
+            '50: nc=2, isolated=1\n'
+            'covers: 24->36, 24->50\n'
+            'forest: True\n'
+            'chain-downset part: 24, 36, 50\n'
+        ),
+        'betti.json': {'betti': {'24': [2, 2], '36': [2, 1], '50': [2, 1]},
+                       'covers': [[24, 36], [24, 50]],
+                       'forest': True},
+        'hasse.dot': (
+            'digraph hasse {\n'
+            '  "24";\n'
+            '  "36";\n'
+            '  "50";\n'
+            '  "24" -> "36";\n'
+            '  "24" -> "50";\n'
+            '}\n'
+        ),
+        'exponents': '1, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, -1, 0, 0, 0, 0, 0, -1, 0, 0\n',
+        'exponents.csv': '1,0,0,0,0,0,0,-1,0,0,0,-1,0,0,0,0,0,-1,0,0\n',
+        'exponents.json': ['1', '0', '0', '0', '0', '0', '0', '-1', '0', '0', '0', '-1',
+                           '0', '0', '0', '0', '0', '-1', '0', '0'],
+    },
+}
+
+ENUMERATE_GENUS_4 = (
+    '1\n'
+    '2,3\n'
+    '3,4,5\n'
+    '4,5,6,7\n'
+    '5,6,7,8,9\n'
+    '4,6,7,9\n'
+    '4,5,7\n'
+    '4,5,6\n'
+    '3,5,7\n'
+    '3,7,8\n'
+    '3,5\n'
+    '3,4\n'
+    '2,5\n'
+    '2,7\n'
+    '2,9\n'
+)
+ENUMERATE_GENUS_4_JSON = {'count': 15,
+                          'generators': [[1], [2, 3], [3, 4, 5], [4, 5, 6, 7],
+                                         [5, 6, 7, 8, 9], [4, 6, 7, 9], [4, 5, 7],
+                                         [4, 5, 6], [3, 5, 7], [3, 7, 8], [3, 5],
+                                         [3, 4], [2, 5], [2, 7], [2, 9]]}
