@@ -3,8 +3,9 @@
 Construction and invariants live on :class:`NumericalSemigroup`; the
 surrounding modules compute product expansions of the semigroup polynomial,
 factorization structure (Betti elements, R-classes, minimal presentations),
-the member-difference order on them, complete-intersection witnesses, and
-exhaustive enumeration drivers.
+the member-difference order on them, complete intersections with their
+gluing trees, exhaustive enumeration drivers, and batch verification of the
+paper's claims over those families.
 """
 
 from .analysis import SemigroupAnalysis
@@ -13,12 +14,10 @@ from .bettiposet import (
     ExponentSupport,
     HasseDiagram,
     OrderedSubset,
-    ResidualSeries,
     TheoremReport,
     classify,
     exponent_support,
     leq,
-    residual_coefficients,
     verify_theorems,
 )
 from .ci import (
@@ -28,7 +27,6 @@ from .ci import (
     Leaf,
     gluing_decompose,
     is_complete_intersection,
-    verify_ci_identities,
 )
 from .enumeration import (
     ci_with_frobenius,
@@ -39,16 +37,12 @@ from .enumeration import (
 from .errors import (
     BadConstantTermError,
     BoundTooSmallError,
-    ChainNotSortedError,
     EmptyGeneratorsError,
     IntegralityError,
     NonCoprimeGeneratorsError,
     NotAMemberError,
-    NotCompleteIntersectionError,
-    NotInSubsetError,
     NotIsolatedBettiError,
     NsgError,
-    RootSeparationError,
 )
 from .factorization import (
     BettiData,
@@ -79,16 +73,12 @@ from .verification import (
 from .witt import (
     CyclotomicFactorization,
     ExponentSequence,
-    GrowthReport,
     cyclotomic_factorization,
     cyclotomic_polynomial,
     exponent_sequence,
     factor_into_cyclotomics,
-    growth_envelope_check,
     is_cyclotomic,
-    necklace_coefficient,
     power_sums,
-    reconstruct_prefix,
     witt_expand_moebius,
 )
 

@@ -4,8 +4,6 @@ All three are backed by a shared smallest-prime-factor sieve that grows on
 demand, so repeated queries stay cheap.
 """
 
-from functools import reduce
-
 _spf: list[int] = [0, 1]  # smallest prime factor; _spf[1] = 1 by convention
 """The sieve behind every helper here, bounded by the queries made.
 
@@ -44,7 +42,11 @@ def prime_factors(n: int) -> dict[int, int]:
 
 
 def mobius(n: int) -> int:
-    """Moebius mu: 0 on non-squarefree n, else (-1)^(number of prime factors)."""
+    """Moebius mu: 0 on non-squarefree n, else (-1)^(number of prime factors).
+
+    Kept only because ``perfbench/trace.py`` counts its calls, which now read
+    0; it goes with the next benchmark change.
+    """
     factors = prime_factors(n)
     if any(e > 1 for e in factors.values()):
         return 0
@@ -64,8 +66,3 @@ def divisors(n: int) -> list[int]:
     for p, e in prime_factors(n).items():
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
-
-
-def divisor_count(n: int) -> int:
-    return reduce(lambda acc, e: acc * (e + 1), prime_factors(n).values(), 1)
-

@@ -12,10 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
-from .errors import ChainNotSortedError, NotInSubsetError
-from .factorization import betti_elements
 from .semigroup import NumericalSemigroup
 
 
@@ -51,12 +48,6 @@ class OrderedSubset:
 
     def leq(self, a: int, b: int) -> bool:
         return self._leq[self._index[a]][self._index[b]]
-
-    def down_set(self, x: int) -> "OrderedSubset":
-        """Principal down-set of x within this subset."""
-        if x not in self._index:
-            raise NotInSubsetError(f"{x} is not in the subset")
-        return OrderedSubset(self.S, [y for y in self.elements if self.leq(y, x)])
 
     def minimals(self) -> tuple[int, ...]:
         return tuple(
@@ -142,48 +133,6 @@ def exponent_support(S: NumericalSemigroup, bound: int | None = None) -> Exponen
     from .analysis import SemigroupAnalysis  # the analysis layer sits above this module
 
     return SemigroupAnalysis(S, bound).support
-
-
-@dataclass(frozen=True)
-class ResidualSeries:
-    """Coefficients of the membership series after peeling a chain of factors.
-
-    Peeling b multiplies by ``(1 - x^b)^(-e_b)`` where e_b is the number of
-    R-classes of b minus one; with an empty chain the coefficients are the
-    membership indicator.
-    """
-
-    chain: tuple[int, ...]
-    coefficients: tuple[int, ...]
-    bound: int
-
-
-def residual_coefficients(
-    S: NumericalSemigroup, chain, bound: int
-) -> ResidualSeries:
-    chain = tuple(chain)
-    catalog = betti_elements(S)
-    u_elements = set(OrderedSubset(S, catalog).u_set())
-    for b in chain:
-        if b not in u_elements:
-            raise ValueError(f"{b} is not a Betti element with a chain down-set")
-    for a, b in zip(chain, chain[1:]):
-        if not leq(S, a, b):
-            raise ChainNotSortedError(f"chain not ascending at {a}, {b}")
-    coefficients = [1 if s in S else 0 for s in range(bound + 1)]
-    for b in chain:
-        exponent = catalog[b].nc - 1
-        convolved = [0] * (bound + 1)
-        for j in range(0, bound // b + 1):
-            weight = comb(exponent + j - 1, j)
-            if weight == 0:
-                continue
-            shift = j * b
-            for s in range(shift, bound + 1):
-                if coefficients[s - shift]:
-                    convolved[s] += weight * coefficients[s - shift]
-        coefficients = convolved
-    return ResidualSeries(chain, tuple(coefficients), bound)
 
 
 @dataclass(frozen=True)

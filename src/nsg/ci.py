@@ -1,4 +1,4 @@
-"""Complete intersections: detection, gluing trees, and the product identities.
+"""Complete intersections: detection and gluing trees.
 
 A semigroup is a complete intersection when its minimal presentation has the
 least possible size, embedding dimension minus one. Equivalently it is built
@@ -9,8 +9,9 @@ integers, and equivalently again its membership series is the quotient of
 
 :func:`is_complete_intersection` decides by the presentation size, read from
 the Betti catalog of a :class:`~nsg.analysis.SemigroupAnalysis` behind its
-symmetry gate (every complete intersection is symmetric). Gluing trees and
-the product identities are witnesses; the test suite checks all routes agree.
+symmetry gate (every complete intersection is symmetric). The gluing tree is
+the witness ``nsg analyze`` prints. The product identities, at the root and
+at every gluing, are oracles in the test suite, which checks all routes agree.
 """
 
 from __future__ import annotations
@@ -19,35 +20,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from . import intpoly
 from .analysis import SemigroupAnalysis
-from .errors import NotCompleteIntersectionError
-from .factorization import betti_elements
 from .semigroup import NumericalSemigroup
 
 
 class GluingTree:
     """Recursive witness that a semigroup is a complete intersection."""
 
-    def semigroup(self) -> NumericalSemigroup:
-        return NumericalSemigroup(self.generator_values())
-
-    def generator_values(self) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def betti_values(self) -> frozenset[int]:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Leaf(GluingTree):
     """The non-negative integers; the base of every gluing tree."""
-
-    def generator_values(self) -> tuple[int, ...]:
-        return (1,)
-
-    def betti_values(self) -> frozenset[int]:
-        return frozenset()
 
     def to_json(self):
         return "N"
@@ -70,18 +53,6 @@ class Gluing(GluingTree):
     left: GluingTree
     a2: int
     right: GluingTree
-
-    def generator_values(self) -> tuple[int, ...]:
-        scaled = [self.a1 * g for g in self.left.generator_values()]
-        scaled += [self.a2 * g for g in self.right.generator_values()]
-        return tuple(sorted(scaled))
-
-    def betti_values(self) -> frozenset[int]:
-        return (
-            frozenset({self.a1 * self.a2})
-            | frozenset(self.a1 * b for b in self.left.betti_values())
-            | frozenset(self.a2 * b for b in self.right.betti_values())
-        )
 
     def to_json(self):
         return {
@@ -155,113 +126,3 @@ def _decompose(gens: tuple[int, ...]) -> GluingTree | None:
             continue
         return Gluing(a1, left, a2, right)
     return None
-
-
-@dataclass(frozen=True)
-class CiCheck:
-    check_id: str
-    passed: bool
-    witness: str | None = None
-
-
-@dataclass(frozen=True)
-class CiReport:
-    generators: tuple[int, ...]
-    checks: tuple[CiCheck, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def verify_ci_identities(S: NumericalSemigroup) -> CiReport:
-    """Exact product identities satisfied by a complete intersection.
-
-    Checks the factorization of the semigroup polynomial over Betti elements,
-    the induced degree identity, the product formula at every node of the
-    gluing tree, and the Betti-set composition rule of gluings.
-    """
-    analysis = SemigroupAnalysis(S)
-    if not analysis.complete_intersection:
-        raise NotCompleteIntersectionError(f"{S!r} is not a complete intersection")
-    catalog = analysis.betti
-    checks = []
-
-    lhs = S.polynomial()
-    for n in S.generators:
-        lhs = intpoly.mul(lhs, intpoly.one_minus_xk(n))
-    rhs = [1, -1]  # 1 - x
-    for b, data in catalog.items():
-        for _ in range(data.nc - 1):
-            rhs = intpoly.mul(rhs, intpoly.one_minus_xk(b))
-    checks.append(
-        CiCheck(
-            "polynomial-product-identity",
-            intpoly.trim(lhs) == intpoly.trim(rhs),
-            None if intpoly.trim(lhs) == intpoly.trim(rhs) else "products differ",
-        )
-    )
-
-    degree_lhs = S.frobenius + sum(S.generators)
-    degree_rhs = sum(b * (data.nc - 1) for b, data in catalog.items())
-    checks.append(
-        CiCheck(
-            "degree-identity",
-            degree_lhs == degree_rhs,
-            None if degree_lhs == degree_rhs else f"{degree_lhs} != {degree_rhs}",
-        )
-    )
-
-    tree = gluing_decompose(S)
-    node_ok, node_witness = _check_tree_polynomials(tree)
-    checks.append(CiCheck("gluing-polynomial-identity", node_ok, node_witness))
-
-    betti_ok, betti_witness = _check_tree_betti(tree, frozenset(catalog))
-    checks.append(CiCheck("gluing-betti-composition", betti_ok, betti_witness))
-    return CiReport(S.generators, tuple(checks))
-
-
-def _inflate(poly: list[int], a: int) -> list[int]:
-    """Substitute x -> x^a in a polynomial."""
-    out = [0] * (a * (len(poly) - 1) + 1) if poly else []
-    for i, c in enumerate(poly):
-        out[a * i] = c
-    return out
-
-
-def _check_tree_polynomials(tree: GluingTree) -> tuple[bool, str | None]:
-    if isinstance(tree, Leaf):
-        return True, None
-    assert isinstance(tree, Gluing)
-    for part in (tree.left, tree.right):
-        ok, witness = _check_tree_polynomials(part)
-        if not ok:
-            return ok, witness
-    glued = tree.semigroup().polynomial()
-    lhs = intpoly.mul(glued, intpoly.one_minus_xk(tree.a1))
-    lhs = intpoly.mul(lhs, intpoly.one_minus_xk(tree.a2))
-    rhs = intpoly.mul([1, -1], intpoly.one_minus_xk(tree.a1 * tree.a2))
-    rhs = intpoly.mul(rhs, _inflate(tree.left.semigroup().polynomial(), tree.a1))
-    rhs = intpoly.mul(rhs, _inflate(tree.right.semigroup().polynomial(), tree.a2))
-    if intpoly.trim(lhs) != intpoly.trim(rhs):
-        return False, f"product formula fails at node {tree.a1}, {tree.a2}"
-    return True, None
-
-
-def _check_tree_betti(
-    tree: GluingTree, actual: frozenset[int] | None = None
-) -> tuple[bool, str | None]:
-    """Betti composition at every gluing; ``actual`` is the root's known Betti set."""
-    if isinstance(tree, Leaf):
-        return True, None
-    assert isinstance(tree, Gluing)
-    for part in (tree.left, tree.right):
-        ok, witness = _check_tree_betti(part)
-        if not ok:
-            return ok, witness
-    composed = tree.betti_values()
-    if actual is None:
-        actual = frozenset(betti_elements(tree.semigroup()))
-    if composed != actual:
-        return False, f"Betti composition fails: {sorted(composed)} vs {sorted(actual)}"
-    return True, None

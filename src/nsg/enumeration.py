@@ -74,7 +74,7 @@ def walk_genus_tree(
         # after is the resume point while path is a prefix of it, else None
         if after is None:
             yield S, path
-        if len(path) == g_max:
+        if len(path) + 1 > g_max:  # the children would have genus len(path) + 1
             return
         for g, child in children(S):
             if after is None or path == after or g > after[len(path)]:

@@ -5,8 +5,7 @@ integers containing 0 whose complement (the set of *gaps*) is finite. It is
 determined by its unique minimal generating system. Everything a
 :class:`NumericalSemigroup` exposes is precomputed at construction from a
 dynamic-programming membership sieve (or, for a child in the semigroup tree,
-derived from its parent's table), so instances are immutable and safe to
-share across workers.
+derived from its parent's table), and instances are immutable.
 """
 
 from __future__ import annotations

@@ -55,6 +55,8 @@ class EnumerationJob:
     def __post_init__(self):
         if self.mode not in ("by-genus", "by-frobenius"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not isinstance(self.limit, int) or isinstance(self.limit, bool):
+            raise ValueError(f"limit must be an int, got {self.limit!r}")
         least = 0 if self.mode == "by-genus" else 1
         if self.limit < least:
             raise ValueError(f"limit must be >= {least} in {self.mode} mode")

@@ -17,8 +17,9 @@ its sums over multiples.
 
 Exponents grow exponentially for non-cyclotomic semigroups (they track the
 inverse powers of the smallest root modulus), so every value here is an exact
-Python integer; floating point appears only in the root-modulus estimates of
-:func:`growth_envelope_check`.
+Python integer and nothing here uses floating point. The tests hold that
+growth to its root-modulus envelope with numpy, which the package does not
+import.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from math import prod
 from typing import Sequence
 
 from . import intpoly
-from .arith import divisor_count, divisors, euler_phi, mobius
-from .errors import BadConstantTermError, IntegralityError, RootSeparationError
+from .arith import divisors, euler_phi
+from .errors import BadConstantTermError, IntegralityError
 from .semigroup import NumericalSemigroup
 
 
@@ -146,17 +147,6 @@ def exponent_sequence(S: NumericalSemigroup, bound: int | None = None) -> Expone
     return witt_expand_moebius(S.polynomial(), bound)
 
 
-def reconstruct_prefix(entries: Sequence[int], bound: int) -> list[int]:
-    """Prefix of ``prod_k (1 - x^k)^(e_k)``, inverse of the expansions."""
-    prefix = [1] + [0] * bound
-    for k, e in enumerate(entries, start=1):
-        if k > bound:
-            break
-        if e:
-            prefix = intpoly.mul_one_minus_xk_pow(prefix, k, e, bound)
-    return prefix
-
-
 def cyclotomic_polynomial(n: int) -> list[int]:
     """The n-th cyclotomic polynomial via exact division of x^n - 1."""
     if n < 1:
@@ -239,70 +229,3 @@ def is_cyclotomic(S: NumericalSemigroup) -> bool:
     """
     factorization = cyclotomic_factorization(S)
     return factorization is not None and factorization.complete
-
-
-def necklace_coefficient(alpha: int, k: int) -> int:
-    """``(1/k) * sum_{j | k} mu(k/j) alpha^j``, the expansion exponents of 1 - alpha*x."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    total = sum(mobius(k // j) * alpha**j for j in divisors(k))
-    if total % k != 0:
-        raise IntegralityError(f"necklace sum {total} not divisible by {k}")
-    return total // k
-
-
-@dataclass(frozen=True)
-class GrowthCheck:
-    k: int
-    passed: bool
-    deviation: float
-    allowance: float
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    checks: tuple[GrowthCheck, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-_SEPARATION_TOL = 1e-9
-
-
-def growth_envelope_check(poly: Sequence[int], ks: Sequence[int]) -> GrowthReport:
-    """Verify the divisor-bounded envelope around e_f(k).
-
-    With the roots ordered by modulus and |alpha_1| < |alpha_2|, the exponent
-    e_f(k) stays within ``(d(k)/k) * (|alpha_1|^(-k/2) + deg(f)*|alpha_2|^(-k))``
-    of the main term ``alpha_1^(-k)/k``; for linear f the alpha_2 term drops.
-    Exponents are exact; only the root moduli are floating point.
-    """
-    try:
-        import numpy as np  # only needed here; importing nsg stays numpy-free
-    except ImportError as exc:
-        raise ImportError(
-            "growth_envelope_check needs numpy; install the nsg[growth] extra"
-        ) from exc
-
-    coeffs = intpoly.trim(_check_constant_term(poly))
-    deg = len(coeffs) - 1
-    if deg == 0:
-        raise ValueError("need a non-constant polynomial")
-    roots = sorted(np.roots(list(reversed(coeffs))), key=abs)
-    r1 = abs(roots[0])
-    if deg >= 2:
-        r2 = abs(roots[1])
-        if r2 - r1 <= _SEPARATION_TOL:
-            raise RootSeparationError(
-                f"smallest root moduli {r1!r} and {r2!r} are not separated"
-            )
-    alpha1 = roots[0].real  # strict modulus gap forces a real smallest root
-    entries = witt_expand_moebius(coeffs, max(ks))
-    checks = []
-    for k in ks:
-        deviation = abs(entries[k] - alpha1 ** (-k) / k)
-        allowance = divisor_count(k) / k * (r1 ** (-k / 2) + (deg * abs(roots[1]) ** (-k) if deg >= 2 else 0.0))
-        checks.append(GrowthCheck(k, deviation <= allowance, deviation, allowance))
-    return GrowthReport(tuple(checks))

@@ -48,7 +48,6 @@ def test_against_brute_force_across_regrowths(cold_sieve):
         assert arith.mobius(n) == _brute_mobius(n), n
         assert arith.euler_phi(n) == _brute_phi(n), n
         assert arith.divisors(n) == divisors, n
-        assert arith.divisor_count(n) == len(divisors), n
         sizes.add(len(arith._spf))
     assert len(sizes) > 5  # the sieve grew many times along the way
 

@@ -1,7 +1,7 @@
 """The semigroup tree: cheap children against from_gaps, counts and oracles."""
 
 import hashlib
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -72,6 +72,12 @@ class TestChildren:
         assert [g for g, _ in children(s357, 6)] == [5]
         assert children(s357, 4) == []
         assert children(s469) == []  # every generator lies below F = 11
+
+
+class TestGenusCap:
+    def test_fractional_cap_stops(self):
+        # a cap of 2.5 admits genus <= 2; islice keeps a walk that never stops finite
+        assert [S.genus for S, _ in islice(walk_genus_tree(2.5), 10)] == [0, 1, 2, 2]
 
 
 class TestCounts:

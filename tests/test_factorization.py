@@ -20,8 +20,9 @@ from nsg import (
     presentation_size,
     restricted_factorizations,
 )
-from nsg import intpoly
 from nsg.bettiposet import OrderedSubset
+
+from oracles import mul_one_minus_xk_pow
 
 
 def value_of(S, vector):
@@ -62,7 +63,7 @@ class TestFactorizations:
         series = denumerant_series(s469, bound)
         product = [1] + [0] * bound
         for g in s469.generators:
-            product = intpoly.mul_one_minus_xk_pow(product, g, -1, bound)
+            product = mul_one_minus_xk_pow(product, g, -1, bound)
         assert product == series
 
 

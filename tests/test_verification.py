@@ -129,6 +129,12 @@ class TestEnumerationJob:
             EnumerationJob(mode, 0)
         assert EnumerationJob("by-genus", 0).limit == 0
 
+    @pytest.mark.parametrize("mode", ["by-genus", "by-frobenius"])
+    @pytest.mark.parametrize("limit", [2.5, True])
+    def test_limit_must_be_an_int(self, mode, limit):
+        with pytest.raises(ValueError, match="limit must be an int"):
+            EnumerationJob(mode, limit)
+
     def test_glued_mode_is_a_filter_not_a_mode(self):
         # complete intersections by Frobenius number: by-frobenius with "ci"
         with pytest.raises(ValueError, match="unknown mode"):
