@@ -348,3 +348,9 @@ ENUMERATE_GENUS_4_JSON = {'count': 15,
                                          [5, 6, 7, 8, 9], [4, 6, 7, 9], [4, 5, 7],
                                          [4, 5, 6], [3, 5, 7], [3, 7, 8], [3, 5],
                                          [3, 4], [2, 5], [2, 7], [2, 9]]}
+
+# sha256 of the key-ordered JSON list, in enumeration order, of
+# [generators, classification, Betti covers, support covers] per semigroup;
+# frozen when the covers came from an O(n^3) transitive-reduction search
+ORDER_DIGEST_GENUS_10 = "de008dd83f9c51a88f8adc3ea3c96292e972caa8be71a115eab2fb6a0db8f96c"
+ORDER_DIGEST_FROBENIUS_21 = "51a430e067e9f66183d56d44770c0c7199def80bded10a442a2b2a5c8a7f591a"

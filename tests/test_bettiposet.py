@@ -1,3 +1,5 @@
+import hashlib
+import json
 from math import comb
 
 import pytest
@@ -7,6 +9,7 @@ from nsg import (
     NumericalSemigroup,
     betti_elements,
     classify,
+    enumerate_by_frobenius,
     enumerate_by_genus,
     exponent_sequence,
     exponent_support,
@@ -16,6 +19,8 @@ from nsg import (
 )
 from nsg.analysis import SemigroupAnalysis
 from nsg.bettiposet import OrderedSubset
+
+from expected import ORDER_DIGEST_FROBENIUS_21, ORDER_DIGEST_GENUS_10
 
 
 def down_set(subset, x):
@@ -304,3 +309,26 @@ class TestVerifyTheorems:
     def test_small_family_sweep(self):
         for S in enumerate_by_genus(8):
             assert verify_theorems(S).all_pass, S
+
+
+def order_digest(family) -> str:
+    """sha256 of every classification and cover set of a family, in order."""
+    records = []
+    for S in family:
+        analysis = SemigroupAnalysis(S)
+        records.append([
+            S.generators,
+            analysis.classification.to_json_dict(),
+            analysis.betti_order.hasse().covers,
+            analysis.support_order.hasse().covers,
+        ])
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+
+
+class TestFamilyPins:
+    def test_genus_10(self):
+        assert order_digest(enumerate_by_genus(10)) == ORDER_DIGEST_GENUS_10
+
+    @pytest.mark.stretch
+    def test_frobenius_21(self):
+        assert order_digest(enumerate_by_frobenius(21)) == ORDER_DIGEST_FROBENIUS_21
