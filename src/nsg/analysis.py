@@ -165,7 +165,6 @@ class SemigroupAnalysis:
         catalog = self.betti
         betti = self.betti_order
         support_set = self.prefix_support_order
-        prefix_members = support_set.elements
 
         checks = [_check_exponent_values(S, sequence, counts)]
 
@@ -213,9 +212,10 @@ class SemigroupAnalysis:
             )
         )
 
+        # anything above a support index lies above a minimal one below it
         witness = None
         for s in range(bound + 1):
-            if counts[s] >= 2 and not any(leq(S, d, s) for d in prefix_members):
+            if counts[s] >= 2 and not any(leq(S, m, s) for m in support_minimals):
                 witness = f"{s} has {counts[s]} factorizations but no support index below"
                 break
         checks.append(

@@ -11,7 +11,6 @@ this on concrete semigroups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .semigroup import NumericalSemigroup
 
@@ -24,17 +23,27 @@ def leq(S: NumericalSemigroup, a: int, b: int) -> bool:
 class OrderedSubset:
     """A finite set of integers with the member-difference order cached.
 
-    The comparison matrix is tiny for the sets that arise (Betti sets,
-    truncated exponent supports), so it is materialized eagerly.
+    The queries rest on three facts about this order (Rosales &
+    García-Sánchez, *Numerical Semigroups*, ch. 7):
+
+    - It refines the integer order: a <= b in it makes b - a a member, so
+      a <= b as integers. The down-set of an element therefore lies among
+      the elements before it in ascending order, and is kept as a bitmask
+      over their positions. A set is a chain exactly when each element lies
+      below the next one in ascending order.
+    - The lower covers of b are the maximal elements of its strict down-set.
+    - The Hasse diagram is a forest (at most one lower cover each) exactly
+      when every down-set is a chain.
     """
 
     def __init__(self, S: NumericalSemigroup, elements):
         self.S = S
         self.elements = tuple(sorted(set(elements)))
-        index = {x: i for i, x in enumerate(self.elements)}
-        self._index = index
-        self._leq = [
-            [leq(S, a, b) for b in self.elements] for a in self.elements
+        self._index = {x: i for i, x in enumerate(self.elements)}
+        # bit i of _down[j] is set when elements[i] <= elements[j]
+        self._down = [
+            sum(1 << i for i, a in enumerate(self.elements[:j]) if b - a in S) | 1 << j
+            for j, b in enumerate(self.elements)
         ]
 
     def __iter__(self):
@@ -47,55 +56,44 @@ class OrderedSubset:
         return x in self._index
 
     def leq(self, a: int, b: int) -> bool:
-        return self._leq[self._index[a]][self._index[b]]
+        return bool(self._down[self._index[b]] >> self._index[a] & 1)
 
     def minimals(self) -> tuple[int, ...]:
-        return tuple(
-            x
-            for x in self.elements
-            if not any(y != x and self.leq(y, x) for y in self.elements)
-        )
+        return tuple(x for j, x in enumerate(self.elements) if self._down[j] == 1 << j)
+
+    def _is_chain(self, positions) -> bool:
+        """Whether the elements at ascending positions are consecutively comparable."""
+        down = self._down
+        return all(down[j] >> i & 1 for i, j in zip(positions, positions[1:]))
 
     def is_totally_ordered(self) -> bool:
-        n = len(self.elements)
-        return all(
-            self._leq[i][j] or self._leq[j][i]
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
+        return self._is_chain(range(len(self.elements)))
 
     def u_set(self) -> "OrderedSubset":
-        """Elements whose down-set is a chain; keeps the same minimals.
-
-        Read from the cached order: x qualifies when the elements below it
-        are pairwise comparable.
-        """
-        leq = self._leq
-        chosen = []
-        for j, x in enumerate(self.elements):
-            below = [i for i, row in enumerate(leq) if row[j]]
-            if all(leq[a][b] or leq[b][a] for a, b in combinations(below, 2)):
-                chosen.append(x)
-        return OrderedSubset(self.S, chosen)
+        """Elements whose down-set is a chain; keeps the same minimals."""
+        return OrderedSubset(
+            self.S,
+            [x for x, down in zip(self.elements, self._down) if self._is_chain(_bits(down))],
+        )
 
     def hasse(self) -> "HasseDiagram":
-        """Cover graph by transitive reduction of the cached order."""
+        """Cover graph: each b's lower covers are the maximal elements below it."""
         covers = []
-        for a in self.elements:
-            for b in self.elements:
-                if a == b or not self.leq(a, b):
-                    continue
-                if any(
-                    c not in (a, b) and self.leq(a, c) and self.leq(c, b)
-                    for c in self.elements
-                ):
-                    continue
-                covers.append((a, b))
-        lower_cover_count = {x: 0 for x in self.elements}
-        for _, b in covers:
-            lower_cover_count[b] += 1
-        is_forest = all(n <= 1 for n in lower_cover_count.values())
+        is_forest = True
+        for j, b in enumerate(self.elements):
+            strict = self._down[j] ^ 1 << j
+            below = 0
+            for i in _bits(strict):
+                below |= self._down[i] ^ 1 << i
+            lower_covers = _bits(strict & ~below)
+            covers.extend((self.elements[i], b) for i in lower_covers)
+            is_forest = is_forest and len(lower_covers) <= 1
         return HasseDiagram(self.elements, tuple(sorted(covers)), is_forest)
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of a mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 @dataclass(frozen=True)

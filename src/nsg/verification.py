@@ -178,10 +178,8 @@ def _check_betti_exponents(analysis: SemigroupAnalysis) -> bool:
     exponents = analysis.full_exponents
     if exponents is None:
         return True
-    generators = analysis.semigroup.generators
     catalog = analysis.betti
-    support = {j for j, e in exponents.items() if j >= 2 and j not in generators}
-    if not set(catalog) <= support:
+    if not set(catalog) <= set(analysis.support.members):
         return False
     return all(exponents.get(b, 0) == data.nc - 1 for b, data in catalog.items())
 

@@ -1,8 +1,11 @@
 import hashlib
 import json
-from math import comb
+from collections import Counter
+from itertools import combinations
+from math import comb, gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nsg import (
     BoundTooSmallError,
@@ -27,6 +30,54 @@ def down_set(subset, x):
     """The principal down-set of x within an ordered subset, by definition."""
     assert x in subset
     return OrderedSubset(subset.S, [y for y in subset if subset.leq(y, x)])
+
+
+def definition_minimals(subset):
+    S = subset.S
+    return tuple(x for x in subset if not any(y != x and leq(S, y, x) for y in subset))
+
+
+def definition_totally_ordered(S, elements):
+    return all(leq(S, a, b) or leq(S, b, a) for a, b in combinations(elements, 2))
+
+
+def definition_u_set(subset):
+    S = subset.S
+    return tuple(
+        x for x in subset if definition_totally_ordered(S, [y for y in subset if leq(S, y, x)])
+    )
+
+
+def definition_covers(subset):
+    """Transitive reduction: a < b with nothing strictly between, O(n^3)."""
+    S, elements = subset.S, subset.elements
+    return tuple(sorted(
+        (a, b)
+        for a in elements
+        for b in elements
+        if a != b
+        and leq(S, a, b)
+        and not any(c not in (a, b) and leq(S, a, c) and leq(S, c, b) for c in elements)
+    ))
+
+
+def definition_is_forest(subset):
+    lower_cover_counts = Counter(b for _, b in definition_covers(subset))
+    return all(n <= 1 for n in lower_cover_counts.values())
+
+
+def assert_matches_definitions(subset):
+    S, elements = subset.S, subset.elements
+    for a in elements:
+        for b in elements:
+            assert subset.leq(a, b) == leq(S, a, b), (S, a, b)
+    assert subset.minimals() == definition_minimals(subset), S
+    assert subset.is_totally_ordered() == definition_totally_ordered(S, elements), S
+    assert tuple(subset.u_set()) == definition_u_set(subset), S
+    diagram = subset.hasse()
+    assert diagram.elements == elements
+    assert diagram.covers == definition_covers(subset), S
+    assert diagram.is_forest == definition_is_forest(subset), S
 
 
 def residual_coefficients(S, chain, bound):
@@ -77,6 +128,26 @@ class TestOrder:
                 for c in elements[:20]:
                     if subset.leq(a, b) and subset.leq(b, c):
                         assert subset.leq(a, c)
+
+
+class TestDefinitions:
+    def test_analysis_orders_up_to_genus_9(self):
+        for S in enumerate_by_genus(9):
+            analysis = SemigroupAnalysis(S)
+            assert_matches_definitions(analysis.betti_order)
+            assert_matches_definitions(analysis.support_order)
+            assert_matches_definitions(analysis.prefix_support_order)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(st.integers(2, 30), min_size=1, max_size=5),
+        st.integers(0, 2**81 - 1),
+    )
+    def test_random_member_subsets(self, generators, mask):
+        assume(gcd(*generators) == 1)
+        S = NumericalSemigroup(generators)
+        members = [m for m in S.elements_up_to(80) if mask >> m & 1]
+        assert_matches_definitions(OrderedSubset(S, members))
 
 
 class TestDownSet:
@@ -309,6 +380,16 @@ class TestVerifyTheorems:
     def test_small_family_sweep(self):
         for S in enumerate_by_genus(8):
             assert verify_theorems(S).all_pass, S
+
+    def test_minimal_support_indices_reach_what_the_prefix_reaches(self):
+        # the fourth check scans only the minimal support indices
+        for S in enumerate_by_genus(8):
+            support = SemigroupAnalysis(S).prefix_support_order
+            minimals = support.minimals()
+            for s in range(S.default_bound + 1):
+                assert any(leq(S, d, s) for d in support) == any(
+                    leq(S, m, s) for m in minimals
+                ), (S, s)
 
 
 def order_digest(family) -> str:
