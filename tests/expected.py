@@ -131,7 +131,7 @@ GENUS_7_ALL_CHECKS = {'mode': 'by-genus',
  'all_pass': True,
  'last_token': '1.3.5.7.9.11.13'}
 
-# enumerate_by_frobenius(F) for F <= 23, captured from the tree walk that
+# enumerate_by_frobenius(F) for F <= 25, captured from the tree walk that
 # built every child with from_gaps: the count (OEIS A124506) and the first 16
 # hex digits of sha256(repr(sorted generator tuples))
 FROBENIUS_FAMILIES = {
@@ -147,6 +147,22 @@ FROBENIUS_FAMILIES = {
     19: (961, "54c7cabab5ade09f"), 20: (900, "d5c47d394cf508a8"),
     21: (1828, "465a96aa3448ce03"), 22: (1913, "cc5abe6755cab399"),
     23: (4096, "6f7894937c0d965b"),
+    # captured from the recursive walk that built children with remove_generator
+    24: (3578, "ae501847fa43da5e"), 25: (8273, "651ef7bb64d80cb5"),
+}
+
+# The walk order of enumerate_by_frobenius(F) for F <= 21: the first 16 hex
+# digits of sha256(repr(generator tuples)) in the order the walk yields them,
+# unsorted, captured from the recursive walk (depth-first preorder, children
+# ascending in the removed generator)
+FROBENIUS_WALK_ORDER = {
+    1: "506e77c7db3cda13", 2: "188b3e654c38a3bc", 3: "38aea05243d6cf28",
+    4: "50e602f3f808aa53", 5: "279cfa4825d14fec", 6: "6e69835b960f0183",
+    7: "503161efa955b7ea", 8: "f969e74122eb4dc6", 9: "4eb631030d9bd81d",
+    10: "e9c833f884d2d47a", 11: "05c260e5e4761f5e", 12: "c2c7dc0a82497d00",
+    13: "1cf67aa9952b313e", 14: "94e680fdd82d7de8", 15: "9b8ba1cfbf753f33",
+    16: "c2dfae107b59e966", 17: "b3afcb14f6ceb0ad", 18: "3e6858e6f2b112fc",
+    19: "9d113ba45b628c90", 20: "84c8c0bed1024503", 21: "abee01100ece586f",
 }
 
 # Byte-exact CLI exports, captured before the test-only oracles moved out of
@@ -348,6 +364,32 @@ ENUMERATE_GENUS_4_JSON = {'count': 15,
                                          [5, 6, 7, 8, 9], [4, 6, 7, 9], [4, 5, 7],
                                          [4, 5, 6], [3, 5, 7], [3, 7, 8], [3, 5],
                                          [3, 4], [2, 5], [2, 7], [2, 9]]}
+
+# stdout of `nsg enumerate --frobenius 9`, in walk order, captured from the
+# recursive walk
+ENUMERATE_FROBENIUS_9 = (
+    '10,11,12,13,14,15,16,17,18,19\n'
+    '8,10,11,12,13,14,15,17\n'
+    '7,10,11,12,13,15,16\n'
+    '7,8,10,11,12,13\n'
+    '6,10,11,13,14,15\n'
+    '6,8,10,11,13,15\n'
+    '6,7,10,11,15\n'
+    '6,7,8,10,11\n'
+    '5,11,12,13,14\n'
+    '5,8,11,12,14\n'
+    '5,7,11,13\n'
+    '5,7,8,11\n'
+    '5,6,13,14\n'
+    '5,6,8\n'
+    '5,6,7\n'
+    '5,6,7,8\n'
+    '4,10,11,13\n'
+    '4,7,10,13\n'
+    '4,6,11,13\n'
+    '4,6,7\n'
+    '2,11\n'
+)
 
 # sha256 of the key-ordered JSON list, in enumeration order, of
 # [generators, classification, Betti covers, support covers] per semigroup;

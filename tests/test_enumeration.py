@@ -13,12 +13,16 @@ from nsg.enumeration import (
     walk_genus_tree,
 )
 
-from expected import FROBENIUS_FAMILIES, SEMIGROUPS_PER_GENUS
+from expected import FROBENIUS_FAMILIES, FROBENIUS_WALK_ORDER, SEMIGROUPS_PER_GENUS
+
+
+def _hex16(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
 def _digest(family) -> tuple[int, str]:
     generators = sorted(S.generators for S in family)
-    return len(generators), hashlib.sha256(repr(generators).encode()).hexdigest()[:16]
+    return len(generators), _hex16(generators)
 
 
 class TestRemoveGenerator:
@@ -89,12 +93,19 @@ class TestCounts:
 
     @pytest.mark.parametrize(
         "frobenius",
-        list(range(1, 22)) + [pytest.param(23, marks=pytest.mark.stretch)],
+        list(range(1, 22))
+        + [pytest.param(f, marks=pytest.mark.stretch) for f in (23, 24, 25)],
     )
     def test_frobenius_families_frozen(self, frobenius):
         family = list(enumerate_by_frobenius(frobenius))
         assert all(S.frobenius == frobenius for S in family)
         assert _digest(family) == FROBENIUS_FAMILIES[frobenius]
+
+    @pytest.mark.parametrize("frobenius", range(1, 22))
+    def test_frobenius_walk_order_frozen(self, frobenius):
+        # the sorted digests above cannot see the order the walk yields in
+        order = [S.generators for S in enumerate_by_frobenius(frobenius)]
+        assert _hex16(order) == FROBENIUS_WALK_ORDER[frobenius]
 
 
 def gap_subset_oracle(

@@ -7,7 +7,13 @@ from click.testing import CliRunner
 
 from nsg.cli import main
 
-from expected import ENUMERATE_GENUS_4, ENUMERATE_GENUS_4_JSON, EXPORTS, REPORTS
+from expected import (
+    ENUMERATE_FROBENIUS_9,
+    ENUMERATE_GENUS_4,
+    ENUMERATE_GENUS_4_JSON,
+    EXPORTS,
+    REPORTS,
+)
 
 
 def _json_bytes(value) -> str:
@@ -58,3 +64,7 @@ def test_enumerate_genus_4(run, tmp_path):
     json_path = tmp_path / "n.json"
     assert run("enumerate", "--genus-max", "4", "--json", str(json_path)) == ENUMERATE_GENUS_4
     assert json_path.read_text() == _json_bytes(ENUMERATE_GENUS_4_JSON)
+
+
+def test_enumerate_frobenius_9(run):
+    assert run("enumerate", "--frobenius", "9") == ENUMERATE_FROBENIUS_9
