@@ -10,8 +10,8 @@ table (:meth:`~nsg.semigroup.NumericalSemigroup.remove_generator`), at
 O(g + e^2) rather than a fresh sieve, and a walk capped at a Frobenius number
 builds no child beyond the cap, since a child's Frobenius number is its
 removed generator. One recursive walk serves whole and resumed genus walks;
-the walk by Frobenius number is its own pruned recursion, which needs no
-paths.
+the walk by Frobenius number is its own pruned walk on an explicit stack,
+which needs no paths and yields in the same preorder.
 
 Complete intersections are enumerated separately, bottom-up by Frobenius
 number through gluings, which reaches Frobenius values far beyond what the
@@ -92,28 +92,42 @@ def enumerate_by_genus(g_max: int) -> Iterator[NumericalSemigroup]:
         yield S
 
 
+def _require_int(frobenius) -> None:
+    # a float or bool target would otherwise walk, or recurse, to a wrong answer
+    if not isinstance(frobenius, int) or isinstance(frobenius, bool):
+        raise ValueError(f"frobenius must be an int, got {frobenius!r}")
+
+
 def enumerate_by_frobenius(frobenius: int) -> Iterator[NumericalSemigroup]:
     """Every numerical semigroup with the given Frobenius number, exactly once.
 
     Same tree, pruned: a child's Frobenius number equals the removed
     generator, so branches through generators above the target never recover
-    and are never built.
+    and are never built, and a node at the target has no children to build.
+    The target is checked at the call, not at the first ``next``.
     """
+    _require_int(frobenius)
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1")
+    return _walk_to_frobenius(frobenius)
 
-    def visit(S: NumericalSemigroup):
+
+def _walk_to_frobenius(frobenius: int) -> Iterator[NumericalSemigroup]:
+    # Preorder on an explicit stack: children are pushed in reverse, so the
+    # smallest removed generator pops first, as in a recursive walk.
+    stack = [NumericalSemigroup(1)]
+    while stack:
+        S = stack.pop()
         if S.frobenius == frobenius:
             yield S
-        for _, child in children(S, frobenius):
-            yield from visit(child)
-
-    yield from visit(NumericalSemigroup(1))
+        else:
+            stack.extend(child for _, child in reversed(children(S, frobenius)))
 
 
 # A target F recurses into at most -1 and the odd numbers below it, so 512
-# entries cover every target below 1000 without evictions.
-@lru_cache(maxsize=512)
+# entries cover every target below 1000 without evictions. Typed, so that a
+# float or bool target misses the cache and is rejected below.
+@lru_cache(maxsize=512, typed=True)
 def ci_with_frobenius(frobenius: int) -> tuple[NumericalSemigroup, ...]:
     """All complete intersections with the given Frobenius number.
 
@@ -125,6 +139,7 @@ def ci_with_frobenius(frobenius: int) -> tuple[NumericalSemigroup, ...]:
     the recursion bottoms out at the trivial semigroup (F = -1). Symmetry
     forces F odd; even targets return nothing.
     """
+    _require_int(frobenius)
     if frobenius == -1:
         return (NumericalSemigroup(1),)
     if frobenius < 1 or frobenius % 2 == 0:

@@ -10,6 +10,7 @@ derived from its parent's table), and instances are immutable.
 
 from __future__ import annotations
 
+from bisect import insort
 from math import gcd
 
 from .errors import EmptyGeneratorsError, NonCoprimeGeneratorsError, NotAMemberError
@@ -123,21 +124,27 @@ class NumericalSemigroup:
         a generator or 2g, h splits further inside the child. A candidate c
         is a minimal generator iff c - a is not a member for every smaller
         generator a (a split x + y of c has a generator a <= x, and then
-        c - a = (x - a) + y), so the cost is the O(g) table copy plus O(e^2)
-        lookups. :meth:`from_gaps` builds the same semigroup independently
-        and serves as the test oracle.
+        c - a = (x - a) + y). That test is a plain loop over the generators
+        that stops at the first member c - a, so the cost is the O(g) table
+        copy plus at most e table lookups for each of the e + 1 candidates,
+        with no generator object per candidate. :meth:`from_gaps` builds the
+        same semigroup independently and serves as the test oracle.
         """
         if g <= self.frobenius or g not in self.generators:
             raise ValueError(
                 f"{g} is not a minimal generator above the Frobenius number {self.frobenius}"
             )
-        candidates = sorted({g + a for a in self.generators} | {3 * g})
+        candidates = [g + a for a in self.generators]  # ascending, 2g included
+        insort(candidates, 3 * g)  # not among them: 2g is no minimal generator
         table = self._table[:g]
         table.append(False)
         table.extend([True] * (candidates[-1] - g))
         generators = [a for a in self.generators if a != g]
         for c in candidates:  # ascending, so every generator below c is known
-            if not any(table[c - a] for a in generators if a < c):
+            for a in generators:
+                if a < c and table[c - a]:
+                    break
+            else:
                 generators.append(c)
         generators.sort()
         bound = g + 2 * generators[-1] + 1  # the window __init__ keeps
@@ -229,13 +236,15 @@ class NumericalSemigroup:
     def is_symmetric(self) -> bool:
         """Whether exactly one of n, frobenius - n belongs to S for all n.
 
-        Equivalent to the coefficient list of the semigroup polynomial being
-        palindromic; the test suite checks the two criteria agree. For the
-        trivial semigroup (F = -1) there is nothing to pair, so it is
-        symmetric, as its polynomial ``[1]`` is self-reciprocal.
+        Read in O(1) from the criterion 2g = F + 1 (Rosales & García-Sánchez,
+        *Numerical Semigroups*, Springer 2009, ch. 4): n in S forces
+        F - n out of S, so g >= (F + 1)/2 always, with equality exactly when
+        every pair has one member. The test suite holds this to the pairing
+        definition and to the semigroup polynomial being palindromic. The
+        trivial semigroup (g = 0, F = -1) comes out symmetric, as its
+        polynomial ``[1]`` is self-reciprocal.
         """
-        frobenius = self.frobenius
-        return all((n in self) != (frobenius - n in self) for n in range(frobenius + 1))
+        return 2 * self.genus == self.frobenius + 1
 
     # -- serialization and dunder plumbing --------------------------------------
 
@@ -308,6 +317,9 @@ def _minimal_generators(values: list[int], table: list[bool]) -> list[int]:
     """
     out = []
     for n in values:  # ascending, so every minimal generator below n is kept
-        if not any(table[n - a] for a in out):
+        for a in out:
+            if table[n - a]:
+                break
+        else:
             out.append(n)
     return out

@@ -8,6 +8,7 @@ import pytest
 from nsg import NumericalSemigroup
 from nsg.enumeration import (
     children,
+    ci_with_frobenius,
     enumerate_by_frobenius,
     enumerate_by_genus,
     walk_genus_tree,
@@ -41,6 +42,23 @@ class TestRemoveGenerator:
                     assert getattr(child, slot) == getattr(oracle, slot), (S, g, slot)
                 checked += 1
         assert checked == sum(SEMIGROUPS_PER_GENUS[1 : genus_max + 2])
+
+    def test_every_child_of_the_frobenius_walk_matches_from_gaps(self):
+        # children(S, 19) builds every child that a walk to any F <= 19 builds,
+        # up to embedding dimension 20 (the genus walk above stops at 12)
+        checked = max_dimension = 0
+        stack = [NumericalSemigroup(1)]
+        while stack:
+            S = stack.pop()
+            for g, child in children(S, 19):
+                oracle = NumericalSemigroup.from_gaps(S.gaps + (g,))
+                for slot in NumericalSemigroup.__slots__:
+                    assert getattr(child, slot) == getattr(oracle, slot), (S, g, slot)
+                checked += 1
+                max_dimension = max(max_dimension, child.embedding_dimension)
+                stack.append(child)
+        assert checked == sum(FROBENIUS_FAMILIES[f][0] for f in range(1, 20))
+        assert max_dimension == 20  # <20, 21, ..., 39>
 
     def test_child_is_immutable(self, s357):
         child = s357.remove_generator(5)
@@ -93,8 +111,7 @@ class TestCounts:
 
     @pytest.mark.parametrize(
         "frobenius",
-        list(range(1, 22))
-        + [pytest.param(f, marks=pytest.mark.stretch) for f in (23, 24, 25)],
+        list(range(1, 24)) + [pytest.param(f, marks=pytest.mark.stretch) for f in (24, 25)],
     )
     def test_frobenius_families_frozen(self, frobenius):
         family = list(enumerate_by_frobenius(frobenius))
@@ -106,6 +123,31 @@ class TestCounts:
         # the sorted digests above cannot see the order the walk yields in
         order = [S.generators for S in enumerate_by_frobenius(frobenius)]
         assert _hex16(order) == FROBENIUS_WALK_ORDER[frobenius]
+
+
+class TestTargets:
+    @pytest.mark.parametrize("target", [2.5, 7.0, True, "7", None])
+    def test_non_int_frobenius_rejected_at_the_call(self, target):
+        with pytest.raises(ValueError, match="must be an int"):
+            enumerate_by_frobenius(target)
+
+    @pytest.mark.parametrize("target", [0, -1])
+    def test_frobenius_below_one_rejected_at_the_call(self, target):
+        with pytest.raises(ValueError, match=">= 1"):
+            enumerate_by_frobenius(target)
+
+    @pytest.mark.parametrize("target", [7.0, 2.5, True, False, "7"])
+    def test_non_int_ci_target_rejected(self, target):
+        ci_with_frobenius(7)
+        ci_with_frobenius(1)
+        # 7.0 == 7 and True == 1, so an untyped cache would answer these
+        with pytest.raises(ValueError, match="must be an int"):
+            ci_with_frobenius(target)
+
+    def test_int_targets_still_answer(self):
+        assert [S.generators for S in ci_with_frobenius(1)] == [(2, 3)]
+        assert ci_with_frobenius(-1) == (NumericalSemigroup(1),)
+        assert ci_with_frobenius(8) == ()
 
 
 def gap_subset_oracle(

@@ -9,10 +9,11 @@ from nsg import (
     NonCoprimeGeneratorsError,
     NotAMemberError,
     NumericalSemigroup,
+    enumerate_by_frobenius,
     enumerate_by_genus,
 )
 
-from expected import POLYNOMIAL_3_5_7, POLYNOMIAL_4_6_9
+from expected import FROBENIUS_FAMILIES, POLYNOMIAL_3_5_7, POLYNOMIAL_4_6_9
 from oracles import is_self_reciprocal, mul_one_minus_xk_pow
 
 
@@ -159,6 +160,11 @@ class TestPolynomial:
         assert product == padded[: bound + 1]
 
 
+def is_symmetric_by_pairing(S) -> bool:
+    """Exactly one of n, F - n in S for every 0 <= n <= F: the definition."""
+    return all((n in S) != (S.frobenius - n in S) for n in range(S.frobenius + 1))
+
+
 class TestSymmetry:
     def test_examples(self, s469, s357):
         assert s469.is_symmetric()
@@ -179,6 +185,20 @@ class TestSymmetry:
         # 66 symmetric ones of positive genus, OEIS A158206 at F = 1, 3, ..., 19
         # (F = 2g - 1), plus the trivial semigroup
         assert len(verdicts) == 478 and sum(verdicts) == 67
+
+    def test_genus_criterion_matches_pairing_definition(self):
+        family = list(enumerate_by_genus(10))
+        for frobenius in range(1, 20):
+            family += enumerate_by_frobenius(frobenius)
+        symmetric = 0
+        for S in family:
+            assert S.is_symmetric() == is_symmetric_by_pairing(S), S
+            symmetric += S.is_symmetric()
+        # a symmetric semigroup of genus g has F = 2g - 1, so the walks to odd
+        # F <= 19 find the 66 of positive genus above again (OEIS A158206:
+        # 1, 1, 2, 3, 3, 6, 8, 7, 15, 20) and the even ones find none
+        assert len(family) == 478 + sum(FROBENIUS_FAMILIES[f][0] for f in range(1, 20))
+        assert symmetric == 67 + 66
 
 
 class TestSerialization:
