@@ -7,7 +7,7 @@ of genus g appears exactly once at depth g, children visited in ascending
 order of the removed generator, so walks are deterministic and resumable by
 the path of removed generators. A child is built from its parent's membership
 table (:meth:`~nsg.semigroup.NumericalSemigroup.remove_generator`), at
-O(g + e^2) rather than a fresh sieve, and a walk capped at a Frobenius number
+O(g + e) rather than a fresh sieve, and a walk capped at a Frobenius number
 builds no child beyond the cap, since a child's Frobenius number is its
 removed generator. One recursive walk serves whole and resumed genus walks;
 the walk by Frobenius number is its own pruned walk on an explicit stack,

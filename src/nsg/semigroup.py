@@ -10,7 +10,6 @@ derived from its parent's table), and instances are immutable.
 
 from __future__ import annotations
 
-from bisect import insort
 from math import gcd
 
 from .errors import EmptyGeneratorsError, NonCoprimeGeneratorsError, NotAMemberError
@@ -121,25 +120,28 @@ class NumericalSemigroup:
         cleared. Removing g keeps the other minimal generators minimal, and
         every new one is g + a for a minimal generator a (2g included) or
         3g: a new generator h is g + s for some non-zero s, and unless s is
-        a generator or 2g, h splits further inside the child. A candidate c
-        is a minimal generator iff c - a is not a member for every smaller
-        generator a (a split x + y of c has a generator a <= x, and then
-        c - a = (x - a) + y). That test is a plain loop over the generators
-        that stops at the first member c - a, so the cost is the O(g) table
-        copy plus at most e table lookups for each of the e + 1 candidates,
-        with no generator object per candidate. :meth:`from_gaps` builds the
-        same semigroup independently and serves as the test oracle.
+        a generator or 2g, h splits further inside the child. Only
+        candidates up to g + m can be new, for m the child's multiplicity
+        (ours, or g + 1 when g is ours): a larger c is (c - m) + m, and
+        c - m > g is a member. That leaves g + m, or 2g and 2g + 1, or at
+        the root 2 and 3. A candidate c is a minimal generator iff c - a is
+        not a member for every smaller generator a (a split x + y of c has
+        a generator a <= x, and then c - a = (x - a) + y), a plain loop that
+        stops at the first member c - a. So the cost is the O(g) table copy
+        plus O(e) lookups. :meth:`from_gaps` builds the same semigroup
+        independently and serves as the test oracle.
         """
         if g <= self.frobenius or g not in self.generators:
             raise ValueError(
                 f"{g} is not a minimal generator above the Frobenius number {self.frobenius}"
             )
-        candidates = [g + a for a in self.generators]  # ascending, 2g included
-        insort(candidates, 3 * g)  # not among them: 2g is no minimal generator
+        m = self.multiplicity if g != self.multiplicity else g + 1
+        # ascending, as 2g <= m (which lets 3g in) holds only at the root, g = 1
+        candidates = [g + a for a in (*self.generators, 2 * g) if a <= m]
         table = self._table[:g]
-        table.append(False)
-        table.extend([True] * (candidates[-1] - g))
-        generators = [a for a in self.generators if a != g]
+        table.append(False)  # every c - a read below is at most g
+        generators = list(self.generators)
+        generators.remove(g)
         for c in candidates:  # ascending, so every generator below c is known
             for a in generators:
                 if a < c and table[c - a]:
@@ -148,8 +150,7 @@ class NumericalSemigroup:
                 generators.append(c)
         generators.sort()
         bound = g + 2 * generators[-1] + 1  # the window __init__ keeps
-        del table[bound + 1 :]
-        table.extend([True] * (bound + 1 - len(table)))
+        table.extend([True] * (bound - g))
         child = object.__new__(NumericalSemigroup)
         for name, value in (
             ("generators", tuple(generators)),
