@@ -48,8 +48,6 @@ class NumericalSemigroup:
         table = _membership_sieve(values)
         frobenius = _last_false(table)
         generators = _minimal_generators(values, table)
-        object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "frobenius", frobenius)
 
         # Final table window: Betti candidates and the default exponent
         # truncation both live below frobenius + 2*max(generators) + 1.
@@ -59,10 +57,7 @@ class NumericalSemigroup:
         else:
             table = table[: bound + 1]
         gaps = tuple(i for i, member in enumerate(table) if not member)
-        object.__setattr__(self, "gaps", gaps)
-        object.__setattr__(self, "genus", len(gaps))
-        object.__setattr__(self, "multiplicity", generators[0])
-        object.__setattr__(self, "_table", table)
+        _set_slots(self, tuple(generators), gaps, frobenius, table)
 
     def __setattr__(self, name, value):
         raise AttributeError("NumericalSemigroup is immutable")
@@ -152,15 +147,7 @@ class NumericalSemigroup:
         bound = g + 2 * generators[-1] + 1  # the window __init__ keeps
         table.extend([True] * (bound - g))
         child = object.__new__(NumericalSemigroup)
-        for name, value in (
-            ("generators", tuple(generators)),
-            ("gaps", self.gaps + (g,)),
-            ("frobenius", g),
-            ("genus", self.genus + 1),
-            ("multiplicity", generators[0]),
-            ("_table", table),
-        ):
-            object.__setattr__(child, name, value)
+        _set_slots(child, tuple(generators), self.gaps + (g,), g, table)
         return child
 
     # -- membership and basic invariants --------------------------------------
@@ -270,6 +257,19 @@ class NumericalSemigroup:
 
     def __reduce__(self):
         return (NumericalSemigroup, self.generators)
+
+
+def _set_slots(
+    S: NumericalSemigroup, generators: tuple, gaps: tuple, frobenius: int, table: list
+) -> None:
+    """Fill every slot of a new S; genus and multiplicity follow from the rest."""
+    set_slot = object.__setattr__  # the class's own __setattr__ refuses
+    set_slot(S, "generators", generators)
+    set_slot(S, "gaps", gaps)
+    set_slot(S, "frobenius", frobenius)
+    set_slot(S, "genus", len(gaps))
+    set_slot(S, "multiplicity", generators[0])
+    set_slot(S, "_table", table)
 
 
 def _membership_sieve(values: list[int]) -> list[bool]:
