@@ -10,7 +10,7 @@ this on concrete semigroups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .semigroup import NumericalSemigroup
 
@@ -38,12 +38,16 @@ class OrderedSubset:
 
     def __init__(self, S: NumericalSemigroup, elements):
         self.S = S
-        self.elements = tuple(sorted(set(elements)))
-        self._index = {x: i for i, x in enumerate(self.elements)}
-        # bit i of _down[j] is set when elements[i] <= elements[j]
+        self.elements = elements = tuple(sorted(set(elements)))
+        self._index = {x: i for i, x in enumerate(elements)}
+        # bit i of _down[j] is set when elements[i] <= elements[j]; b - a >= 0
+        # here, so membership is the table entry or lies past the table
+        table = S.membership_table
+        end = len(table)
         self._down = [
-            sum(1 << i for i, a in enumerate(self.elements[:j]) if b - a in S) | 1 << j
-            for j, b in enumerate(self.elements)
+            sum(1 << i for i, a in enumerate(elements[:j]) if b - a >= end or table[b - a])
+            | 1 << j
+            for j, b in enumerate(elements)
         ]
 
     def __iter__(self):
@@ -96,8 +100,7 @@ def _bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
+class HasseDiagram(NamedTuple):
     elements: tuple[int, ...]
     covers: tuple[tuple[int, int], ...]
     is_forest: bool
@@ -112,8 +115,7 @@ class HasseDiagram:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ExponentSupport:
+class ExponentSupport(NamedTuple):
     """Indices d >= 2 with non-zero exponent that are not minimal generators.
 
     ``exact`` is True when the semigroup polynomial factors completely into
@@ -133,8 +135,7 @@ def exponent_support(S: NumericalSemigroup, bound: int | None = None) -> Exponen
     return SemigroupAnalysis(S, bound).support
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Order-theoretic flags of the Betti set, with exponent-side cross-checks.
 
     ``e_forest`` is three-valued. True is reported only for an exact (finite)
@@ -176,8 +177,7 @@ def classify(S: NumericalSemigroup) -> Classification:
     return SemigroupAnalysis(S).classification
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     statement: str
     passed: bool
@@ -192,8 +192,7 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     generators: tuple[int, ...]
     bound: int
     checks: tuple[CheckResult, ...]

@@ -16,27 +16,29 @@ at every gluing, are oracles in the test suite, which checks all routes agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 from .analysis import SemigroupAnalysis
+from .records import FrozenRecord
 from .semigroup import NumericalSemigroup
 
 
-class GluingTree:
+class GluingTree(FrozenRecord):
     """Recursive witness that a semigroup is a complete intersection."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Leaf(GluingTree):
     """The non-negative integers; the base of every gluing tree."""
+
+    __slots__ = ()
 
     def to_json(self):
         return "N"
 
 
-@dataclass(frozen=True)
 class Gluing(GluingTree):
     """An internal node ``a1*left + a2*right`` with coprime scales.
 
@@ -49,10 +51,10 @@ class Gluing(GluingTree):
     enumerate complete intersections by Frobenius number.
     """
 
-    a1: int
-    left: GluingTree
-    a2: int
-    right: GluingTree
+    __slots__ = ("a1", "left", "a2", "right")
+
+    def __init__(self, a1: int, left: GluingTree, a2: int, right: GluingTree):
+        self._init(a1, left, a2, right)
 
     def to_json(self):
         return {

@@ -23,9 +23,10 @@ re-checked empirically by the test suite on a window above it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotAMemberError, NotIsolatedBettiError
+from .records import FrozenRecord
 from .semigroup import NumericalSemigroup
 
 Vector = tuple[int, ...]
@@ -81,8 +82,7 @@ def denumerant(S: NumericalSemigroup, s: int) -> int:
     return denumerant_series(S, s)[s]
 
 
-@dataclass(frozen=True)
-class FactorizationGraph:
+class FactorizationGraph(NamedTuple):
     """The factorizations of one element with their R-class partition.
 
     ``r_classes`` holds sorted vertex indices; classes are ordered by their
@@ -161,8 +161,7 @@ def factorization_graph(S: NumericalSemigroup, s: int) -> FactorizationGraph:
     return FactorizationGraph(s, vertices, tuple(map(tuple, classes.values())))
 
 
-@dataclass(frozen=True)
-class BettiData:
+class BettiData(NamedTuple):
     """Per-Betti-element record: R-class count and isolated factorization count.
 
     ``nc`` is the number of connected components of ∇_s. ``isolated_count``
@@ -214,11 +213,13 @@ def isolated_factorizations(S: NumericalSemigroup, s: int) -> list[Vector]:
     return factorization_graph(S, s).isolated()
 
 
-@dataclass(frozen=True)
-class MinimalPresentation:
+class MinimalPresentation(FrozenRecord):
     """Chained pairs of factorizations, grouped by Betti element."""
 
-    by_element: dict[int, tuple[tuple[Vector, Vector], ...]]
+    __slots__ = ("by_element",)
+
+    def __init__(self, by_element: dict[int, tuple[tuple[Vector, Vector], ...]]):
+        self._init(by_element)
 
     @property
     def pairs(self) -> list[tuple[Vector, Vector]]:

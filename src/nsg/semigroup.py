@@ -160,6 +160,15 @@ class NumericalSemigroup:
         return True
 
     @property
+    def membership_table(self) -> list[bool]:
+        """Membership of 0, 1, ..., len - 1; every n past the end is a member.
+
+        The table itself, not a copy, for loops that test many n >= 0
+        without a :meth:`__contains__` call each. Do not modify it.
+        """
+        return self._table
+
+    @property
     def embedding_dimension(self) -> int:
         return len(self.generators)
 

@@ -15,8 +15,7 @@ are byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .analysis import SemigroupAnalysis
 from .enumeration import (
@@ -27,6 +26,7 @@ from .enumeration import (
     parse_token,
     walk_genus_tree,
 )
+from .records import FrozenRecord
 from .semigroup import NumericalSemigroup
 
 # Predicates on the analysis of one semigroup.
@@ -40,19 +40,24 @@ FILTERS: dict[str, Callable[[SemigroupAnalysis], bool]] = {
 }
 
 
-@dataclass(frozen=True)
-class EnumerationJob:
+class EnumerationJob(FrozenRecord):
     """What to enumerate: mode, bound, optional filters and resume point.
 
-    A resume token must name a node of the semigroup tree, at any depth.
+    ``mode`` is by-genus or by-frobenius (filtered on "ci": the gluing
+    enumerator). A resume token must name a node of the semigroup tree, at
+    any depth.
     """
 
-    mode: str  # by-genus | by-frobenius (filtered on "ci": the gluing enumerator)
-    limit: int
-    filters: tuple[str, ...] = ()
-    resume_token: str | None = None
+    __slots__ = ("mode", "limit", "filters", "resume_token")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        mode: str,
+        limit: int,
+        filters: tuple[str, ...] = (),
+        resume_token: str | None = None,
+    ):
+        self._init(mode, limit, filters, resume_token)
         if self.mode not in ("by-genus", "by-frobenius"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not isinstance(self.limit, int) or isinstance(self.limit, bool):
@@ -110,8 +115,7 @@ def enumerate_job(job: EnumerationJob) -> Iterator[NumericalSemigroup]:
         yield analysis.semigroup
 
 
-@dataclass(frozen=True)
-class ReportRecord:
+class ReportRecord(NamedTuple):
     """Everything worth reporting about one semigroup, recomputable from it."""
 
     generators: tuple[int, ...]
@@ -208,7 +212,6 @@ def validate_checks(names) -> tuple[str, ...]:
     return names
 
 
-@dataclass
 class VerificationSummary:
     """The tally of a run: pass counts, counterexamples and the resume point.
 
@@ -216,16 +219,15 @@ class VerificationSummary:
     the walk visits them.
     """
 
-    job: EnumerationJob
-    checks: tuple[str, ...]
-    total: int = 0
-    pass_counts: dict[str, int] = field(default_factory=dict)
-    counterexamples: list[ReportRecord] = field(default_factory=list)
-    last_token: str | None = None
+    __slots__ = ("job", "checks", "total", "pass_counts", "counterexamples", "last_token")
 
-    def __post_init__(self):
-        for name in self.checks:
-            self.pass_counts.setdefault(name, 0)
+    def __init__(self, job: EnumerationJob, checks: tuple[str, ...]):
+        self.job = job
+        self.checks = checks
+        self.total = 0
+        self.pass_counts: dict[str, int] = dict.fromkeys(checks, 0)
+        self.counterexamples: list[ReportRecord] = []
+        self.last_token: str | None = None
 
     @property
     def all_pass(self) -> bool:

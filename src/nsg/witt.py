@@ -24,26 +24,25 @@ import.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import intpoly
 from .arith import divisors, euler_phi
 from .errors import BadConstantTermError, IntegralityError
+from .records import FrozenRecord
 from .semigroup import NumericalSemigroup
 
 
-@dataclass(frozen=True)
-class ExponentSequence:
+class ExponentSequence(FrozenRecord):
     """Exponents e_1..e_bound of the (1 - x^k)-product expansion."""
 
-    entries: tuple[int, ...]
-    bound: int
+    __slots__ = ("entries", "bound")
 
-    def __post_init__(self):
-        assert len(self.entries) == self.bound
+    def __init__(self, entries: tuple[int, ...], bound: int):
+        assert len(entries) == bound
+        self._init(entries, bound)
 
     def __getitem__(self, j: int) -> int:
         """Entry e_j, 1-indexed; indices beyond the bound are an error."""
@@ -68,8 +67,7 @@ class ExponentSequence:
         return ", ".join(str(e) for e in self.entries)
 
 
-@dataclass(frozen=True)
-class CyclotomicFactorization:
+class CyclotomicFactorization(NamedTuple):
     """Whether a polynomial is a product of cyclotomic polynomials, and which.
 
     When ``complete``, the product of the recorded factors (indices n >= 2)

@@ -5,6 +5,7 @@ import pytest
 from nsg import (
     EnumerationJob,
     Gluing,
+    Leaf,
     NumericalSemigroup,
     SemigroupAnalysis,
     ci_with_frobenius,
@@ -143,3 +144,13 @@ class TestSymmetryGate:
         verify_ci_identities(glued)
         assert catalog_builds[glued.generators] == 1
         assert set(catalog_builds.values()) == {1} and not graph_builds
+
+
+def test_trees_compare_by_value():
+    assert Leaf() == Leaf() and hash(Leaf()) == hash(Leaf())
+    tree = gluing_decompose(NumericalSemigroup(8, 12, 18, 25))
+    again = Gluing(tree.a1, tree.left, tree.a2, tree.right)
+    assert again == tree and hash(again) == hash(tree)
+    assert again is not tree
+    assert Gluing(tree.a1, tree.left, tree.a2 + 1, tree.right) != tree
+    assert tree != Leaf()

@@ -101,6 +101,12 @@ class TestMembership:
     def test_beyond_table(self, s469):
         assert 10**9 in s469
 
+    def test_membership_table_agrees_with_contains(self, s357, s469, five_gen, naturals):
+        for S in (s357, s469, five_gen, naturals):
+            table = S.membership_table
+            assert len(table) > S.frobenius
+            assert all(table[n] == (n in S) for n in range(len(table)))
+
     def test_window_closure(self, s469, five_gen):
         for S in (s469, five_gen):
             window = S.frobenius + 2 * S.max_generator
