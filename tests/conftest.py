@@ -1,11 +1,13 @@
 import os
 import sys
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
 from nsg import NumericalSemigroup
 from nsg import factorization as factorization_module
+from nsg.cli import main
 
 
 def pytest_collection_modifyitems(config, items):
@@ -73,3 +75,28 @@ def catalog_builds(monkeypatch):
 def graph_builds(monkeypatch):
     """(generators, element) -> number of ``factorization_graph`` calls."""
     return _count_builds(monkeypatch, "factorization_graph", lambda S, s: (S.generators, s))
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        """Both streams, stdout first."""
+        return self.stdout + self.stderr
+
+
+@pytest.fixture
+def cli(capsys):
+    """Run ``nsg ARGS...`` in this process: ``main`` under capsys, its SystemExit caught."""
+
+    def invoke(*args: str) -> CliResult:
+        capsys.readouterr()  # drop what earlier steps printed
+        with pytest.raises(SystemExit) as stop:
+            main(list(args))
+        out, err = capsys.readouterr()
+        return CliResult(stop.value.code, out, err)
+
+    return invoke

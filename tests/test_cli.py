@@ -1,21 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from nsg.cli import main
+from nsg.verification import CHECKS
 
-
-@pytest.fixture
-def run():
-    runner = CliRunner()
-    return lambda *args: runner.invoke(main, list(args))
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestVerifyExitCodes:
-    def test_all_pass_exits_0(self, run, tmp_path):
+    def test_all_pass_exits_0(self, cli, tmp_path):
         out = tmp_path / "summary.json"
-        result = run("verify", "--genus-max", "4", "--checks", "thm1,thm2", "--json", str(out))
+        result = cli("verify", "--genus-max", "4", "--checks", "thm1,thm2", "--json", str(out))
         assert result.exit_code == 0, result.output
         assert "thm1: 15/15 pass" in result.output
         summary = json.loads(out.read_text())
@@ -40,23 +40,23 @@ class TestVerifyExitCodes:
             ("--genus-max", "4", "--filter", "ci,ci", "--checks", "thm1"),
         ],
     )
-    def test_usage_errors_exit_2(self, run, args):
-        result = run("verify", *args)
+    def test_usage_errors_exit_2(self, cli, args):
+        result = cli("verify", *args)
         assert result.exit_code == 2, result.output
 
-    def test_conj_msg_holds_on_the_trivial_semigroup(self, run):
-        result = run("verify", "--genus-max", "3", "--checks", "conj-msg")
+    def test_conj_msg_holds_on_the_trivial_semigroup(self, cli):
+        result = cli("verify", "--genus-max", "3", "--checks", "conj-msg")
         assert result.exit_code == 0, result.output
         assert "conj-msg: 8/8 pass" in result.output
 
-    def test_resume_below_the_limit_is_a_node(self, run):
+    def test_resume_below_the_limit_is_a_node(self, cli):
         # a real tree node deeper than --genus-max: the walk after it
-        result = run("verify", "--genus-max", "3", "--resume", "1.2.3.4.5.6", "--checks", "thm1")
+        result = cli("verify", "--genus-max", "3", "--resume", "1.2.3.4.5.6", "--checks", "thm1")
         assert result.exit_code == 0, result.output
         assert "thm1: 4/4 pass" in result.output
 
-    def test_resume_outside_by_genus_is_named(self, run):
-        result = run("verify", "--frobenius", "7", "--resume", "2.3", "--checks", "conj-msg")
+    def test_resume_outside_by_genus_is_named(self, cli):
+        result = cli("verify", "--frobenius", "7", "--resume", "2.3", "--checks", "conj-msg")
         assert "by-genus" in result.output
 
 
@@ -70,46 +70,104 @@ class TestVerifyTokens:
             (("--frobenius", "45", "--filter", "ci"), None),
         ],
     )
-    def test_summary_token(self, run, tmp_path, family, token):
+    def test_summary_token(self, cli, tmp_path, family, token):
         out = tmp_path / "summary.json"
-        result = run("verify", *family, "--checks", "conj-msg", "--json", str(out))
+        result = cli("verify", *family, "--checks", "conj-msg", "--json", str(out))
         assert result.exit_code == 0, result.output
         assert json.loads(out.read_text())["last_token"] == token
 
-    def test_progress_line_by_genus_names_the_token(self, run):
-        result = run("verify", "--genus-max", "11", "--checks", "conj-msg")
+    def test_progress_line_by_genus_names_the_token(self, cli):
+        result = cli("verify", "--genus-max", "11", "--checks", "conj-msg")
         assert result.stderr == "checked 500 (token 1.2.3.4.5.7.8.9.11.13.14)\n"
 
-    def test_progress_line_by_frobenius_has_no_token(self, run):
-        result = run("verify", "--frobenius", "21", "--checks", "conj-msg")
+    def test_progress_line_by_frobenius_has_no_token(self, cli):
+        result = cli("verify", "--frobenius", "21", "--checks", "conj-msg")
         assert result.stderr == "checked 500\nchecked 1000\nchecked 1500\n"
 
 
 class TestEnumerate:
-    def test_filtered_count(self, run):
-        result = run("enumerate", "--genus-max", "4", "--filter", "ci", "--count-only")
+    def test_filtered_count(self, cli):
+        result = cli("enumerate", "--genus-max", "4", "--filter", "ci", "--count-only")
         assert result.exit_code == 0, result.output
         assert result.output.strip() == "8"
 
-    def test_frobenius_0_exits_2(self, run):
-        result = run("enumerate", "--frobenius", "0", "--filter", "ci")
+    def test_frobenius_0_exits_2(self, cli):
+        result = cli("enumerate", "--frobenius", "0", "--filter", "ci")
         assert result.exit_code == 2, result.output
         assert ">= 1" in result.output
 
-    def test_unknown_filter_exits_2(self, run):
-        result = run("enumerate", "--frobenius", "7", "--filter", "nope")
+    def test_unknown_filter_exits_2(self, cli):
+        result = cli("enumerate", "--frobenius", "7", "--filter", "nope")
         assert result.exit_code == 2
         assert "known:" in result.output
 
 
 class TestAnalyze:
-    def test_trivial_semigroup_is_symmetric(self, run):
-        result = run("analyze", "1")
+    def test_trivial_semigroup_is_symmetric(self, cli):
+        result = cli("analyze", "1")
         assert result.exit_code == 0, result.output
         assert "symmetric: True" in result.output.splitlines()
 
     @pytest.mark.parametrize("bound", ["0", "-3"])
-    def test_bound_below_1_exits_2(self, run, bound):
-        result = run("analyze", "4,6,9", "--bound", bound)
+    def test_bound_below_1_exits_2(self, cli, bound):
+        result = cli("analyze", "4,6,9", "--bound", bound)
         assert result.exit_code == 2, result.output
         assert ">= 1" in result.output
+
+
+class TestFreshInterpreter:
+    """What only a new process shows: the import path, exit codes and closed pipes."""
+
+    @staticmethod
+    def nsg(*args, **kwargs):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run(
+            [sys.executable, "-m", "nsg.cli", *args], env=env, capture_output=True, timeout=120, **kwargs
+        )
+
+    def test_import_loads_no_cli_framework_or_dataclasses(self):
+        # -S: no site hooks, so only nsg's own imports count
+        code = (
+            f"import sys; sys.path.insert(0, {str(SRC)!r}); import nsg.cli; "
+            "print(sorted({'click', 'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, check=True
+        )
+        assert result.stdout == "[]\n"
+
+    def test_exit_codes(self):
+        assert self.nsg("verify", "--genus-max", "3", "--checks", "thm1").returncode == 0
+        usage = self.nsg("verify", "--genus-max", "3", "--checks", "thm9")
+        assert usage.returncode == 2
+        assert b"unknown check 'thm9'" in usage.stderr
+
+    def test_closed_pipe_exits_1_quietly(self):
+        # the output (about 250 kB) outgrows the pipe, so writes hit the closed end
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nsg.cli", "enumerate", "--genus-max", "16"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"1\n"
+        proc.stdout.close()
+        try:
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert stderr == b""
+
+
+def test_counterexample_exits_1_as_the_tracer_calls_main(monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(CHECKS, "thm1", lambda analysis: analysis.semigroup.genus != 2)
+    out = tmp_path / "summary.json"
+    with pytest.raises(SystemExit) as stop:
+        main(args=["verify", "--genus-max", "3", "--checks", "thm1", "--json", str(out)], prog_name="nsg")
+    assert stop.value.code == 1
+    assert capsys.readouterr().out == "thm1: 6/8 pass\ncounterexamples: 2\n  2,5\n  3,4,5\n"
+    summary = json.loads(out.read_text())
+    assert not summary["all_pass"]
+    assert [r["generators"] for r in summary["counterexamples"]] == [[2, 5], [3, 4, 5]]
+    assert all(r["verdicts"] == {"thm1": False} for r in summary["counterexamples"])

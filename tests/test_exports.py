@@ -3,9 +3,6 @@
 import json
 
 import pytest
-from click.testing import CliRunner
-
-from nsg.cli import main
 
 from expected import (
     ENUMERATE_FROBENIUS_9,
@@ -21,9 +18,9 @@ def _json_bytes(value) -> str:
 
 
 @pytest.fixture
-def run():
+def run(cli):
     def invoke(*args):
-        result = CliRunner().invoke(main, list(args))
+        result = cli(*args)
         assert result.exit_code == 0, result.output
         return result.stdout
 
