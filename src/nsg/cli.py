@@ -4,7 +4,8 @@ Subcommands: ``analyze`` (one-semigroup report), ``exponents`` (print the
 expansion exponents), ``betti`` (Betti structure), ``enumerate`` (families by
 genus or Frobenius number, with filters), ``verify`` (batch checks over a
 family). Exit status 0 means every requested check passed, 1 signals a
-counterexample (or a reader that closed the output pipe), 2 a usage error.
+counterexample (or an interrupt, or a reader that closed the output pipe),
+2 a usage error.
 ``verify`` walks its family serially, in this process.
 
 Every command is a fresh interpreter, so the parser is the standard
@@ -253,6 +254,9 @@ def main(args: list[str] | None = None, prog_name: str = "nsg"):
         # cannot fail again (Python docs, signal module, "Note on SIGPIPE").
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
         sys.exit(1)
     sys.exit(status)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import nsg.cli
 from nsg.cli import main
 from nsg.verification import CHECKS
 
@@ -158,6 +159,15 @@ class TestFreshInterpreter:
             proc.kill()
             proc.stderr.close()
         assert stderr == b""
+
+
+def test_interrupt_exits_1(cli, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(nsg.cli, "run_verification", interrupted)
+    result = cli("verify", "--genus-max", "3", "--checks", "thm1")
+    assert (result.exit_code, result.stdout, result.stderr) == (1, "", "\nAborted!\n")
 
 
 def test_counterexample_exits_1_as_the_tracer_calls_main(monkeypatch, tmp_path, capsys):
