@@ -5,8 +5,7 @@ expansion exponents), ``betti`` (Betti structure), ``enumerate`` (families by
 genus or Frobenius number, with filters), ``verify`` (batch checks over a
 family). Exit status 0 means every requested check passed, 1 signals a
 counterexample (or an interrupt, or a reader that closed the output pipe),
-2 a usage error.
-``verify`` walks its family serially, in this process.
+2 a usage error. ``verify`` walks its family serially, in this process.
 
 Every command is a fresh interpreter, so the parser is the standard
 library's ``argparse``, and nothing on this module's import path pulls in a
