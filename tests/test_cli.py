@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
-import nsg.cli
 from nsg.cli import main
 from nsg.verification import CHECKS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+NSG = [sys.executable, "-m", "nsg.cli"]
+ENV = dict(os.environ, PYTHONPATH=str(SRC))
 
 
 class TestVerifyExitCodes:
@@ -119,13 +120,6 @@ class TestAnalyze:
 class TestFreshInterpreter:
     """What only a new process shows: the import path, exit codes and closed pipes."""
 
-    @staticmethod
-    def nsg(*args, **kwargs):
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        return subprocess.run(
-            [sys.executable, "-m", "nsg.cli", *args], env=env, capture_output=True, timeout=120, **kwargs
-        )
-
     def test_import_loads_no_cli_framework_or_dataclasses(self):
         # -S: no site hooks, so only nsg's own imports count
         code = (
@@ -138,17 +132,19 @@ class TestFreshInterpreter:
         assert result.stdout == "[]\n"
 
     def test_exit_codes(self):
-        assert self.nsg("verify", "--genus-max", "3", "--checks", "thm1").returncode == 0
-        usage = self.nsg("verify", "--genus-max", "3", "--checks", "thm9")
+        def nsg(*args):
+            return subprocess.run([*NSG, *args], env=ENV, capture_output=True, timeout=120)
+
+        assert nsg("verify", "--genus-max", "3", "--checks", "thm1").returncode == 0
+        usage = nsg("verify", "--genus-max", "3", "--checks", "thm9")
         assert usage.returncode == 2
         assert b"unknown check 'thm9'" in usage.stderr
 
     def test_closed_pipe_exits_1_quietly(self):
         # the output (about 250 kB) outgrows the pipe, so writes hit the closed end
-        env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.Popen(
-            [sys.executable, "-m", "nsg.cli", "enumerate", "--genus-max", "16"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            [*NSG, "enumerate", "--genus-max", "16"],
+            env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
         assert proc.stdout.readline() == b"1\n"
         proc.stdout.close()
@@ -165,7 +161,7 @@ def test_interrupt_exits_1(cli, monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(nsg.cli, "run_verification", interrupted)
+    monkeypatch.setattr("nsg.cli.run_verification", interrupted)
     result = cli("verify", "--genus-max", "3", "--checks", "thm1")
     assert (result.exit_code, result.stdout, result.stderr) == (1, "", "\nAborted!\n")
 
