@@ -396,3 +396,12 @@ ENUMERATE_FROBENIUS_9 = (
 # frozen when the covers came from an O(n^3) transitive-reduction search
 ORDER_DIGEST_GENUS_10 = "de008dd83f9c51a88f8adc3ea3c96292e972caa8be71a115eab2fb6a0db8f96c"
 ORDER_DIGEST_FROBENIUS_21 = "51a430e067e9f66183d56d44770c0c7199def80bded10a442a2b2a5c8a7f591a"
+
+# sha256 of the JSON list, in enumeration order, of
+# verify_theorems(S, bound).to_json_dict() over genus <= 8, at the default
+# bound and at the default bound + 7; frozen when the four checks came from
+# one theorem report and symmetric semigroups swept their exponents twice
+THEOREM_DIGESTS_GENUS_8 = {
+    0: "0359d0951f4984ece62b12e5a6c39510834148742bf7f37662e4b1fa80158d61",
+    7: "e7c854f2d45b8b423701fefddd921cda73e2a5bebce3f3c97fa1db9017a8b230",
+}

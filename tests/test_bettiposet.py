@@ -22,8 +22,9 @@ from nsg import (
 )
 from nsg.analysis import SemigroupAnalysis
 from nsg.bettiposet import OrderedSubset
+from nsg.witt import ExponentSequence
 
-from expected import ORDER_DIGEST_FROBENIUS_21, ORDER_DIGEST_GENUS_10
+from expected import ORDER_DIGEST_FROBENIUS_21, ORDER_DIGEST_GENUS_10, THEOREM_DIGESTS_GENUS_8
 
 
 def down_set(subset, x):
@@ -380,6 +381,67 @@ class TestVerifyTheorems:
     def test_small_family_sweep(self):
         for S in enumerate_by_genus(8):
             assert verify_theorems(S).all_pass, S
+
+    @pytest.mark.parametrize("extra", sorted(THEOREM_DIGESTS_GENUS_8))
+    def test_reports_pinned(self, extra):
+        reports = [
+            verify_theorems(S, S.default_bound + extra).to_json_dict()
+            for S in enumerate_by_genus(8)
+        ]
+        digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+        assert digest == THEOREM_DIGESTS_GENUS_8[extra]
+
+    @pytest.mark.parametrize(
+        "generators, edits, expected",
+        [
+            (
+                (3, 5, 7),
+                {4: 2},
+                [
+                    "gap 4 has e = 2",
+                    "minimals differ: (10, 12, 14) vs (4,)",
+                    "chain parts differ: (10, 12, 14) vs (4, 10, 12, 14)",
+                    None,
+                ],
+            ),
+            (
+                (3, 5, 7),
+                {10: 0},
+                [
+                    None,
+                    "minimals differ: (10, 12, 14) vs (12, 14)",
+                    "chain parts differ: (10, 12, 14) vs (12, 14)",
+                    "10 has 2 factorizations but no support index below",
+                ],
+            ),
+            (
+                (4, 6, 9),  # cyclotomic: the support is read off the full exponents
+                {12: 5},
+                [
+                    None,
+                    "at 12: e = 5, denumerant - 1 = 1, isolated - 1 = 1",
+                    "at 12: e = 5, classes - 1 = 1",
+                    None,
+                ],
+            ),
+        ],
+    )
+    def test_witnesses(self, generators, edits, expected):
+        """Each check names what it found on an analysis with a doctored sequence."""
+        analysis = SemigroupAnalysis(NumericalSemigroup(generators))
+        entries = list(analysis.sequence)
+        for j, e in edits.items():
+            entries[j - 1] = e
+        analysis.__dict__["sequence"] = ExponentSequence(tuple(entries), analysis.bound)
+        checks = analysis.theorem_report.checks
+        assert [c.check_id for c in checks] == [
+            "exponent-values-at-generators-and-gaps",
+            "minimal-betti-vs-minimal-support",
+            "chain-betti-vs-chain-support",
+            "support-below-every-multifactor-element",
+        ]
+        assert [c.witness for c in checks] == expected
+        assert [c.passed for c in checks] == [w is None for w in expected]
 
     def test_minimal_support_indices_reach_what_the_prefix_reaches(self):
         # the fourth check scans only the minimal support indices
