@@ -5,7 +5,9 @@ elements all read the same few objects: the exponent sequence, the
 denumerants, the Betti catalog and the exponent support. A
 :class:`SemigroupAnalysis` computes each of them on first use, by the
 module-level function that owns it, and keeps it, so every check, filter
-and report on one semigroup shares a single copy.
+and report on one semigroup shares a single copy. One exponent sweep
+serves the sequence (its prefix) and the cyclotomic test of a symmetric
+semigroup. Each theorem check is its own method and reads only what it needs.
 
 An analysis holds its semigroup and nothing else across calls; callers
 create one per semigroup and drop it when done, so no cache outlives the
@@ -30,7 +32,22 @@ from .bettiposet import (
 from .errors import BoundTooSmallError
 from .factorization import BettiData, betti_elements, denumerant_series
 from .semigroup import NumericalSemigroup
-from .witt import ExponentSequence, cyclotomic_factorization, exponent_sequence
+from .witt import ExponentSequence, _index_bound, exponent_sequence, read_cyclotomic_factors
+
+
+def _theorem_check(check_id: str, statement: str):
+    """Report a method's witness (None when the statement holds) as a CheckResult.
+
+    Every check is vacuous on the trivial semigroup, whose exponents are all 0.
+    """
+    def decorate(find_witness):
+        def check(analysis: SemigroupAnalysis) -> CheckResult:
+            if analysis.semigroup.is_trivial:
+                return CheckResult(check_id, "vacuous for the trivial semigroup", True)
+            witness = find_witness(analysis)
+            return CheckResult(check_id, statement, witness is None, witness)
+        return check
+    return decorate
 
 
 class SemigroupAnalysis:
@@ -51,8 +68,17 @@ class SemigroupAnalysis:
         self.bound = bound
 
     @cached_property
+    def _sweep(self) -> ExponentSequence:
+        """To the bound and, if S is symmetric, on to N = _index_bound(F + 1)."""
+        S, bound = self.semigroup, self.bound
+        if S.is_symmetric():
+            bound = max(bound, _index_bound(S.frobenius + 1))
+        return exponent_sequence(S, bound)
+
+    @cached_property
     def sequence(self) -> ExponentSequence:
-        return exponent_sequence(self.semigroup, self.bound)
+        """e_1..e_bound, the prefix of the sweep."""
+        return ExponentSequence(self._sweep.entries[: self.bound], self.bound)
 
     @cached_property
     def denumerants(self) -> list[int]:
@@ -81,10 +107,11 @@ class SemigroupAnalysis:
     @cached_property
     def full_exponents(self) -> dict[int, int] | None:
         """The whole (finite) exponent support when the polynomial is cyclotomic, else None."""
-        factorization = cyclotomic_factorization(self.semigroup)
-        if factorization is None or not factorization.complete:
+        S = self.semigroup
+        if not S.is_symmetric():  # a product of cyclotomic polynomials is self-reciprocal
             return None
-        return factorization.exponents
+        factorization = read_cyclotomic_factors(S.polynomial(), self._sweep)
+        return factorization.exponents if factorization.complete else None
 
     @property
     def cyclotomic(self) -> bool:
@@ -144,119 +171,85 @@ class SemigroupAnalysis:
             betti_sorted, betti_divisible, unique_betti, betti_forest, e_forest
         )
 
+    @_theorem_check(
+        "exponent-values-at-generators-and-gaps",
+        "e_1 = 1; e_j = 0 at gaps j >= 2; e_j = -1 at minimal generators; "
+        "e_j = 0 at non-generators with a unique factorization",
+    )
+    def exponent_values_check(self):
+        S, sequence, counts = self.semigroup, self.sequence, self.denumerants
+        if sequence[1] != 1:
+            return f"e_1 = {sequence[1]}"
+        generators = set(S.generators)
+        for j in range(2, sequence.bound + 1):
+            e = sequence[j]
+            if j not in S:
+                if e != 0:
+                    return f"gap {j} has e = {e}"
+            elif j in generators:
+                if e != -1:
+                    return f"generator {j} has e = {e}"
+            elif counts[j] == 1 and e != 0:
+                return f"unique-factorization element {j} has e = {e}"
+        return None
+
+    @_theorem_check(
+        "minimal-betti-vs-minimal-support",
+        "minimal Betti elements = minimal support indices, "
+        "with e = denumerant - 1 = isolated count - 1 there",
+    )
+    def minimal_betti_check(self):
+        sequence, counts, catalog = self.sequence, self.denumerants, self.betti
+        betti_minimals = self.betti_order.minimals()
+        support_minimals = self.prefix_support_order.minimals()
+        if set(betti_minimals) != set(support_minimals):
+            return f"minimals differ: {betti_minimals} vs {support_minimals}"
+        for alpha in betti_minimals:
+            isolated = catalog[alpha].isolated_count
+            if not (sequence[alpha] == counts[alpha] - 1 == isolated - 1):
+                return (f"at {alpha}: e = {sequence[alpha]}, denumerant - 1 = "
+                        f"{counts[alpha] - 1}, isolated - 1 = {isolated - 1}")
+        return None
+
+    @_theorem_check(
+        "chain-betti-vs-chain-support",
+        "Betti elements with chain down-sets = support indices with chain "
+        "down-sets, with e = R-class count - 1 there",
+    )
+    def chain_betti_check(self):
+        sequence, catalog = self.sequence, self.betti
+        betti_u = self.betti_order.u_set()
+        support_u = self.prefix_support_order.u_set()
+        if set(betti_u) != set(support_u):
+            return f"chain parts differ: {tuple(betti_u)} vs {tuple(support_u)}"
+        for b in betti_u:
+            if sequence[b] != catalog[b].nc - 1:
+                return f"at {b}: e = {sequence[b]}, classes - 1 = {catalog[b].nc - 1}"
+        return None
+
+    @_theorem_check(
+        "support-below-every-multifactor-element",
+        "every element with at least two factorizations has a support "
+        "index below it",
+    )
+    def support_below_check(self):
+        # anything above a support index lies above a minimal one below it
+        S, counts = self.semigroup, self.denumerants
+        support_minimals = self.prefix_support_order.minimals()
+        for s in range(self.bound + 1):
+            if counts[s] >= 2 and not any(leq(S, m, s) for m in support_minimals):
+                return f"{s} has {counts[s]} factorizations but no support index below"
+        return None
+
     @cached_property
     def theorem_report(self) -> TheoremReport:
         """What :func:`~nsg.bettiposet.verify_theorems` reports at the bound."""
-        S, bound = self.semigroup, self.bound
-        if S.is_trivial:
-            checks = tuple(
-                CheckResult(check_id, "vacuous for the trivial semigroup", True)
-                for check_id in (
-                    "exponent-values-at-generators-and-gaps",
-                    "minimal-betti-vs-minimal-support",
-                    "chain-betti-vs-chain-support",
-                    "support-below-every-multifactor-element",
-                )
-            )
-            return TheoremReport(S.generators, bound, checks)
-
-        sequence = self.sequence
-        counts = self.denumerants
-        catalog = self.betti
-        betti = self.betti_order
-        support_set = self.prefix_support_order
-
-        checks = [_check_exponent_values(S, sequence, counts)]
-
-        witness = None
-        betti_minimals = betti.minimals()
-        support_minimals = support_set.minimals()
-        if set(betti_minimals) != set(support_minimals):
-            witness = f"minimals differ: {betti_minimals} vs {support_minimals}"
-        else:
-            for alpha in betti_minimals:
-                isolated = catalog[alpha].isolated_count
-                if not (sequence[alpha] == counts[alpha] - 1 == isolated - 1):
-                    witness = (
-                        f"at {alpha}: e = {sequence[alpha]}, "
-                        f"denumerant - 1 = {counts[alpha] - 1}, isolated - 1 = {isolated - 1}"
-                    )
-                    break
-        checks.append(
-            CheckResult(
-                "minimal-betti-vs-minimal-support",
-                "minimal Betti elements = minimal support indices, "
-                "with e = denumerant - 1 = isolated count - 1 there",
-                witness is None,
-                witness,
-            )
-        )
-
-        witness = None
-        betti_u = betti.u_set()
-        support_u = support_set.u_set()
-        if set(betti_u) != set(support_u):
-            witness = f"chain parts differ: {tuple(betti_u)} vs {tuple(support_u)}"
-        else:
-            for b in betti_u:
-                if sequence[b] != catalog[b].nc - 1:
-                    witness = f"at {b}: e = {sequence[b]}, classes - 1 = {catalog[b].nc - 1}"
-                    break
-        checks.append(
-            CheckResult(
-                "chain-betti-vs-chain-support",
-                "Betti elements with chain down-sets = support indices with chain "
-                "down-sets, with e = R-class count - 1 there",
-                witness is None,
-                witness,
-            )
-        )
-
-        # anything above a support index lies above a minimal one below it
-        witness = None
-        for s in range(bound + 1):
-            if counts[s] >= 2 and not any(leq(S, m, s) for m in support_minimals):
-                witness = f"{s} has {counts[s]} factorizations but no support index below"
-                break
-        checks.append(
-            CheckResult(
-                "support-below-every-multifactor-element",
-                "every element with at least two factorizations has a support "
-                "index below it",
-                witness is None,
-                witness,
-            )
-        )
-        return TheoremReport(S.generators, bound, tuple(checks))
+        checks = self.exponent_values_check(), self.minimal_betti_check()
+        checks += self.chain_betti_check(), self.support_below_check()
+        return TheoremReport(self.semigroup.generators, self.bound, checks)
 
 
 def _totally_ordered_by_divisibility(values) -> bool:
     values = sorted(values)
     return all(b % a == 0 for a, b in zip(values, values[1:]))
 
-
-def _check_exponent_values(
-    S: NumericalSemigroup, sequence: ExponentSequence, counts: list[int]
-) -> CheckResult:
-    check_id = "exponent-values-at-generators-and-gaps"
-    statement = (
-        "e_1 = 1; e_j = 0 at gaps j >= 2; e_j = -1 at minimal generators; "
-        "e_j = 0 at non-generators with a unique factorization"
-    )
-    generators = set(S.generators)
-    witness = None
-    if sequence[1] != 1:
-        witness = f"e_1 = {sequence[1]}"
-    for j in range(2, sequence.bound + 1):
-        if witness:
-            break
-        e = sequence[j]
-        if j not in S:
-            if e != 0:
-                witness = f"gap {j} has e = {e}"
-        elif j in generators:
-            if e != -1:
-                witness = f"generator {j} has e = {e}"
-        elif counts[j] == 1 and e != 0:
-            witness = f"unique-factorization element {j} has e = {e}"
-    return CheckResult(check_id, statement, witness is None, witness)

@@ -169,7 +169,8 @@ def ci_with_frobenius(frobenius: int) -> tuple[NumericalSemigroup, ...]:
                         scaled = [a1 * g for g in left.generators]
                         scaled += [a2 * g for g in right.generators]
                         glued = NumericalSemigroup(scaled)
-                        assert glued.frobenius == frobenius
+                        if glued.frobenius != frobenius:
+                            raise RuntimeError(f"gluing {glued.generators} has F != {frobenius}")
                         found.add(glued)
         a1 += 1
     return tuple(sorted(found, key=lambda s: s.generators))

@@ -8,9 +8,8 @@ computed at most once. The analysis is dropped after its semigroup: caches
 are scoped to one evaluation and memory stays flat over a family.
 
 Every job, resumed or filtered, by genus or by Frobenius number, takes the
-same single serial walk. Outcomes
-accumulate in one :class:`VerificationSummary` in walk order, so exports
-are byte-stable.
+same single serial walk. Outcomes accumulate in one
+:class:`VerificationSummary` in walk order, so exports are byte-stable.
 """
 
 from __future__ import annotations
@@ -104,7 +103,8 @@ def _stream(job: EnumerationJob) -> Iterator[tuple[SemigroupAnalysis, Path]]:
     predicates = [FILTERS[name] for name in job.filters]
     for S, path in family:
         analysis = SemigroupAnalysis(S)
-        assert not glued or analysis.complete_intersection
+        if glued and not analysis.complete_intersection:
+            raise RuntimeError(f"gluing yielded {S.generators}, not a complete intersection")
         if all(predicate(analysis) for predicate in predicates):
             yield analysis, path
 
@@ -155,19 +155,6 @@ def build_report(
     )
 
 
-def _check_ci_cyclotomic(analysis: SemigroupAnalysis) -> bool:
-    return analysis.complete_intersection == analysis.cyclotomic
-
-
-def _theorem_check(check_id: str) -> Callable[[SemigroupAnalysis], bool]:
-    def check(analysis: SemigroupAnalysis) -> bool:
-        return next(
-            c.passed for c in analysis.theorem_report.checks if c.check_id == check_id
-        )
-
-    return check
-
-
 def _check_negative_support_is_generators(analysis: SemigroupAnalysis) -> bool:
     """Finite support only: indices with negative exponent = minimal generators."""
     exponents = analysis.full_exponents
@@ -190,10 +177,10 @@ def _check_betti_exponents(analysis: SemigroupAnalysis) -> bool:
 
 # Verdicts on the analysis of one semigroup.
 CHECKS: dict[str, Callable[[SemigroupAnalysis], bool]] = {
-    "ci-cyclotomic": _check_ci_cyclotomic,
-    "thm1": _theorem_check("exponent-values-at-generators-and-gaps"),
-    "thm2": _theorem_check("chain-betti-vs-chain-support"),
-    "thm5.2": _theorem_check("minimal-betti-vs-minimal-support"),
+    "ci-cyclotomic": lambda a: a.complete_intersection == a.cyclotomic,
+    "thm1": lambda a: a.exponent_values_check().passed,
+    "thm2": lambda a: a.chain_betti_check().passed,
+    "thm5.2": lambda a: a.minimal_betti_check().passed,
     "conj-msg": _check_negative_support_is_generators,
     "conj-betti": _check_betti_exponents,
 }

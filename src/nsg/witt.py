@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 from . import intpoly
 from .arith import divisors, euler_phi
-from .errors import BadConstantTermError, IntegralityError
+from .errors import BadConstantTermError, BoundTooSmallError, IntegralityError
 from .records import FrozenRecord
 from .semigroup import NumericalSemigroup
 
@@ -181,11 +181,20 @@ def _index_bound(deg: int) -> int:
 
 
 def factor_into_cyclotomics(poly: Sequence[int]) -> CyclotomicFactorization:
-    """Read the cyclotomic factors of a polynomial with f(0) = 1 off its exponents.
+    """The cyclotomic factors of f, f(0) = 1, read off a sweep to :func:`_index_bound` (deg f)."""
+    coeffs = intpoly.trim(_check_constant_term(poly))
+    sequence = witt_expand_moebius(coeffs, _index_bound(len(coeffs) - 1))
+    return read_cyclotomic_factors(coeffs, sequence)
+
+
+def read_cyclotomic_factors(
+    poly: Sequence[int], sequence: ExponentSequence
+) -> CyclotomicFactorization:
+    """The cyclotomic factors of a polynomial, read off its exponents e_1..e_M.
 
     If ``f = prod_n Phi_n^(h_n)``, each such n has phi(n) <= deg f, so n <= N =
     :func:`_index_bound` (deg f); as ``Phi_n = prod_{j | n} (1 - x^j)^(mu(n/j))``,
-    every non-zero exponent e_j of f has j <= N too. So one sweep to N holds the
+    every non-zero exponent e_j of f has j <= N too. So M >= N entries hold the
     whole support, and ``h_n = sum_{n | m <= N} e_m`` inverts the map. The
     result is complete only when every non-zero h_n is positive, their degrees
     add up to deg f and their product is f exactly.
@@ -195,7 +204,9 @@ def factor_into_cyclotomics(poly: Sequence[int]) -> CyclotomicFactorization:
         raise ValueError("polynomial must be monic up to sign")
     deg = len(coeffs) - 1
     bound = _index_bound(deg)
-    entries = (0,) + witt_expand_moebius(coeffs, bound).entries  # 1-indexed
+    if sequence.bound < bound:
+        raise BoundTooSmallError(f"{sequence.bound} exponents, {bound} needed at degree {deg}")
+    entries = (0,) + sequence.entries[:bound]  # 1-indexed
     factors = {n: h for n in range(2, bound + 1) if (h := sum(entries[n::n]))}
     positive = all(h > 0 for h in factors.values())
     if positive and deg == sum(h * euler_phi(n) for n, h in factors.items()):

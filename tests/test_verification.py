@@ -1,9 +1,14 @@
 import json
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from nsg import NumericalSemigroup, SemigroupAnalysis, classify, walk_genus_tree
 from nsg import analysis as analysis_module
+from nsg import witt as witt_module
 from nsg.enumeration import format_token
 from nsg.errors import BoundTooSmallError
 from nsg.verification import (
@@ -41,30 +46,39 @@ class TestFrozenExports:
 
 
 class TestSharedAnalysis:
-    def _count_calls(self, monkeypatch, name):
+    def _count_calls(self, monkeypatch, name, module=analysis_module, key=lambda x: x):
+        """Record key(first argument) of each call of ``module.name``."""
         calls = []
-        original = getattr(analysis_module, name)
+        original = getattr(module, name)
 
-        def counted(S, *args):
-            calls.append(S)
-            return original(S, *args)
+        def counted(first, *args):
+            calls.append(key(first))
+            return original(first, *args)
 
-        monkeypatch.setattr(analysis_module, name, counted)
+        monkeypatch.setattr(module, name, counted)
         return calls
 
     def test_each_invariant_once_per_semigroup(self, monkeypatch):
         counted = {
             name: self._count_calls(monkeypatch, name)
-            for name in ("exponent_sequence", "betti_elements", "cyclotomic_factorization")
+            for name in ("exponent_sequence", "betti_elements")
         }
+        factor_reads = self._count_calls(monkeypatch, "read_cyclotomic_factors", key=tuple)
+        sweeps = self._count_calls(monkeypatch, "witt_expand_moebius", witt_module, key=tuple)
         summary = run_verification(EnumerationJob("by-genus", 6), tuple(CHECKS))
         assert summary.total == 50
-        for name, calls in counted.items():
-            assert len(calls) == len(set(calls)), name
-        assert len(counted["betti_elements"]) == len(counted["cyclotomic_factorization"]) == 50
-        # every check is vacuous on <1>, so nothing reads its exponent sequence
-        family = {S for S, _ in walk_genus_tree(6)}
-        assert family - set(counted["exponent_sequence"]) == {NumericalSemigroup(1)}
+        family = [S for S, _ in walk_genus_tree(6)]
+        assert counted["exponent_sequence"] == counted["betti_elements"] == family
+        # the factors of a symmetric semigroup are read off that same sweep
+        symmetric = [tuple(S.polynomial()) for S in family if S.is_symmetric()]
+        assert factor_reads == symmetric and len(symmetric) == 17
+        # so no polynomial is swept twice
+        assert len(sweeps) == 50 and set(Counter(sweeps).values()) == {1}
+
+    def test_thm1_alone_builds_no_betti_catalog(self, catalog_builds):
+        summary = run_verification(EnumerationJob("by-genus", 8), ("thm1",))
+        assert summary.total == 156 and summary.all_pass
+        assert not catalog_builds
 
     def test_filter_reads_the_analysis_the_checks_read(self, monkeypatch):
         betti_calls = self._count_calls(monkeypatch, "betti_elements")
@@ -115,6 +129,34 @@ class TestOneGraphPerElement:
         assert summary.total and len(catalog_builds) == summary.total
         assert set(catalog_builds.values()) == {1}
         assert not graph_builds
+
+
+class TestGluedRouteRechecks:
+    """A glued semigroup that is not a complete intersection stops the run."""
+
+    JOB = EnumerationJob("by-frobenius", 45, ("ci",))
+
+    def test_in_process(self, monkeypatch):
+        monkeypatch.setattr(
+            verification_module, "ci_with_frobenius", lambda F: (NumericalSemigroup(3, 5, 7),)
+        )
+        with pytest.raises(RuntimeError, match=r"\(3, 5, 7\), not a complete intersection"):
+            run_verification(self.JOB, ("conj-msg",))
+
+    def test_kept_under_python_O(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); print(__debug__)\n"
+            "from nsg import NumericalSemigroup, verification as v\n"
+            "v.ci_with_frobenius = lambda F: (NumericalSemigroup(3, 5, 7),)\n"
+            "v.run_verification(v.EnumerationJob('by-frobenius', 45, ('ci',)), ('conj-msg',))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert (result.returncode, result.stdout) == (1, "False\n"), result.stderr
+        last = result.stderr.splitlines()[-1]
+        assert last == "RuntimeError: gluing yielded (3, 5, 7), not a complete intersection"
 
 
 class TestEnumerationJob:

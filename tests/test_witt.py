@@ -22,7 +22,8 @@ from nsg import (
 )
 from nsg import CyclotomicFactorization, ExponentSequence, intpoly
 from nsg.arith import divisors, euler_phi, mobius
-from nsg.witt import _check_constant_term, _index_bound
+from nsg.errors import BoundTooSmallError
+from nsg.witt import _check_constant_term, _index_bound, read_cyclotomic_factors
 
 from expected import EXPONENTS_3_5_7, EXPONENTS_4_6_9_18
 from oracles import degree, evaluate, mul_one_minus_xk_pow
@@ -314,6 +315,19 @@ class TestCyclotomicFactorization:
     def test_not_monic_rejected(self):
         with pytest.raises(ValueError):
             factor_into_cyclotomics([1, 1, 2])
+
+    def test_read_off_a_longer_sweep(self, s469, s357):
+        # the analysis reads the factors off a sweep that may run past N
+        for S in (s469, s357):
+            poly = S.polynomial()
+            longer = witt_expand_moebius(poly, _index_bound(len(poly) - 1) + 25)
+            assert read_cyclotomic_factors(poly, longer) == factor_into_cyclotomics(poly)
+
+    def test_short_sweep_rejected(self, s469):
+        poly = s469.polynomial()
+        short = witt_expand_moebius(poly, _index_bound(len(poly) - 1) - 1)
+        with pytest.raises(BoundTooSmallError):
+            read_cyclotomic_factors(poly, short)
 
     def test_factor_support_matches_sequence(self, glued):
         assert assert_semigroup_matches_oracles(glued).complete
