@@ -45,6 +45,14 @@ def _parse_semigroup(text: str) -> NumericalSemigroup:
         raise UsageError(str(exc)) from exc
 
 
+def _write(writer, data, path) -> None:
+    """Export to a file; a path that cannot be written is a usage error."""
+    try:
+        writer(data, path)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _family_job(options, resume_token=None) -> EnumerationJob:
     """The job for exactly one of --genus-max, --frobenius; bad input is a usage error."""
     genus_max, frobenius = options.genus_max, options.frobenius
@@ -88,12 +96,11 @@ def analyze(options) -> int:
     print(f"classification: {flags.to_json_dict()}")
     print(f"exponents ({sequence.bound} entries): {sequence.format()}")
     if options.json_path:
-        record = build_report(analysis)
-        write_json(record.to_json_dict(), options.json_path)
+        _write(write_json, build_report(analysis).to_json_dict(), options.json_path)
         print(f"wrote {options.json_path}", file=sys.stderr)
     if options.dot_path:
         diagram = analysis.betti_order.hasse()
-        write_dot(diagram.to_dot(), options.dot_path)
+        _write(write_dot, diagram.to_dot(), options.dot_path)
         print(f"wrote {options.dot_path}", file=sys.stderr)
     return 0
 
@@ -106,9 +113,9 @@ def exponents(options) -> int:
     sequence = exponent_sequence(S, options.count)
     print(sequence.format())
     if options.csv_path:
-        write_csv([list(sequence)], options.csv_path)
+        _write(write_csv, [list(sequence)], options.csv_path)
     if options.json_path:
-        write_json(sequence.to_json(), options.json_path)
+        _write(write_json, sequence.to_json(), options.json_path)
     return 0
 
 
@@ -127,9 +134,10 @@ def betti(options) -> int:
     print(f"forest: {diagram.is_forest}")
     print("chain-downset part: " + (", ".join(map(str, subset.u_set())) or "-"))
     if options.dot_path:
-        write_dot(diagram.to_dot(), options.dot_path)
+        _write(write_dot, diagram.to_dot(), options.dot_path)
     if options.json_path:
-        write_json(
+        _write(
+            write_json,
             {
                 "betti": {str(b): [d.nc, d.isolated_count] for b, d in catalog.items()},
                 "covers": [list(c) for c in diagram.covers],
@@ -154,7 +162,7 @@ def enumerate_family(options) -> int:
     if options.count_only:
         print(count)
     if options.json_path:
-        write_json({"count": count, "generators": emitted}, options.json_path)
+        _write(write_json, {"count": count, "generators": emitted}, options.json_path)
     return 0
 
 
@@ -179,7 +187,7 @@ def verify(options) -> int:
     else:
         print("no counterexamples")
     if options.json_path:
-        write_json(summary.to_json_dict(), options.json_path)
+        _write(write_json, summary.to_json_dict(), options.json_path)
     return 1 if summary.counterexamples else 0
 
 

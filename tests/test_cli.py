@@ -40,6 +40,7 @@ class TestVerifyExitCodes:
             ("--genus-max", "3", "--resume", "1.1", "--checks", "thm1"),
             ("--genus-max", "3", "--checks", "thm1,thm1"),
             ("--genus-max", "4", "--filter", "ci,ci", "--checks", "thm1"),
+            ("--genus-max", "3", "--checks", "thm1", "--json", "/dev/null/x.json"),
         ],
     )
     def test_usage_errors_exit_2(self, cli, args):
@@ -109,6 +110,12 @@ class TestAnalyze:
         result = cli("analyze", "1")
         assert result.exit_code == 0, result.output
         assert "symmetric: True" in result.output.splitlines()
+
+    def test_unwritable_export_exits_2(self, cli):
+        result = cli("analyze", "4,6,9", "--dot", "/dev/null/x.dot")
+        assert result.exit_code == 2, result.output
+        last = result.stderr.splitlines()[-1]
+        assert last == "nsg analyze: error: cannot write /dev/null/x.dot: Not a directory"
 
     @pytest.mark.parametrize("bound", ["0", "-3"])
     def test_bound_below_1_exits_2(self, cli, bound):
