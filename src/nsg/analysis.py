@@ -5,9 +5,11 @@ elements all read the same few objects: the exponent sequence, the
 denumerants, the Betti catalog and the exponent support. A
 :class:`SemigroupAnalysis` computes each of them on first use, by the
 module-level function that owns it, and keeps it, so every check, filter
-and report on one semigroup shares a single copy. One exponent sweep
-serves the sequence (its prefix) and the cyclotomic test of a symmetric
-semigroup. Each theorem check is its own method and reads only what it needs.
+and report on one semigroup shares a single copy. One exponent sweep, to
+the bound, serves the sequence and the cyclotomic test of a symmetric
+semigroup; only a prefix that leaves the test undecided is swept again, to
+the index bound of its degree. Each theorem check is its own method and
+reads only what it needs.
 
 An analysis holds its semigroup and nothing else across calls; callers
 create one per semigroup and drop it when done, so no cache outlives the
@@ -68,17 +70,9 @@ class SemigroupAnalysis:
         self.bound = bound
 
     @cached_property
-    def _sweep(self) -> ExponentSequence:
-        """To the bound and, if S is symmetric, on to N = _index_bound(F + 1)."""
-        S, bound = self.semigroup, self.bound
-        if S.is_symmetric():
-            bound = max(bound, _index_bound(S.frobenius + 1))
-        return exponent_sequence(S, bound)
-
-    @cached_property
     def sequence(self) -> ExponentSequence:
-        """e_1..e_bound, the prefix of the sweep."""
-        return ExponentSequence(self._sweep.entries[: self.bound], self.bound)
+        """e_1..e_bound, the one sweep every check and the cyclotomic test read."""
+        return exponent_sequence(self.semigroup, self.bound)
 
     @cached_property
     def denumerants(self) -> list[int]:
@@ -110,7 +104,10 @@ class SemigroupAnalysis:
         S = self.semigroup
         if not S.is_symmetric():  # a product of cyclotomic polynomials is self-reciprocal
             return None
-        factorization = read_cyclotomic_factors(S.polynomial(), self._sweep)
+        factorization = read_cyclotomic_factors(S.polynomial(), self.sequence)
+        if factorization is None:  # undecided on the prefix: a sweep to N decides
+            sweep = exponent_sequence(S, _index_bound(S.frobenius + 1))
+            factorization = read_cyclotomic_factors(S.polynomial(), sweep)
         return factorization.exponents if factorization.complete else None
 
     @property

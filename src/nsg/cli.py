@@ -31,7 +31,7 @@ from .verification import (
     run_verification,
     validate_checks,
 )
-from .witt import exponent_sequence
+from .witt import ExponentSequence, exponent_sequence
 
 
 class UsageError(Exception):
@@ -75,7 +75,11 @@ def analyze(options) -> int:
     S = _parse_semigroup(options.generators)
     analysis = SemigroupAnalysis(S)
     catalog = analysis.betti
-    sequence = analysis.sequence if bound is None else exponent_sequence(S, bound)
+    sequence = analysis.sequence
+    if bound is not None and bound <= sequence.bound:  # a prefix of the analysis' sweep
+        sequence = ExponentSequence(sequence.entries[:bound], bound)
+    elif bound is not None:
+        sequence = exponent_sequence(S, bound)
     flags = analysis.classification
     print(f"generators: {', '.join(map(str, S.generators))}")
     print(f"frobenius: {S.frobenius}   genus: {S.genus}   multiplicity: {S.multiplicity}")
@@ -173,6 +177,8 @@ def verify(options) -> int:
         check_names = validate_checks(name for name in options.checks.split(",") if name)
     except ValueError as exc:
         raise UsageError(f"--checks: {exc}") from exc
+    if options.json_path:  # fail before the walk: open it for append, writing nothing
+        _write(lambda _, path: open(path, "a").close(), None, options.json_path)
 
     def progress(done: int, token: str | None) -> None:
         print(f"checked {done}" + ("" if token is None else f" (token {token})"), file=sys.stderr)

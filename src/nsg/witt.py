@@ -10,10 +10,10 @@ directly following the uniqueness argument.
 
 Applied to the semigroup polynomial this yields the cyclotomic exponent
 sequence of a numerical semigroup. Whether that sequence has finite support
-is decided from the same sweep: a product of cyclotomic polynomials has
-exponents only at indices up to a bound fixed by its degree, so one sweep
-that far reads off the whole support, and the cyclotomic multiplicities are
-its sums over multiples.
+is read off a sweep of any length M >= deg: the cyclotomic multiplicities
+are its sums over multiples, and right signs and degree prove their product
+equal to the polynomial. Cyclotomic products have exponents only up to an
+index N fixed by the degree, so a sweep to N always decides.
 
 Exponents grow exponentially for non-cyclotomic semigroups (they track the
 inverse powers of the smallest root modulus), so every value here is an exact
@@ -152,7 +152,7 @@ def cyclotomic_polynomial(n: int) -> list[int]:
     return list(_cyclotomic(n))
 
 
-@lru_cache(maxsize=256)  # above the 85 polynomials a ci-frobenius benchmark run holds
+@lru_cache(maxsize=256)  # serves cyclotomic_polynomial only; the factor reading builds none
 def _cyclotomic(n: int) -> tuple[int, ...]:
     if n == 1:
         return (-1, 1)
@@ -189,34 +189,40 @@ def factor_into_cyclotomics(poly: Sequence[int]) -> CyclotomicFactorization:
 
 def read_cyclotomic_factors(
     poly: Sequence[int], sequence: ExponentSequence
-) -> CyclotomicFactorization:
-    """The cyclotomic factors of a polynomial, read off its exponents e_1..e_M.
+) -> CyclotomicFactorization | None:
+    """The cyclotomic factors of a polynomial f, read off its exponents e_1..e_M, M >= deg f.
 
-    If ``f = prod_n Phi_n^(h_n)``, each such n has phi(n) <= deg f, so n <= N =
-    :func:`_index_bound` (deg f); as ``Phi_n = prod_{j | n} (1 - x^j)^(mu(n/j))``,
-    every non-zero exponent e_j of f has j <= N too. So M >= N entries hold the
-    whole support, and ``h_n = sum_{n | m <= N} e_m`` inverts the map. The
-    result is complete only when every non-zero h_n is positive, their degrees
-    add up to deg f and their product is f exactly.
+    With ``h_n = sum_{n | m <= M} e_m``, the result is complete when h_1 = 0,
+    every non-zero h_n is positive and ``sum h_n * phi(n) = deg f``. Proof: as
+    ``Phi_n = prod_{j | n} (1 - x^j)^(mu(n/j))`` for n >= 2, Moebius inversion
+    on [1, M] gives ``g = prod_n Phi_n^(h_n)`` exactly the exponents e_1..e_M,
+    and none above M. So g = f mod x^(M+1), and as both have degree deg f <= M,
+    g = f. It is incomplete when that fails and M >= N = :func:`_index_bound`
+    (deg f), since each Phi_n of a cyclotomic f has phi(n) <= deg f, so n <= N,
+    and the whole support lies in [1, N]; or when some power sum of the inverse
+    roots, ``s(k) = sum_{j | k} j * e_j`` with k <= M, exceeds deg f in size,
+    which roots of unity cannot. Otherwise (only if M < N) it is undecided: None.
     """
     coeffs = intpoly.trim(_check_constant_term(poly))
     if abs(coeffs[-1]) != 1:
         raise ValueError("polynomial must be monic up to sign")
-    deg = len(coeffs) - 1
-    bound = _index_bound(deg)
-    if sequence.bound < bound:
-        raise BoundTooSmallError(f"{sequence.bound} exponents, {bound} needed at degree {deg}")
-    entries = (0,) + sequence.entries[:bound]  # 1-indexed
+    deg, bound = len(coeffs) - 1, sequence.bound
+    if bound < deg:
+        raise BoundTooSmallError(f"{bound} exponents, fewer than the degree {deg}")
+    entries = (0,) + sequence.entries  # 1-indexed
     factors = {n: h for n in range(2, bound + 1) if (h := sum(entries[n::n]))}
-    positive = all(h > 0 for h in factors.values())
-    if positive and deg == sum(h * euler_phi(n) for n, h in factors.items()):
-        product = intpoly.ONE
-        for n, h in factors.items():  # at most deg factors
-            for _ in range(h):
-                product = intpoly.mul(product, _cyclotomic(n))
-        if product == coeffs:
-            exponents = {j: e for j, e in enumerate(entries) if e}
-            return CyclotomicFactorization(factors, True, exponents)
+    h_1, positive = sum(entries), all(h > 0 for h in factors.values())
+    if positive and h_1 == 0 and deg == sum(h * euler_phi(n) for n, h in factors.items()):
+        return CyclotomicFactorization(factors, True, {j: e for j, e in enumerate(entries) if e})
+    if bound < _index_bound(deg):
+        sums = [0] * (bound + 1)  # s(k), complete once every divisor of k is added
+        for k, e in enumerate(sequence.entries, 1):
+            for multiple in range(k, bound + 1, k):
+                sums[multiple] += k * e
+            if abs(sums[k]) > deg:
+                break
+        else:
+            return None
     return CyclotomicFactorization({}, False, {})
 
 

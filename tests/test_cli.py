@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from nsg import NumericalSemigroup, exponent_sequence
+from nsg import cli as cli_module
+from nsg import witt as witt_module
 from nsg.cli import main
 from nsg.verification import CHECKS
 
@@ -46,6 +49,16 @@ class TestVerifyExitCodes:
     def test_usage_errors_exit_2(self, cli, args):
         result = cli("verify", *args)
         assert result.exit_code == 2, result.output
+
+    def test_unwritable_json_fails_before_the_walk(self, cli, monkeypatch):
+        def walk(*args, **kwargs):
+            raise AssertionError("walked before checking the export path")
+
+        monkeypatch.setattr(cli_module, "run_verification", walk)
+        result = cli("verify", "--genus-max", "30", "--checks", "thm1", "--json", "/dev/null/x.json")
+        assert result.exit_code == 2 and result.stdout == ""
+        last = result.stderr.splitlines()[-1]
+        assert last == "nsg verify: error: cannot write /dev/null/x.json: Not a directory"
 
     def test_conj_msg_holds_on_the_trivial_semigroup(self, cli):
         result = cli("verify", "--genus-max", "3", "--checks", "conj-msg")
@@ -116,6 +129,20 @@ class TestAnalyze:
         assert result.exit_code == 2, result.output
         last = result.stderr.splitlines()[-1]
         assert last == "nsg analyze: error: cannot write /dev/null/x.dot: Not a directory"
+
+    @pytest.mark.parametrize("bound, sweeps", [(20, [30]), (30, [30]), (40, [30, 40])])
+    def test_bound_within_the_default_reads_the_one_sweep(self, cli, monkeypatch, bound, sweeps):
+        # <4,6,9> has default bound 30; only a longer --bound sweeps again
+        plain = cli("analyze", "4,6,9").stdout.splitlines()
+        swept, sweep = [], witt_module.witt_expand_moebius
+        monkeypatch.setattr(
+            witt_module, "witt_expand_moebius", lambda poly, n: swept.append(n) or sweep(poly, n)
+        )
+        result = cli("analyze", "4,6,9", "--bound", str(bound))
+        assert result.exit_code == 0 and swept == sweeps
+        sequence = exponent_sequence(NumericalSemigroup(4, 6, 9), bound)
+        line = f"exponents ({bound} entries): {sequence.format()}"
+        assert result.stdout.splitlines() == plain[:-1] + [line]
 
     @pytest.mark.parametrize("bound", ["0", "-3"])
     def test_bound_below_1_exits_2(self, cli, bound):

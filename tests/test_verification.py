@@ -1,7 +1,6 @@
 import json
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -46,13 +45,13 @@ class TestFrozenExports:
 
 
 class TestSharedAnalysis:
-    def _count_calls(self, monkeypatch, name, module=analysis_module, key=lambda x: x):
-        """Record key(first argument) of each call of ``module.name``."""
+    def _count_calls(self, monkeypatch, name, module=analysis_module, key=lambda x, *_: x):
+        """Record key(arguments) of each call of ``module.name``."""
         calls = []
         original = getattr(module, name)
 
         def counted(first, *args):
-            calls.append(key(first))
+            calls.append(key(first, *args))
             return original(first, *args)
 
         monkeypatch.setattr(module, name, counted)
@@ -63,8 +62,12 @@ class TestSharedAnalysis:
             name: self._count_calls(monkeypatch, name)
             for name in ("exponent_sequence", "betti_elements")
         }
-        factor_reads = self._count_calls(monkeypatch, "read_cyclotomic_factors", key=tuple)
-        sweeps = self._count_calls(monkeypatch, "witt_expand_moebius", witt_module, key=tuple)
+        factor_reads = self._count_calls(
+            monkeypatch, "read_cyclotomic_factors", key=lambda poly, _: tuple(poly)
+        )
+        sweeps = self._count_calls(
+            monkeypatch, "witt_expand_moebius", witt_module, key=lambda poly, n: (tuple(poly), n)
+        )
         summary = run_verification(EnumerationJob("by-genus", 6), tuple(CHECKS))
         assert summary.total == 50
         family = [S for S, _ in walk_genus_tree(6)]
@@ -72,8 +75,9 @@ class TestSharedAnalysis:
         # the factors of a symmetric semigroup are read off that same sweep
         symmetric = [tuple(S.polynomial()) for S in family if S.is_symmetric()]
         assert factor_reads == symmetric and len(symmetric) == 17
-        # so no polynomial is swept twice
-        assert len(sweeps) == 50 and set(Counter(sweeps).values()) == {1}
+        # which runs to the default bound, once per semigroup: no prefix is
+        # left undecided, so none is swept on to the index bound
+        assert sweeps == [(tuple(S.polynomial()), S.default_bound) for S in family]
 
     def test_thm1_alone_builds_no_betti_catalog(self, catalog_builds):
         summary = run_verification(EnumerationJob("by-genus", 8), ("thm1",))

@@ -20,7 +20,9 @@ from nsg import (
     power_sums,
     witt_expand_moebius,
 )
-from nsg import CyclotomicFactorization, ExponentSequence, intpoly
+from nsg import CyclotomicFactorization, ExponentSequence, SemigroupAnalysis, intpoly
+from nsg import analysis as analysis_module
+from nsg import witt as witt_module
 from nsg.arith import divisors, euler_phi, mobius
 from nsg.errors import BoundTooSmallError
 from nsg.witt import _check_constant_term, _index_bound, read_cyclotomic_factors
@@ -131,9 +133,14 @@ def exponents_of_cyclotomic_product(factors):
 
 
 def assert_matches_oracles(poly):
-    """Factors, completeness and exponents of the one route against both oracles."""
+    """Factors, completeness and exponents of the one route against both oracles.
+
+    A reading of the shortest sweep, to the degree, agrees unless undecided.
+    """
     result = factor_into_cyclotomics(poly)
     factors, complete = trial_division_factors(poly)
+    shortest = witt_expand_moebius(poly, degree(poly))
+    assert read_cyclotomic_factors(poly, shortest) in (None, result)
     assert result.complete == complete
     if complete:
         assert result.factors == factors
@@ -144,8 +151,13 @@ def assert_matches_oracles(poly):
 
 
 def assert_semigroup_matches_oracles(S):
-    """The oracles on the semigroup polynomial; the exponents extend the sequence."""
+    """The oracles on the semigroup polynomial and on the analysis' reading of its prefix.
+
+    The exponents also extend the sequence.
+    """
     result = assert_matches_oracles(S.polynomial())
+    full = SemigroupAnalysis(S).full_exponents
+    assert full == (result.exponents if result.complete else None), S.generators
     if result.complete:
         sequence = exponent_sequence(S)
         assert list(sequence) == [
@@ -323,11 +335,46 @@ class TestCyclotomicFactorization:
             longer = witt_expand_moebius(poly, _index_bound(len(poly) - 1) + 25)
             assert read_cyclotomic_factors(poly, longer) == factor_into_cyclotomics(poly)
 
-    def test_short_sweep_rejected(self, s469):
+    def test_sweep_below_the_degree_rejected(self, s469):
         poly = s469.polynomial()
-        short = witt_expand_moebius(poly, _index_bound(len(poly) - 1) - 1)
+        short = witt_expand_moebius(poly, len(poly) - 2)
         with pytest.raises(BoundTooSmallError):
             read_cyclotomic_factors(poly, short)
+
+    def test_certified_at_the_default_bound(self, s469):
+        poly = s469.polynomial()
+        assert s469.default_bound < _index_bound(len(poly) - 1)
+        prefix = witt_expand_moebius(poly, s469.default_bound)
+        assert read_cyclotomic_factors(poly, prefix) == factor_into_cyclotomics(poly)
+
+    def test_refuted_at_the_default_bound(self):
+        # symmetric, not a complete intersection: a power sum outgrows the degree
+        S = NumericalSemigroup(5, 6, 7, 8)
+        poly = S.polynomial()
+        assert S.is_symmetric() and S.default_bound < _index_bound(len(poly) - 1)
+        prefix = witt_expand_moebius(poly, S.default_bound)
+        assert read_cyclotomic_factors(poly, prefix) == CyclotomicFactorization({}, False, {})
+
+    def test_refuted_at_the_first_power_sum_past_the_degree(self):
+        # 1 + x - x^2 at M = 2: s(2) = 3 = deg + 1. Its sums over multiples,
+        # h_2 = 2 = deg, pass the degree test alone; h_1 = 1 fails them
+        poly = [1, 1, -1]
+        prefix = witt_expand_moebius(poly, 2)
+        assert read_cyclotomic_factors(poly, prefix) == CyclotomicFactorization({}, False, {})
+
+    @pytest.mark.parametrize("indices", [(210,), (210, 330)])
+    def test_undecided_below_the_largest_index(self, indices):
+        # e_n = 1 at the largest index n, and roots of unity keep every power
+        # sum within the degree, so no shorter sweep certifies or refutes
+        poly = [1]
+        for n in indices:
+            poly = intpoly.mul(poly, cyclotomic_polynomial(n))
+        deg, top = len(poly) - 1, max(indices)
+        for bound in {deg, max(deg, 100), top - 1}:
+            assert read_cyclotomic_factors(poly, witt_expand_moebius(poly, bound)) is None
+        for bound in (top, _index_bound(deg)):
+            result = read_cyclotomic_factors(poly, witt_expand_moebius(poly, bound))
+            assert result.complete and result == factor_into_cyclotomics(poly)
 
     def test_factor_support_matches_sequence(self, glued):
         assert assert_semigroup_matches_oracles(glued).complete
@@ -380,6 +427,31 @@ class TestCyclotomicFactorization:
         if middle is None:
             assert result.complete
             assert result.factors == {n: indices.count(n) for n in sorted(set(indices))}
+
+
+class TestAnalysisFallback:
+    """An undecided prefix costs the analysis exactly one more sweep, to N."""
+
+    @pytest.mark.parametrize("generators", [(4, 6, 9), (5, 6, 7, 8), (8, 12, 18, 25)])
+    def test_one_more_sweep_to_the_index_bound(self, monkeypatch, generators):
+        S = NumericalSemigroup(*generators)
+        reads, sweeps = [], []
+        read, sweep = read_cyclotomic_factors, witt_expand_moebius
+
+        def first_read_undecided(poly, sequence):
+            reads.append(sequence.bound)
+            return None if len(reads) == 1 else read(poly, sequence)
+
+        def counted_sweep(poly, bound):
+            sweeps.append(bound)
+            return sweep(poly, bound)
+
+        monkeypatch.setattr(analysis_module, "read_cyclotomic_factors", first_read_undecided)
+        monkeypatch.setattr(witt_module, "witt_expand_moebius", counted_sweep)
+        full = SemigroupAnalysis(S).full_exponents
+        assert sweeps == reads == [S.default_bound, _index_bound(S.frobenius + 1)]
+        factors, complete = trial_division_factors(S.polynomial())
+        assert full == (exponents_of_cyclotomic_product(factors) if complete else None)
 
 
 class TestIndexBound:
