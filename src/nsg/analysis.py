@@ -4,12 +4,12 @@ The statements at gaps, at unique-factorization elements and at Betti
 elements all read the same few objects: the exponent sequence, the
 denumerants, the Betti catalog and the exponent support. A
 :class:`SemigroupAnalysis` computes each of them on first use, by the
-module-level function that owns it, and keeps it, so every check, filter
-and report on one semigroup shares a single copy. One exponent sweep, to
-the bound, serves the sequence and the cyclotomic test of a symmetric
-semigroup; only a prefix that leaves the test undecided is swept again, to
-the index bound of its degree. Each theorem check is its own method and
-reads only what it needs.
+module-level function or the sweep that owns it, and keeps it, so every
+check, filter and report on one semigroup shares a single copy. One
+:class:`~nsg.witt.ExponentSweep` serves the sequence and the cyclotomic
+test, each extending it only as far as it reads, so no entry is swept twice
+whichever comes first. Each theorem check is its own method and reads only
+what it needs.
 
 An analysis holds its semigroup and nothing else across calls; callers
 create one per semigroup and drop it when done, so no cache outlives the
@@ -34,7 +34,7 @@ from .bettiposet import (
 from .errors import BoundTooSmallError
 from .factorization import BettiData, betti_elements, denumerant_series
 from .semigroup import NumericalSemigroup
-from .witt import ExponentSequence, _index_bound, exponent_sequence, read_cyclotomic_factors
+from .witt import ExponentSequence, ExponentSweep
 
 
 def _theorem_check(check_id: str, statement: str):
@@ -56,7 +56,9 @@ class SemigroupAnalysis:
     """Lazily cached invariants of one semigroup at one truncation bound.
 
     ``bound`` defaults to ``S.default_bound``, which covers every Betti
-    element; a smaller bound raises :class:`BoundTooSmallError`.
+    element; a smaller bound raises :class:`BoundTooSmallError`. :attr:`sequence`,
+    :attr:`full_exponents` and ``nsg analyze --bound`` each extend the one
+    ``sweep`` only as far as they read.
     """
 
     def __init__(self, S: NumericalSemigroup, bound: int | None = None):
@@ -70,9 +72,13 @@ class SemigroupAnalysis:
         self.bound = bound
 
     @cached_property
+    def sweep(self) -> ExponentSweep:
+        return ExponentSweep(self.semigroup.polynomial())
+
+    @cached_property
     def sequence(self) -> ExponentSequence:
-        """e_1..e_bound, the one sweep every check and the cyclotomic test read."""
-        return exponent_sequence(self.semigroup, self.bound)
+        """e_1..e_bound, the prefix of the sweep every check reads."""
+        return self.sweep.prefix(self.bound)
 
     @cached_property
     def denumerants(self) -> list[int]:
@@ -101,13 +107,9 @@ class SemigroupAnalysis:
     @cached_property
     def full_exponents(self) -> dict[int, int] | None:
         """The whole (finite) exponent support when the polynomial is cyclotomic, else None."""
-        S = self.semigroup
-        if not S.is_symmetric():  # a product of cyclotomic polynomials is self-reciprocal
+        if not self.semigroup.is_symmetric():  # a cyclotomic product is self-reciprocal
             return None
-        factorization = read_cyclotomic_factors(S.polynomial(), self.sequence)
-        if factorization is None:  # undecided on the prefix: a sweep to N decides
-            sweep = exponent_sequence(S, _index_bound(S.frobenius + 1))
-            factorization = read_cyclotomic_factors(S.polynomial(), sweep)
+        factorization = self.sweep.cyclotomic_factors()
         return factorization.exponents if factorization.complete else None
 
     @property

@@ -1,4 +1,4 @@
-"""Small number-theoretic helpers: divisors, Euler phi, Moebius mu.
+"""Small number-theoretic helpers: prime factors, divisors, Moebius mu.
 
 All three are backed by a shared smallest-prime-factor sieve that grows on
 demand, so repeated queries stay cheap.
@@ -51,13 +51,6 @@ def mobius(n: int) -> int:
     if any(e > 1 for e in factors.values()):
         return 0
     return -1 if len(factors) % 2 else 1
-
-
-def euler_phi(n: int) -> int:
-    result = n
-    for p in prime_factors(n):
-        result -= result // p
-    return result
 
 
 def divisors(n: int) -> list[int]:

@@ -31,7 +31,7 @@ from .verification import (
     run_verification,
     validate_checks,
 )
-from .witt import ExponentSequence, exponent_sequence
+from .witt import exponent_sequence
 
 
 class UsageError(Exception):
@@ -75,11 +75,7 @@ def analyze(options) -> int:
     S = _parse_semigroup(options.generators)
     analysis = SemigroupAnalysis(S)
     catalog = analysis.betti
-    sequence = analysis.sequence
-    if bound is not None and bound <= sequence.bound:  # a prefix of the analysis' sweep
-        sequence = ExponentSequence(sequence.entries[:bound], bound)
-    elif bound is not None:
-        sequence = exponent_sequence(S, bound)
+    sequence = analysis.sequence if bound is None else analysis.sweep.prefix(bound)
     flags = analysis.classification
     print(f"generators: {', '.join(map(str, S.generators))}")
     print(f"frobenius: {S.frobenius}   genus: {S.genus}   multiplicity: {S.multiplicity}")

@@ -11,9 +11,12 @@ s - n_i - n_j in S. The number of R-classes nc(s) is the number of connected
 components of ∇_s (Rosales & García-Sánchez, *Numerical Semigroups*,
 Springer 2009, ch. 7). The support of a factorization is a clique of ∇_s, so
 each R-class is the set of factorizations supported in one component.
-One graph search (:func:`_components`) finds the components, and both
+One graph search (:func:`_components`) finds the components, reading
+membership off one padded copy of the membership table, and both
 :func:`betti_elements` and :func:`factorization_graph` read their classes
-from it; the tests hold it to the definition above.
+from it; the tests hold it to the definition above. The catalog searches
+only the elements w + n_i, w in the Apéry set of the multiplicity, which
+hold every Betti element (the proof is in :func:`betti_elements`).
 
 Betti search bound: every s > frobenius + 2*max(A) has a connected graph.
 This is the same fact: for any two vertices n_i, n_j of ∇_s,
@@ -117,21 +120,28 @@ def _shares_support(x: Vector, y: Vector) -> bool:
     return any(a and b for a, b in zip(x, y))
 
 
-def _components(S: NumericalSemigroup, s: int) -> list[list[int]]:
+def _padded_table(S: NumericalSemigroup, bound: int) -> list[bool]:
+    """Membership of 0..bound, one list lookup each."""
+    table = S.membership_table
+    return table[: bound + 1] + [True] * (bound + 1 - len(table))
+
+
+def _components(generators, member: list[bool], s: int) -> list[list[int]]:
     """The connected components of ∇_s as ascending lists of generators.
 
     A breadth-first search over the vertices n_i with s - n_i in S, joining
-    n_i and n_j when s - n_i - n_j in S. Components come ordered by their
-    smallest generator; s not in S (and s = 0) gives none.
+    n_i and n_j when s - n_i - n_j in S, read off ``member`` (membership of
+    0..s). Components come ordered by their smallest generator; s not in S
+    (and s = 0) gives none.
     """
-    unseen = [g for g in S.generators if s - g in S]
+    unseen = [g for g in generators if g <= s and member[s - g]]
     components = []
     while unseen:
         component = [unseen.pop(0)]
         for g in component:  # the list grows while it is read
             rest, left = s - g, []
             for h in unseen:
-                (component if rest - h in S else left).append(h)
+                (component if h <= rest and member[rest - h] else left).append(h)
             unseen = left
         components.append(sorted(component))
     return components
@@ -152,7 +162,8 @@ def factorization_graph(S: NumericalSemigroup, s: int) -> FactorizationGraph:
     if s not in S:
         raise NotAMemberError(f"{s} is not in the semigroup")
     vertices = tuple(factorizations(S, s))
-    component_of = {g: c for c, part in enumerate(_components(S, s)) for g in part}
+    components = _components(S.generators, _padded_table(S, s), s)
+    component_of = {g: c for c, part in enumerate(components) for g in part}
     classes: dict[int, list[int]] = {}
     for index, vector in enumerate(vertices):
         support = next((g for g, e in zip(S.generators, vector) if e), None)
@@ -181,25 +192,27 @@ def betti_search_bound(S: NumericalSemigroup) -> int:
 def betti_elements(S: NumericalSemigroup) -> dict[int, BettiData]:
     """All Betti elements with their class structure, keyed ascending.
 
-    Scans members with at least two factorizations up to the search bound;
-    candidates start at twice the multiplicity since every factorization of a
-    non-generator splits into at least two parts. Each candidate's classes
-    are the components of ∇_s found by :func:`_components`, so no
-    factorization is listed. A component C holds an isolated factorization
-    when its restricted denumerant (the factorizations of s over C alone) is 1.
+    The candidates are w + n_i for w in Ap(S, m), m = n_1 the multiplicity,
+    and i >= 2, up to the search bound; every Betti element s is one. If m
+    is not a vertex of ∇_s, then s - m is not in S, so neither is
+    s - n_j - m for any vertex n_j. Otherwise ∇_s has a second component,
+    and its vertices n_j are not adjacent to m: s - n_j - m is not in S.
+    Either way s - n_j lies in Ap(S, m). Each candidate's classes are the
+    components of ∇_s found by :func:`_components`, so no factorization is
+    listed. A component C holds an isolated factorization when its
+    restricted denumerant (the factorizations of s over C alone) is 1. A
+    singleton {n_i} always does: a factorization of s using n_i lies in
+    n_i's component, so s = k * n_i, with one factorization over {n_i}.
     """
     catalog: dict[int, BettiData] = {}
-    bound = betti_search_bound(S)
-    counts = denumerant_series(S, bound)
-    for s in range(2 * S.multiplicity, bound + 1):
-        if counts[s] < 2:
-            continue
-        components = _components(S, s)
+    bound, gens = betti_search_bound(S), S.generators
+    member = _padded_table(S, bound)
+    apery = S.apery_set(S.multiplicity)[1:]  # w = 0 gives the generators
+    for s in sorted({w + g for w in apery for g in gens[1:] if w + g <= bound}):
+        components = _components(gens, member, s)
         if len(components) >= 2:
-            catalog[s] = BettiData(
-                nc=len(components),
-                isolated_count=sum(1 for part in components if _ways(part, s)[s] == 1),
-            )
+            isolated = sum(len(part) == 1 or _ways(part, s)[s] == 1 for part in components)
+            catalog[s] = BettiData(nc=len(components), isolated_count=isolated)
     return catalog
 
 

@@ -2,18 +2,20 @@
 
 Any integer power series f with constant term 1 factors uniquely as
 ``f = prod_k (1 - x^k)^(e_k)`` with integer exponents e_k. For a polynomial
-:func:`witt_expand_moebius` computes them: it runs the Newton recursion for
+an :class:`ExponentSweep` computes them: it runs the Newton recursion for
 the power sums of the inverse roots and Moebius-inverts them in one
-divisor-sum sweep. That is the one route here; the tests hold it to an
-independent oracle that eliminates one factor (1 - x^m) per degree,
-directly following the uniqueness argument.
+divisor-sum sweep, which extends on demand and never recomputes an entry.
+That is the one route here; the tests hold it to an independent oracle that
+eliminates one factor (1 - x^m) per degree, directly following the
+uniqueness argument.
 
 Applied to the semigroup polynomial this yields the cyclotomic exponent
 sequence of a numerical semigroup. Whether that sequence has finite support
-is read off a sweep of any length M >= deg: the cyclotomic multiplicities
-are its sums over multiples, and right signs and degree prove their product
-equal to the polynomial. Cyclotomic products have exponents only up to an
-index N fixed by the degree, so a sweep to N always decides.
+is settled as the sweep goes: from the degree on, the cyclotomic
+multiplicities are its sums over multiples, and right signs and degree
+prove their product equal to the polynomial; a power sum larger than the
+degree refutes it. Cyclotomic products have exponents only up to an index N
+fixed by the degree, so the sweep stops by N at the latest.
 
 Exponents grow exponentially for non-cyclotomic semigroups (they track the
 inverse powers of the smallest root modulus), so every value here is an exact
@@ -29,8 +31,8 @@ from math import prod
 from typing import NamedTuple, Sequence
 
 from . import intpoly
-from .arith import divisors, euler_phi
-from .errors import BadConstantTermError, BoundTooSmallError, IntegralityError
+from .arith import divisors
+from .errors import BadConstantTermError, IntegralityError
 from .records import FrozenRecord
 from .semigroup import NumericalSemigroup
 
@@ -88,50 +90,104 @@ def _check_constant_term(coeffs: Sequence[int]) -> list[int]:
     return coeffs
 
 
-def power_sums(poly: Sequence[int], count: int) -> list[int]:
-    """Sums of the k-th powers of the inverse roots, k = 1..count.
+class ExponentSweep:
+    """The exponents e_1, e_2, ... of one polynomial f, f(0) = 1, swept as far as asked.
 
-    For ``f = 1 + a_1 x + ... + a_d x^d`` the values satisfy the Newton
-    recursion ``s(k) + a_1 s(k-1) + ... + a_{k-1} s(1) + k a_k = 0`` and, past
-    the degree, the linear recurrence with coefficients -a_1..-a_d. The
-    recursion runs over the non-zero a_i only, so its cost per term is the
-    number of terms of f, not its degree: semigroup polynomials are sparse,
-    and the cyclotomic test runs it well past the degree.
+    It keeps the power sums s(k) of the inverse roots and the divisor sums
+    partly inverted past the sweep, so it extends on demand and computes no
+    entry twice. The power sums follow the Newton recursion
+    ``s(k) + a_1 s(k-1) + ... + k a_k = 0`` (past the degree, the linear
+    recurrence) over the non-zero a_i only: semigroup polynomials are sparse.
+    As ``s(n) = sum_{k | n} k * e_k``, the value left at k is k * e_k, and it
+    is subtracted from every later multiple of k; the division is checked.
     """
-    coeffs = intpoly.trim(_check_constant_term(poly))
-    d = len(coeffs) - 1
-    terms = [(i, a) for i, a in enumerate(coeffs) if i and a]
-    sums = [0]  # 1-indexed
-    for k in range(1, count + 1):
-        acc = k * coeffs[k] if k <= d else 0
-        for i, a in terms:
-            if i >= k:
+
+    def __init__(self, poly: Sequence[int]):
+        self.coeffs = intpoly.trim(_check_constant_term(poly))
+        self.degree = len(self.coeffs) - 1
+        self._terms = [(i, a) for i, a in enumerate(self.coeffs) if i and a]
+        self.sums, self.entries = [0], [0]  # s(k) and e_k at index k
+        self._pending = [0]  # minus k * e_k of the swept proper divisors k of each index
+
+    def extend(self, bound: int) -> None:
+        """Sweep on to e_bound, keeping every entry already swept."""
+        sums, entries, pending = self.sums, self.entries, self._pending
+        if bound >= len(pending):  # room past the sweep: at least double
+            start, size = len(pending), max(bound + 1, 2 * len(pending))
+            pending.extend([0] * (size - start))
+            for k, e in enumerate(entries):
+                if e:
+                    for multiple in range(-(-start // k) * k, size, k):
+                        pending[multiple] -= k * e
+        coeffs, d, terms = self.coeffs, self.degree, self._terms
+        for k in range(len(entries), bound + 1):
+            acc = k * coeffs[k] if k <= d else 0
+            for i, a in terms:
+                if i >= k:
+                    break
+                acc += a * sums[k - i]
+            sums.append(-acc)
+            total = pending[k] - acc
+            if total % k != 0:
+                raise IntegralityError(f"exponent sum {total} not divisible by {k}")
+            entries.append(total // k)
+            if total:
+                for multiple in range(2 * k, len(pending), k):
+                    pending[multiple] -= total
+
+    def prefix(self, bound: int) -> ExponentSequence:
+        """e_1..e_bound."""
+        self.extend(bound)
+        return ExponentSequence(tuple(self.entries[1 : bound + 1]), bound)
+
+    def cyclotomic_factors(self) -> CyclotomicFactorization:
+        """The cyclotomic factors of f, swept one entry at a time until they are settled.
+
+        With ``h_n = sum_{n | m <= k} e_m``, e_1..e_k prove f cyclotomic when
+        k >= deg f, h_1 = 0, every non-zero h_n is positive and
+        ``sum h_n * phi(n) = deg f``: as ``Phi_n = prod_{j | n} (1 -
+        x^j)^(mu(n/j))``, ``g = prod_n Phi_n^(h_n)`` has exactly the exponents
+        e_1..e_k and none above k, so g = f mod x^(k+1), and both have degree
+        deg f <= k. As ``sum_{n | m} phi(n) = m``, the degree sum is
+        ``sum_{m <= k} m * e_m``; with h_1 it costs O(1) per entry, and the h_n
+        are summed only where h_1 = 0 and it is deg f. A power sum ``|s(k)| > deg f``
+        refutes, as roots of unity cannot give it. So does k = N =
+        :func:`_index_bound` (deg f) uncertified: each Phi_n of a cyclotomic f
+        has phi(n) <= deg f, so n <= N.
+        """
+        if abs(self.coeffs[-1]) != 1:
+            raise ValueError("polynomial must be monic up to sign")
+        deg, top = self.degree, _index_bound(self.degree)
+        sums, entries = self.sums, self.entries
+        k = h_1 = weight = 0
+        while True:
+            if k >= deg and h_1 == 0 and weight == deg:
+                factors = {n: h for n in range(2, k + 1) if (h := sum(entries[n : k + 1 : n]))}
+                if all(h > 0 for h in factors.values()):
+                    exponents = {j: e for j, e in enumerate(entries[: k + 1]) if e}
+                    return CyclotomicFactorization(factors, True, exponents)
+            if k == top:
                 break
-            acc += a * sums[k - i]
-        sums.append(-acc)
-    return sums[1:]
+            k += 1
+            if k == len(entries):
+                self.extend(k)
+            if abs(sums[k]) > deg:
+                break
+            h_1 += entries[k]
+            weight += k * entries[k]
+        return CyclotomicFactorization({}, False, {})
+
+
+def power_sums(poly: Sequence[int], count: int) -> list[int]:
+    """Sums of the k-th powers of the inverse roots, k = 1..count, as a sweep keeps them."""
+    sweep = ExponentSweep(poly)
+    sweep.extend(count)
+    return sweep.sums[1:]
 
 
 def witt_expand_moebius(poly: Sequence[int], bound: int) -> ExponentSequence:
-    """Exponents of a polynomial via Moebius inversion of its power sums.
-
-    Taking logarithmic derivatives of ``f = prod_k (1 - x^k)^(e_k)`` gives
-    the divisor-sum identity ``s_f(n) = sum_{k | n} k * e_k``. One sweep
-    inverts it in place: for k = 1, 2, ... the value left at k is k * e_k,
-    and it is subtracted from every proper multiple of k. The division by k
-    is exact by construction and checked.
-    """
-    sums = [0] + power_sums(poly, bound)  # 1-indexed
-    entries = []
-    for k in range(1, bound + 1):
-        total = sums[k]
-        if total % k != 0:
-            raise IntegralityError(f"exponent sum {total} not divisible by {k}")
-        entries.append(total // k)
-        if total:
-            for multiple in range(2 * k, bound + 1, k):
-                sums[multiple] -= total
-    return ExponentSequence(tuple(entries), bound)
+    """Exponents e_1..e_bound of a polynomial via Moebius inversion of its power sums."""
+    return ExponentSweep(poly).prefix(bound)
 
 
 def exponent_sequence(S: NumericalSemigroup, bound: int | None = None) -> ExponentSequence:
@@ -181,49 +237,8 @@ def _index_bound(deg: int) -> int:
 
 
 def factor_into_cyclotomics(poly: Sequence[int]) -> CyclotomicFactorization:
-    """The cyclotomic factors of f, f(0) = 1, read off a sweep to :func:`_index_bound` (deg f)."""
-    coeffs = intpoly.trim(_check_constant_term(poly))
-    sequence = witt_expand_moebius(coeffs, _index_bound(len(coeffs) - 1))
-    return read_cyclotomic_factors(coeffs, sequence)
-
-
-def read_cyclotomic_factors(
-    poly: Sequence[int], sequence: ExponentSequence
-) -> CyclotomicFactorization | None:
-    """The cyclotomic factors of a polynomial f, read off its exponents e_1..e_M, M >= deg f.
-
-    With ``h_n = sum_{n | m <= M} e_m``, the result is complete when h_1 = 0,
-    every non-zero h_n is positive and ``sum h_n * phi(n) = deg f``. Proof: as
-    ``Phi_n = prod_{j | n} (1 - x^j)^(mu(n/j))`` for n >= 2, Moebius inversion
-    on [1, M] gives ``g = prod_n Phi_n^(h_n)`` exactly the exponents e_1..e_M,
-    and none above M. So g = f mod x^(M+1), and as both have degree deg f <= M,
-    g = f. It is incomplete when that fails and M >= N = :func:`_index_bound`
-    (deg f), since each Phi_n of a cyclotomic f has phi(n) <= deg f, so n <= N,
-    and the whole support lies in [1, N]; or when some power sum of the inverse
-    roots, ``s(k) = sum_{j | k} j * e_j`` with k <= M, exceeds deg f in size,
-    which roots of unity cannot. Otherwise (only if M < N) it is undecided: None.
-    """
-    coeffs = intpoly.trim(_check_constant_term(poly))
-    if abs(coeffs[-1]) != 1:
-        raise ValueError("polynomial must be monic up to sign")
-    deg, bound = len(coeffs) - 1, sequence.bound
-    if bound < deg:
-        raise BoundTooSmallError(f"{bound} exponents, fewer than the degree {deg}")
-    entries = (0,) + sequence.entries  # 1-indexed
-    factors = {n: h for n in range(2, bound + 1) if (h := sum(entries[n::n]))}
-    h_1, positive = sum(entries), all(h > 0 for h in factors.values())
-    if positive and h_1 == 0 and deg == sum(h * euler_phi(n) for n, h in factors.items()):
-        return CyclotomicFactorization(factors, True, {j: e for j, e in enumerate(entries) if e})
-    if bound < _index_bound(deg):
-        sums = [0] * (bound + 1)  # s(k), complete once every divisor of k is added
-        for k, e in enumerate(sequence.entries, 1):
-            for multiple in range(k, bound + 1, k):
-                sums[multiple] += k * e
-            if abs(sums[k]) > deg:
-                break
-        else:
-            return None
-    return CyclotomicFactorization({}, False, {})
+    """The cyclotomic factors of f, f(0) = 1; see :meth:`ExponentSweep.cyclotomic_factors`."""
+    return ExponentSweep(poly).cyclotomic_factors()
 
 
 def cyclotomic_factorization(S: NumericalSemigroup) -> CyclotomicFactorization | None:

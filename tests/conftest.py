@@ -1,12 +1,13 @@
 import os
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import NamedTuple
 
 import pytest
 
 from nsg import NumericalSemigroup
 from nsg import factorization as factorization_module
+from nsg import witt as witt_module
 from nsg.cli import main
 
 
@@ -75,6 +76,36 @@ def catalog_builds(monkeypatch):
 def graph_builds(monkeypatch):
     """(generators, element) -> number of ``factorization_graph`` calls."""
     return _count_builds(monkeypatch, "factorization_graph", lambda S, s: (S.generators, s))
+
+
+class SweepLog(defaultdict):
+    """Polynomial -> the (first, last) index range of each exponent-sweep extension, in order."""
+
+    def __init__(self):
+        super().__init__(list)
+
+    def reach(self, poly) -> int:
+        """How far ``poly`` was swept; its ranges must chain on from 1, each entry once."""
+        ranges, reach = self[tuple(poly)], 0
+        for first, last in ranges:
+            assert first == reach + 1, ranges
+            reach = last
+        return reach
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """A :class:`SweepLog` of every ``ExponentSweep.extend`` call that computes entries."""
+    log = SweepLog()
+    extend = witt_module.ExponentSweep.extend
+
+    def counted(sweep, bound):
+        if bound >= len(sweep.entries):
+            log[tuple(sweep.coeffs)].append((len(sweep.entries), bound))
+        return extend(sweep, bound)
+
+    monkeypatch.setattr(witt_module.ExponentSweep, "extend", counted)
+    return log
 
 
 class CliResult(NamedTuple):

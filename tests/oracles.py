@@ -7,12 +7,21 @@ a ``list[int]`` indexed by degree, as in :mod:`nsg.intpoly`; a series prefix
 has the fixed length ``bound + 1``.
 """
 
+from nsg.arith import prime_factors
 from nsg.intpoly import trim
 
 
 def degree(poly: list[int]) -> int:
     """Degree of a polynomial; the zero polynomial has degree -1."""
     return len(trim(poly)) - 1
+
+
+def euler_phi(n: int) -> int:
+    """Euler's phi, ``n * prod (1 - 1/p)`` over the primes p | n."""
+    result = n
+    for p in prime_factors(n):
+        result -= result // p
+    return result
 
 
 def evaluate(poly: list[int], x: int) -> int:

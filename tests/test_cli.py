@@ -8,7 +8,6 @@ import pytest
 
 from nsg import NumericalSemigroup, exponent_sequence
 from nsg import cli as cli_module
-from nsg import witt as witt_module
 from nsg.cli import main
 from nsg.verification import CHECKS
 
@@ -130,17 +129,16 @@ class TestAnalyze:
         last = result.stderr.splitlines()[-1]
         assert last == "nsg analyze: error: cannot write /dev/null/x.dot: Not a directory"
 
-    @pytest.mark.parametrize("bound, sweeps", [(20, [30]), (30, [30]), (40, [30, 40])])
-    def test_bound_within_the_default_reads_the_one_sweep(self, cli, monkeypatch, bound, sweeps):
-        # <4,6,9> has default bound 30; only a longer --bound sweeps again
+    @pytest.mark.parametrize("bound, sweeps", [(20, [(1, 20)]), (30, [(1, 30)]), (40, [(1, 40)])])
+    def test_bound_within_the_default_reads_the_one_sweep(self, cli, swept, bound, sweeps):
+        # <4,6,9> has default bound 30, and its factors settle at 18: any
+        # --bound extends the analysis' one sweep, which no other read passes
         plain = cli("analyze", "4,6,9").stdout.splitlines()
-        swept, sweep = [], witt_module.witt_expand_moebius
-        monkeypatch.setattr(
-            witt_module, "witt_expand_moebius", lambda poly, n: swept.append(n) or sweep(poly, n)
-        )
+        S = NumericalSemigroup(4, 6, 9)
+        swept.clear()
         result = cli("analyze", "4,6,9", "--bound", str(bound))
-        assert result.exit_code == 0 and swept == sweeps
-        sequence = exponent_sequence(NumericalSemigroup(4, 6, 9), bound)
+        assert result.exit_code == 0 and swept[tuple(S.polynomial())] == sweeps
+        sequence = exponent_sequence(S, bound)
         line = f"exponents ({bound} entries): {sequence.format()}"
         assert result.stdout.splitlines() == plain[:-1] + [line]
 

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nsg import (
     NotAMemberError,
+    ci_with_frobenius,
     NotIsolatedBettiError,
     NumericalSemigroup,
     betti_elements,
@@ -21,6 +22,7 @@ from nsg import (
     restricted_factorizations,
 )
 from nsg.bettiposet import OrderedSubset
+from nsg.factorization import _components, _padded_table
 
 from oracles import mul_one_minus_xk_pow
 
@@ -171,11 +173,45 @@ class TestCatalogMatchesGraphs:
             for S in enumerate_by_frobenius(frobenius):
                 assert_matches_definition(S)
 
+    @pytest.mark.parametrize(
+        "frobenius", [range(1, 42, 2), pytest.param(range(81, 82), marks=pytest.mark.stretch)],
+        ids=["up-to-41", "81"],
+    )
+    def test_glued_complete_intersections(self, frobenius):
+        for F in frobenius:
+            for S in ci_with_frobenius(F):
+                assert_matches_definition(S)
+
     @settings(deadline=None)
     @given(st.lists(st.integers(1, 40), min_size=1, max_size=6))
     def test_random_generating_sets(self, values):
         assume(gcd(*values) == 1)
         assert_matches_definition(NumericalSemigroup(values))
+
+
+class TestCatalogShortcuts:
+    """The facts :func:`betti_elements` scans by, held to the graphs of every element."""
+
+    def test_betti_elements_are_apery_plus_generator(self):
+        # s is Betti => s - n_i in Ap(S, m) for some generator n_i other than m
+        for S in enumerate_by_genus(10):
+            apery = set(S.apery_set(S.multiplicity))
+            for s in range(betti_search_bound(S) + 1):
+                if s in S and factorization_graph(S, s).n_classes >= 2:
+                    assert any(s - g in apery for g in S.generators[1:]), (S.generators, s)
+
+    def test_singleton_component_restricted_denumerant_is_1(self):
+        # the factorizations of s over {n_i} alone, for {n_i} a component of ∇_s
+        for S in enumerate_by_genus(8):
+            bound = betti_search_bound(S)
+            member = _padded_table(S, bound)
+            for s in range(bound + 1):
+                vectors = factorizations(S, s)
+                for part in _components(S.generators, member, s):
+                    if len(part) == 1:
+                        i = S.generators.index(part[0])
+                        over_part = [v for v in vectors if sum(v) == v[i]]
+                        assert len(over_part) == 1, (S.generators, s)
 
 
 class TestIsolated:

@@ -57,27 +57,47 @@ class TestSharedAnalysis:
         monkeypatch.setattr(module, name, counted)
         return calls
 
-    def test_each_invariant_once_per_semigroup(self, monkeypatch):
-        counted = {
-            name: self._count_calls(monkeypatch, name)
-            for name in ("exponent_sequence", "betti_elements")
-        }
+    def test_each_invariant_once_per_semigroup(self, monkeypatch, swept):
+        betti_calls = self._count_calls(monkeypatch, "betti_elements")
         factor_reads = self._count_calls(
-            monkeypatch, "read_cyclotomic_factors", key=lambda poly, _: tuple(poly)
-        )
-        sweeps = self._count_calls(
-            monkeypatch, "witt_expand_moebius", witt_module, key=lambda poly, n: (tuple(poly), n)
+            monkeypatch, "cyclotomic_factors", witt_module.ExponentSweep,
+            key=lambda sweep: tuple(sweep.coeffs),
         )
         summary = run_verification(EnumerationJob("by-genus", 6), tuple(CHECKS))
         assert summary.total == 50
         family = [S for S, _ in walk_genus_tree(6)]
-        assert counted["exponent_sequence"] == counted["betti_elements"] == family
-        # the factors of a symmetric semigroup are read off that same sweep
+        assert betti_calls == family
+        # the factors of a symmetric semigroup are read once, off the one sweep
         symmetric = [tuple(S.polynomial()) for S in family if S.is_symmetric()]
         assert factor_reads == symmetric and len(symmetric) == 17
-        # which runs to the default bound, once per semigroup: no prefix is
-        # left undecided, so none is swept on to the index bound
-        assert sweeps == [(tuple(S.polynomial()), S.default_bound) for S in family]
+        # which the checks extend to the default bound, each entry once; every
+        # factor reading settles within it, and the checks are vacuous on <1>
+        reaches = {poly: swept.reach(poly) for poly in list(swept)}
+        assert reaches == {tuple(S.polynomial()): S.default_bound for S in family[1:]}
+        assert family[0].is_trivial
+
+    @pytest.mark.parametrize(
+        "job, checks",
+        [
+            (EnumerationJob("by-genus", 7), tuple(CHECKS)),
+            (
+                EnumerationJob("by-frobenius", 41, ("ci",)),
+                ("ci-cyclotomic", "conj-msg", "conj-betti"),
+            ),
+        ],
+        ids=["by-genus-7", "ci-frobenius-41"],
+    )
+    def test_check_order_changes_neither_summary_nor_sweep(self, swept, job, checks):
+        summaries, reaches = [], []
+        for order in (checks, checks[::-1]):
+            swept.clear()
+            summary = run_verification(job, order).to_json_dict()
+            summaries.append(_dumps(dict(summary, checks=sorted(order))))
+            reaches.append({poly: swept.reach(poly) for poly in list(swept)})
+        assert summaries[0] == summaries[1]
+        assert reaches[0] == reaches[1]
+        swept_family = [S for S in enumerate_job(job) if not S.is_trivial]
+        assert set(reaches[0]) == {tuple(S.polynomial()) for S in swept_family}
 
     def test_thm1_alone_builds_no_betti_catalog(self, catalog_builds):
         summary = run_verification(EnumerationJob("by-genus", 8), ("thm1",))

@@ -21,14 +21,11 @@ from nsg import (
     witt_expand_moebius,
 )
 from nsg import CyclotomicFactorization, ExponentSequence, SemigroupAnalysis, intpoly
-from nsg import analysis as analysis_module
-from nsg import witt as witt_module
-from nsg.arith import divisors, euler_phi, mobius
-from nsg.errors import BoundTooSmallError
-from nsg.witt import _check_constant_term, _index_bound, read_cyclotomic_factors
+from nsg.arith import divisors, mobius
+from nsg.witt import ExponentSweep, _check_constant_term, _index_bound
 
 from expected import EXPONENTS_3_5_7, EXPONENTS_4_6_9_18
-from oracles import degree, evaluate, mul_one_minus_xk_pow
+from oracles import degree, euler_phi, evaluate, mul_one_minus_xk_pow
 
 
 def witt_expand_iterative(prefix, bound=None):
@@ -132,21 +129,40 @@ def exponents_of_cyclotomic_product(factors):
     return {j: e for j, e in sorted(exponents.items()) if e != 0}
 
 
+def settled_at(poly, result):
+    """Where the sweep settles the factors: the top of a finite support, else the first refutation.
+
+    A certificate at k would make the exponents above k zero, so it cannot
+    hold below the support's top, nor before the degree; a refutation is the
+    first power sum larger than the degree, else the index bound N.
+    """
+    deg = degree(poly)
+    if result.complete:
+        return max([deg, *result.exponents])
+    top = _index_bound(deg)
+    sums = power_sums(poly, top)
+    return next((k for k in range(1, top + 1) if abs(sums[k - 1]) > deg), top)
+
+
 def assert_matches_oracles(poly):
     """Factors, completeness and exponents of the one route against both oracles.
 
-    A reading of the shortest sweep, to the degree, agrees unless undecided.
+    The sweep stops where the factors are settled, and a reader that finds
+    a sweep already run to the degree continues it to the same answer.
     """
-    result = factor_into_cyclotomics(poly)
+    sweep = ExponentSweep(poly)
+    result = sweep.cyclotomic_factors()
     factors, complete = trial_division_factors(poly)
-    shortest = witt_expand_moebius(poly, degree(poly))
-    assert read_cyclotomic_factors(poly, shortest) in (None, result)
     assert result.complete == complete
     if complete:
         assert result.factors == factors
         assert result.exponents == exponents_of_cyclotomic_product(factors)
     else:
         assert result.factors == {} and result.exponents == {}
+    assert len(sweep.entries) - 1 == settled_at(poly, result)
+    continued = ExponentSweep(poly)
+    continued.extend(degree(poly))
+    assert continued.cyclotomic_factors() == result == factor_into_cyclotomics(poly)
     return result
 
 
@@ -329,52 +345,67 @@ class TestCyclotomicFactorization:
             factor_into_cyclotomics([1, 1, 2])
 
     def test_read_off_a_longer_sweep(self, s469, s357):
-        # the analysis reads the factors off a sweep that may run past N
+        # a sweep already run past N is read, not extended
         for S in (s469, s357):
             poly = S.polynomial()
-            longer = witt_expand_moebius(poly, _index_bound(len(poly) - 1) + 25)
-            assert read_cyclotomic_factors(poly, longer) == factor_into_cyclotomics(poly)
+            longer = ExponentSweep(poly)
+            longer.extend(_index_bound(len(poly) - 1) + 25)
+            entries = list(longer.entries)
+            assert longer.cyclotomic_factors() == factor_into_cyclotomics(poly)
+            assert longer.entries == entries
 
-    def test_sweep_below_the_degree_rejected(self, s469):
+    def test_sweep_below_the_degree_read_on(self, s469):
+        # no certificate holds below the degree, so the reader sweeps on
         poly = s469.polynomial()
-        short = witt_expand_moebius(poly, len(poly) - 2)
-        with pytest.raises(BoundTooSmallError):
-            read_cyclotomic_factors(poly, short)
+        short = ExponentSweep(poly)
+        short.extend(len(poly) - 2)
+        assert short.cyclotomic_factors() == factor_into_cyclotomics(poly)
+        assert len(short.entries) - 1 == 18 > len(poly) - 1
 
     def test_certified_at_the_default_bound(self, s469):
+        # the sweep stops at the top of the support, short of the bound and of N
         poly = s469.polynomial()
         assert s469.default_bound < _index_bound(len(poly) - 1)
-        prefix = witt_expand_moebius(poly, s469.default_bound)
-        assert read_cyclotomic_factors(poly, prefix) == factor_into_cyclotomics(poly)
+        sweep = ExponentSweep(poly)
+        result = sweep.cyclotomic_factors()
+        assert result == factor_into_cyclotomics(poly) and result.complete
+        assert len(sweep.entries) - 1 == max(result.exponents) == 18 < s469.default_bound
 
     def test_refuted_at_the_default_bound(self):
         # symmetric, not a complete intersection: a power sum outgrows the degree
         S = NumericalSemigroup(5, 6, 7, 8)
         poly = S.polynomial()
         assert S.is_symmetric() and S.default_bound < _index_bound(len(poly) - 1)
-        prefix = witt_expand_moebius(poly, S.default_bound)
-        assert read_cyclotomic_factors(poly, prefix) == CyclotomicFactorization({}, False, {})
+        sweep = ExponentSweep(poly)
+        assert sweep.cyclotomic_factors() == CyclotomicFactorization({}, False, {})
+        k = len(sweep.entries) - 1
+        assert abs(sweep.sums[k]) > len(poly) - 1 >= max(map(abs, sweep.sums[:k]))
+        assert k <= S.default_bound
 
     def test_refuted_at_the_first_power_sum_past_the_degree(self):
-        # 1 + x - x^2 at M = 2: s(2) = 3 = deg + 1. Its sums over multiples,
+        # 1 + x - x^2: s(2) = 3 = deg + 1. Its sums over multiples at M = 2,
         # h_2 = 2 = deg, pass the degree test alone; h_1 = 1 fails them
         poly = [1, 1, -1]
-        prefix = witt_expand_moebius(poly, 2)
-        assert read_cyclotomic_factors(poly, prefix) == CyclotomicFactorization({}, False, {})
+        sweep = ExponentSweep(poly)
+        assert sweep.cyclotomic_factors() == CyclotomicFactorization({}, False, {})
+        assert sweep.sums == [0, -1, 3]
 
     @pytest.mark.parametrize("indices", [(210,), (210, 330)])
     def test_undecided_below_the_largest_index(self, indices):
         # e_n = 1 at the largest index n, and roots of unity keep every power
-        # sum within the degree, so no shorter sweep certifies or refutes
+        # sum within the degree, so the sweep settles only at n; for Phi_210
+        # alone, n is the index bound N itself
         poly = [1]
         for n in indices:
             poly = intpoly.mul(poly, cyclotomic_polynomial(n))
         deg, top = len(poly) - 1, max(indices)
-        for bound in {deg, max(deg, 100), top - 1}:
-            assert read_cyclotomic_factors(poly, witt_expand_moebius(poly, bound)) is None
-        for bound in (top, _index_bound(deg)):
-            result = read_cyclotomic_factors(poly, witt_expand_moebius(poly, bound))
+        assert (top == _index_bound(deg)) == (indices == (210,))
+        for bound in {deg, max(deg, 100), top - 1, top}:
+            sweep = ExponentSweep(poly)
+            sweep.extend(bound)
+            result = sweep.cyclotomic_factors()
             assert result.complete and result == factor_into_cyclotomics(poly)
+            assert len(sweep.entries) - 1 == top
 
     def test_factor_support_matches_sequence(self, glued):
         assert assert_semigroup_matches_oracles(glued).complete
@@ -429,29 +460,44 @@ class TestCyclotomicFactorization:
             assert result.factors == {n: indices.count(n) for n in sorted(set(indices))}
 
 
-class TestAnalysisFallback:
-    """An undecided prefix costs the analysis exactly one more sweep, to N."""
+class TestAnalysisSweep:
+    """The sequence and the cyclotomic test extend one sweep, in either order."""
 
     @pytest.mark.parametrize("generators", [(4, 6, 9), (5, 6, 7, 8), (8, 12, 18, 25)])
-    def test_one_more_sweep_to_the_index_bound(self, monkeypatch, generators):
+    @pytest.mark.parametrize("cyclotomic_first", [False, True])
+    def test_readers_share_one_sweep(self, swept, generators, cyclotomic_first):
         S = NumericalSemigroup(*generators)
-        reads, sweeps = [], []
-        read, sweep = read_cyclotomic_factors, witt_expand_moebius
-
-        def first_read_undecided(poly, sequence):
-            reads.append(sequence.bound)
-            return None if len(reads) == 1 else read(poly, sequence)
-
-        def counted_sweep(poly, bound):
-            sweeps.append(bound)
-            return sweep(poly, bound)
-
-        monkeypatch.setattr(analysis_module, "read_cyclotomic_factors", first_read_undecided)
-        monkeypatch.setattr(witt_module, "witt_expand_moebius", counted_sweep)
-        full = SemigroupAnalysis(S).full_exponents
-        assert sweeps == reads == [S.default_bound, _index_bound(S.frobenius + 1)]
-        factors, complete = trial_division_factors(S.polynomial())
+        poly, analysis = S.polynomial(), SemigroupAnalysis(S)
+        if cyclotomic_first:
+            full, sequence = analysis.full_exponents, analysis.sequence
+        else:
+            sequence, full = analysis.sequence, analysis.full_exponents
+        reach = swept.reach(poly)  # before the oracles sweep the polynomial again
+        factors, complete = trial_division_factors(poly)
         assert full == (exponents_of_cyclotomic_product(factors) if complete else None)
+        assert sequence == witt_expand_moebius(poly, S.default_bound)
+        assert sequence == witt_expand_iterative(poly + [0] * S.default_bound, S.default_bound)
+        settled = settled_at(poly, factor_into_cyclotomics(poly))
+        assert reach == max(S.default_bound, settled)
+
+    def test_cyclotomic_alone_stops_at_the_top_of_the_support(self, swept):
+        # <2,83>: e = 1, -1, -1, 1 at 1, 2, 83, 166; the default bound is 248
+        S = NumericalSemigroup(2, 83)
+        assert SemigroupAnalysis(S).cyclotomic
+        assert swept.reach(S.polynomial()) == 166 < S.default_bound
+
+    def test_non_complete_intersection_stops_at_the_first_large_power_sum(self, swept):
+        S = NumericalSemigroup(5, 6, 7, 8)
+        poly, deg = S.polynomial(), S.frobenius + 1
+        assert not SemigroupAnalysis(S).cyclotomic
+        reach = swept.reach(poly)
+        sums = power_sums(poly, S.default_bound)
+        first = next(k for k, s in enumerate(sums, 1) if abs(s) > deg)
+        assert reach == first < S.default_bound
+
+    def test_trivial_certifies_with_nothing(self, swept, naturals):
+        assert SemigroupAnalysis(naturals).full_exponents == {}
+        assert swept.reach(naturals.polynomial()) == 0
 
 
 class TestIndexBound:
