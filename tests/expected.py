@@ -165,6 +165,11 @@ FROBENIUS_WALK_ORDER = {
     19: "9d113ba45b628c90", 20: "84c8c0bed1024503", 21: "abee01100ece586f",
 }
 
+# The walk order of enumerate_by_genus(10): the count and the first 16 hex
+# digits of sha256(repr(generator tuples)) in the order the walk yields them,
+# unsorted, captured from the recursive walk that carried each node's path
+GENUS_WALK_ORDER = (478, "16284b4eb247d32f")
+
 # Byte-exact CLI exports, captured before the test-only oracles moved out of
 # src/, for the commands that write files. Text outputs are literal; a JSON
 # file is frozen as the value it holds, and test_exports.py renders it with

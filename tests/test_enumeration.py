@@ -14,7 +14,12 @@ from nsg.enumeration import (
     walk_genus_tree,
 )
 
-from expected import FROBENIUS_FAMILIES, FROBENIUS_WALK_ORDER, SEMIGROUPS_PER_GENUS
+from expected import (
+    FROBENIUS_FAMILIES,
+    FROBENIUS_WALK_ORDER,
+    GENUS_WALK_ORDER,
+    SEMIGROUPS_PER_GENUS,
+)
 
 
 def _hex16(value) -> str:
@@ -117,6 +122,20 @@ class TestCounts:
         family = list(enumerate_by_frobenius(frobenius))
         assert all(S.frobenius == frobenius for S in family)
         assert _digest(family) == FROBENIUS_FAMILIES[frobenius]
+
+    def test_genus_walk_order_frozen(self):
+        order = [S.generators for S in enumerate_by_genus(10)]
+        assert (len(order), _hex16(order)) == GENUS_WALK_ORDER
+
+    def test_walk_order_is_ascending_gap_tuples(self):
+        # a node's path is its gap tuple, as each step removes the new
+        # Frobenius number, and preorder with children ascending is
+        # lexicographic order of the paths
+        walk = [S.gaps for S in enumerate_by_genus(10)]
+        assert walk == sorted(walk)
+        for frobenius in range(1, 16):
+            walk = [S.gaps for S in enumerate_by_frobenius(frobenius)]
+            assert walk == sorted(walk)
 
     @pytest.mark.parametrize("frobenius", range(1, 22))
     def test_frobenius_walk_order_frozen(self, frobenius):

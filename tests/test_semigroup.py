@@ -107,6 +107,14 @@ class TestMembership:
             assert len(table) > S.frobenius
             assert all(table[n] == (n in S) for n in range(len(table)))
 
+    def test_membership_table_covers_the_default_bound(self):
+        # __init__ and remove_generator both cut the table to 0..default_bound
+        family = [*enumerate_by_genus(12), NumericalSemigroup(100, 101)]
+        family += [S for f in range(1, 20) for S in enumerate_by_frobenius(f)]
+        assert family[0].is_trivial
+        for S in family:
+            assert len(S.membership_table) == S.default_bound + 1, S
+
     def test_window_closure(self, s469, five_gen):
         for S in (s469, five_gen):
             window = S.frobenius + 2 * S.max_generator
