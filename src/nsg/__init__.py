@@ -32,7 +32,6 @@ from .enumeration import (
     ci_with_frobenius,
     enumerate_by_frobenius,
     enumerate_by_genus,
-    walk_genus_tree,
 )
 from .errors import (
     BadConstantTermError,
@@ -73,13 +72,10 @@ from .verification import (
 from .witt import (
     CyclotomicFactorization,
     ExponentSequence,
-    cyclotomic_factorization,
     cyclotomic_polynomial,
     exponent_sequence,
     factor_into_cyclotomics,
     is_cyclotomic,
-    power_sums,
-    witt_expand_moebius,
 )
 
 __version__ = "0.1.0"

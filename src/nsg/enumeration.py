@@ -3,15 +3,18 @@
 The core is the standard tree on all numerical semigroups: the root is the
 whole of the non-negative integers and the children of S are the semigroups
 S minus one minimal generator exceeding the Frobenius number. Every semigroup
-of genus g appears exactly once at depth g, children visited in ascending
-order of the removed generator, so walks are deterministic and resumable by
-the path of removed generators. A child is built from its parent's membership
-table (:meth:`~nsg.semigroup.NumericalSemigroup.remove_generator`), at
-O(g + e) rather than a fresh sieve, and a walk capped at a Frobenius number
-builds no child beyond the cap, since a child's Frobenius number is its
-removed generator. One recursive walk serves whole and resumed genus walks;
-the walk by Frobenius number is its own pruned walk on an explicit stack,
-which needs no paths and yields in the same preorder.
+of genus g appears exactly once at depth g. A child's Frobenius number is its
+removed generator, so the path of removed generators from the root to a node
+is exactly its gap tuple, ascending. A child is built from its parent's
+membership table (:meth:`~nsg.semigroup.NumericalSemigroup.remove_generator`),
+at O(g + e) rather than a fresh sieve.
+
+One preorder walk on an explicit stack serves every family: children are
+pushed in reverse, so they are visited ascending in the removed generator
+and the walk yields in ascending order of the gap tuples. A walk by genus
+yields every node up to the cap and resumes after any node from the later
+siblings along its path. A walk to a Frobenius number builds no child beyond
+it, and none at a node already at it, and yields the nodes at it.
 
 Complete intersections are enumerated separately, bottom-up by Frobenius
 number through gluings, which reaches Frobenius values far beyond what the
@@ -60,36 +63,49 @@ def children(
     ]
 
 
-def walk_genus_tree(
-    g_max: int, resume: Path | None = None
-) -> Iterator[tuple[NumericalSemigroup, Path]]:
-    """Depth-first preorder walk of all semigroups with genus <= g_max.
+def _walk(stack: list, g_max, frobenius: int | None) -> Iterator[NumericalSemigroup]:
+    """Preorder from ``stack``, whose top is visited first.
 
-    Yields (semigroup, tree path) pairs. With ``resume`` the walk reproduces
-    the suffix strictly after that path, skipping fully earlier subtrees
-    without walking them.
+    A node at the Frobenius target is yielded and never expanded; with no
+    target every node is yielded. A node is expanded when its children have
+    genus <= g_max. A walk to a target F passes g_max = F, which never stops
+    it: the gaps of a node below F lie in 1..F - 1.
     """
-
-    def visit(S: NumericalSemigroup, path: Path, after: Path | None):
-        # after is the resume point while path is a prefix of it, else None
-        if after is None:
-            yield S, path
-        if len(path) + 1 > g_max:  # the children would have genus len(path) + 1
-            return
-        for g, child in children(S):
-            if after is None or path == after or g > after[len(path)]:
-                yield from visit(child, path + (g,), None)
-            elif g == after[len(path)]:
-                yield from visit(child, path + (g,), after)
-
-    if g_max >= 0:
-        yield from visit(NumericalSemigroup(1), (), resume)
+    while stack:
+        S = stack.pop()
+        if S.frobenius == frobenius:
+            yield S
+            continue
+        if frobenius is None:
+            yield S
+        if S.genus + 1 <= g_max:
+            stack.extend(child for _, child in reversed(children(S, frobenius)))
 
 
-def enumerate_by_genus(g_max: int) -> Iterator[NumericalSemigroup]:
-    """Every numerical semigroup of genus <= g_max, exactly once."""
-    for S, _ in walk_genus_tree(g_max):
-        yield S
+def enumerate_by_genus(g_max, resume: Path | None = None) -> Iterator[NumericalSemigroup]:
+    """Every numerical semigroup of genus <= g_max, exactly once, in preorder.
+
+    With ``resume``, a node's path (its gap tuple), the walk yields the
+    suffix strictly after that node: the stack is seeded with the node's
+    children and the later siblings along its path, as the walk holds them
+    just after the node, so earlier subtrees are never walked. A path that
+    names no node of the tree is a ValueError at the call, at any depth.
+    """
+    if resume is None:
+        return _walk([NumericalSemigroup(1)] if g_max >= 0 else [], g_max, None)
+    node, stack = NumericalSemigroup(1), []
+    for g in resume:
+        kids = dict(children(node))
+        if g not in kids:
+            raise ValueError(
+                f"{g} is not a minimal generator above the Frobenius number {node.frobenius}"
+            )
+        if node.genus + 1 <= g_max:
+            stack.extend(kids[h] for h in reversed(kids) if h > g)
+        node = kids[g]
+    if node.genus + 1 <= g_max:
+        stack.extend(child for _, child in reversed(children(node)))
+    return _walk(stack, g_max, None)
 
 
 def _require_int(frobenius) -> None:
@@ -109,19 +125,7 @@ def enumerate_by_frobenius(frobenius: int) -> Iterator[NumericalSemigroup]:
     _require_int(frobenius)
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1")
-    return _walk_to_frobenius(frobenius)
-
-
-def _walk_to_frobenius(frobenius: int) -> Iterator[NumericalSemigroup]:
-    # Preorder on an explicit stack: children are pushed in reverse, so the
-    # smallest removed generator pops first, as in a recursive walk.
-    stack = [NumericalSemigroup(1)]
-    while stack:
-        S = stack.pop()
-        if S.frobenius == frobenius:
-            yield S
-        else:
-            stack.extend(child for _, child in reversed(children(S, frobenius)))
+    return _walk([NumericalSemigroup(1)], frobenius, frobenius)
 
 
 # A target F recurses into at most -1 and the odd numbers below it, so 512

@@ -121,7 +121,7 @@ def _shares_support(x: Vector, y: Vector) -> bool:
 
 
 def _padded_table(S: NumericalSemigroup, bound: int) -> list[bool]:
-    """Membership of 0..bound, one list lookup each."""
+    """Membership of 0..bound, one list lookup each, for any bound."""
     table = S.membership_table
     return table[: bound + 1] + [True] * (bound + 1 - len(table))
 
@@ -206,7 +206,7 @@ def betti_elements(S: NumericalSemigroup) -> dict[int, BettiData]:
     """
     catalog: dict[int, BettiData] = {}
     bound, gens = betti_search_bound(S), S.generators
-    member = _padded_table(S, bound)
+    member = S.membership_table  # covers 0..default_bound, past the search bound
     apery = S.apery_set(S.multiplicity)[1:]  # w = 0 gives the generators
     for s in sorted({w + g for w in apery for g in gens[1:] if w + g <= bound}):
         components = _components(gens, member, s)

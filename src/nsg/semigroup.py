@@ -161,7 +161,7 @@ class NumericalSemigroup:
 
     @property
     def membership_table(self) -> list[bool]:
-        """Membership of 0, 1, ..., len - 1; every n past the end is a member.
+        """Membership of 0, 1, ..., :attr:`default_bound`; every n past it is a member.
 
         The table itself, not a copy, for loops that test many n >= 0
         without a :meth:`__contains__` call each. Do not modify it.

@@ -8,8 +8,11 @@ computed at most once. The analysis is dropped after its semigroup: caches
 are scoped to one evaluation and memory stays flat over a family.
 
 Every job, resumed or filtered, by genus or by Frobenius number, takes the
-same single serial walk. Outcomes accumulate in one
-:class:`VerificationSummary` in walk order, so exports are byte-stable.
+one serial preorder walk of :mod:`nsg.enumeration` (complete intersections
+by Frobenius number take the gluing enumerator instead). Outcomes accumulate
+in one :class:`VerificationSummary` in walk order, so exports are
+byte-stable. A node's tree path is its gap tuple, so the resume token of a
+by-genus run is read off the last semigroup checked.
 """
 
 from __future__ import annotations
@@ -18,12 +21,11 @@ from typing import Callable, Iterator, NamedTuple
 
 from .analysis import SemigroupAnalysis
 from .enumeration import (
-    Path,
     ci_with_frobenius,
     enumerate_by_frobenius,
+    enumerate_by_genus,
     format_token,
     parse_token,
-    walk_genus_tree,
 )
 from .records import FrozenRecord
 from .semigroup import NumericalSemigroup
@@ -73,45 +75,41 @@ class EnumerationJob(FrozenRecord):
             if self.mode != "by-genus":
                 raise ValueError("resume tokens apply to by-genus jobs only")
             path = parse_token(self.resume_token)
-            node = NumericalSemigroup(1)
             try:
-                for g in path:  # each step must remove a tree child's generator
-                    node = node.remove_generator(g)
+                enumerate_by_genus(self.limit, path)  # descends to the node at the call
             except ValueError as exc:
                 raise ValueError(
                     f"resume token {self.resume_token!r} names no node of the tree: {exc}"
                 ) from exc
 
 
-def _stream(job: EnumerationJob) -> Iterator[tuple[SemigroupAnalysis, Path]]:
-    """The job's family as (analysis, tree path) pairs, filters applied.
+def _stream(job: EnumerationJob) -> Iterator[SemigroupAnalysis]:
+    """The analyses of the job's family in walk order, filters applied.
 
-    Paths are tree paths in by-genus mode (honouring the resume token) and
-    empty otherwise. A by-frobenius job filtered on "ci" is the one route to
-    the gluing enumerator, which reaches Frobenius numbers the full tree
-    cannot. Every glued semigroup is re-verified by the presentation-size
-    test of its analysis, whose Betti catalog the filters and checks then
-    share.
+    A by-genus job resumes after the node its token names. A by-frobenius
+    job filtered on "ci" is the one route to the gluing enumerator, which
+    reaches Frobenius numbers the full tree cannot. Every glued semigroup is
+    re-verified by the presentation-size test of its analysis, whose Betti
+    catalog the filters and checks then share.
     """
     glued = job.mode == "by-frobenius" and "ci" in job.filters
     if job.mode == "by-genus":
         resume = None if job.resume_token is None else parse_token(job.resume_token)
-        family = walk_genus_tree(job.limit, resume=resume)
+        family = enumerate_by_genus(job.limit, resume)
     else:
-        enumerate_family = ci_with_frobenius if glued else enumerate_by_frobenius
-        family = ((S, ()) for S in enumerate_family(job.limit))
+        family = (ci_with_frobenius if glued else enumerate_by_frobenius)(job.limit)
     predicates = [FILTERS[name] for name in job.filters]
-    for S, path in family:
+    for S in family:
         analysis = SemigroupAnalysis(S)
         if glued and not analysis.complete_intersection:
             raise RuntimeError(f"gluing yielded {S.generators}, not a complete intersection")
         if all(predicate(analysis) for predicate in predicates):
-            yield analysis, path
+            yield analysis
 
 
 def enumerate_job(job: EnumerationJob) -> Iterator[NumericalSemigroup]:
     """Stream the family of a job, filters applied."""
-    for analysis, _ in _stream(job):
+    for analysis in _stream(job):
         yield analysis.semigroup
 
 
@@ -139,10 +137,9 @@ class ReportRecord(NamedTuple):
 
 
 def build_report(
-    S: NumericalSemigroup | SemigroupAnalysis, verdicts: dict[str, bool] | None = None
+    analysis: SemigroupAnalysis, verdicts: dict[str, bool] | None = None
 ) -> ReportRecord:
-    """The report record of a semigroup, read from its analysis when given one."""
-    analysis = S if isinstance(S, SemigroupAnalysis) else SemigroupAnalysis(S)
+    """The report record of a semigroup, read from its analysis."""
     S = analysis.semigroup
     return ReportRecord(
         generators=S.generators,
@@ -261,14 +258,15 @@ def run_verification(
     """
     checks = validate_checks(checks)
     summary = VerificationSummary(job, checks)
-    for analysis, path in _stream(job):
+    by_genus = job.mode == "by-genus"
+    for analysis in _stream(job):
         verdicts = {name: CHECKS[name](analysis) for name in checks}
         summary.total += 1
         for name, ok in verdicts.items():
             summary.pass_counts[name] += ok
         if not all(verdicts.values()):
             summary.counterexamples.append(build_report(analysis, verdicts))
-        summary.last_token = format_token(path) if job.mode == "by-genus" else None
+        summary.last_token = format_token(analysis.semigroup.gaps) if by_genus else None
         if progress is not None and summary.total % _PROGRESS_EVERY == 0:
             progress(summary.total, summary.last_token)
     summary.counterexamples.sort(key=lambda r: r.generators)

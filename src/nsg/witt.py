@@ -178,18 +178,6 @@ class ExponentSweep:
         return CyclotomicFactorization({}, False, {})
 
 
-def power_sums(poly: Sequence[int], count: int) -> list[int]:
-    """Sums of the k-th powers of the inverse roots, k = 1..count, as a sweep keeps them."""
-    sweep = ExponentSweep(poly)
-    sweep.extend(count)
-    return sweep.sums[1:]
-
-
-def witt_expand_moebius(poly: Sequence[int], bound: int) -> ExponentSequence:
-    """Exponents e_1..e_bound of a polynomial via Moebius inversion of its power sums."""
-    return ExponentSweep(poly).prefix(bound)
-
-
 def exponent_sequence(S: NumericalSemigroup, bound: int | None = None) -> ExponentSequence:
     """The cyclotomic exponent sequence of a numerical semigroup.
 
@@ -198,7 +186,7 @@ def exponent_sequence(S: NumericalSemigroup, bound: int | None = None) -> Expone
     """
     if bound is None:
         bound = S.default_bound
-    return witt_expand_moebius(S.polynomial(), bound)
+    return ExponentSweep(S.polynomial()).prefix(bound)
 
 
 def cyclotomic_polynomial(n: int) -> list[int]:
@@ -241,21 +229,11 @@ def factor_into_cyclotomics(poly: Sequence[int]) -> CyclotomicFactorization:
     return ExponentSweep(poly).cyclotomic_factors()
 
 
-def cyclotomic_factorization(S: NumericalSemigroup) -> CyclotomicFactorization | None:
-    """The cyclotomic part of the semigroup polynomial; None if S is not symmetric.
-
-    A product of cyclotomic polynomials of index >= 2 is self-reciprocal, so
-    non-symmetric semigroups are rejected before the factor search.
-    """
-    if not S.is_symmetric():
-        return None
-    return factor_into_cyclotomics(S.polynomial())
-
-
 def is_cyclotomic(S: NumericalSemigroup) -> bool:
     """Whether the semigroup polynomial is a product of cyclotomic polynomials.
 
-    Equivalent to the exponent sequence having finite support.
+    Equivalent to the exponent sequence having finite support. A product of
+    cyclotomic polynomials of index >= 2 is self-reciprocal, so a
+    non-symmetric semigroup is rejected before the factor search.
     """
-    factorization = cyclotomic_factorization(S)
-    return factorization is not None and factorization.complete
+    return S.is_symmetric() and factor_into_cyclotomics(S.polynomial()).complete

@@ -39,9 +39,10 @@ EXPONENTS_4_6_9_18 = (1, 0, 0, -1, 0, -1, 0, 0, -1, 0, 0, 1, 0, 0, 0, 0, 0, 1)
 SEMIGROUPS_PER_GENUS = (1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592,
                         1001, 1693, 2857, 4806, 8045, 13467)
 
-# build_report(S).to_json_dict() for a few semigroups, computed when each part
-# of the report came from its own call (betti_elements, classify,
-# exponent_sequence) rather than from one shared SemigroupAnalysis
+# build_report(SemigroupAnalysis(S)).to_json_dict() for a few semigroups,
+# computed when each part of the report came from its own call
+# (betti_elements, classify, exponent_sequence) rather than from one shared
+# SemigroupAnalysis
 REPORTS = {(1,): {'generators': [1],
         'frobenius': -1,
         'genus': 0,

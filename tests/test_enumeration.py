@@ -5,13 +5,12 @@ from itertools import combinations, islice
 
 import pytest
 
-from nsg import NumericalSemigroup
+from nsg import NumericalSemigroup, enumeration
 from nsg.enumeration import (
     children,
     ci_with_frobenius,
     enumerate_by_frobenius,
     enumerate_by_genus,
-    walk_genus_tree,
 )
 
 from expected import (
@@ -37,7 +36,7 @@ class TestRemoveGenerator:
     )
     def test_every_slot_matches_from_gaps(self, genus_max):
         checked = 0
-        for S, _ in walk_genus_tree(genus_max):
+        for S in enumerate_by_genus(genus_max):
             for g in S.generators:
                 if g <= S.frobenius:
                     continue
@@ -89,7 +88,7 @@ class TestRemoveGenerator:
 
 class TestChildren:
     def test_limit_filters_the_full_list(self):
-        for S, _ in walk_genus_tree(8):
+        for S in enumerate_by_genus(8):
             full = children(S)
             for limit in range(S.frobenius - 1, S.frobenius + S.multiplicity + 2):
                 assert children(S, limit) == [(g, c) for g, c in full if g <= limit]
@@ -104,7 +103,46 @@ class TestChildren:
 class TestGenusCap:
     def test_fractional_cap_stops(self):
         # a cap of 2.5 admits genus <= 2; islice keeps a walk that never stops finite
-        assert [S.genus for S, _ in islice(walk_genus_tree(2.5), 10)] == [0, 1, 2, 2]
+        assert [S.genus for S in islice(enumerate_by_genus(2.5), 10)] == [0, 1, 2, 2]
+
+
+class TestResume:
+    @pytest.mark.parametrize("g_max", [-1, 0, 1, 3, 4, 10])
+    @pytest.mark.parametrize(
+        "path",
+        [(1, 1), (1, 2, 2), (5,), (1, 9), (0,), (-1,), (1, 2, 3, 4, 5, 7, 8, 9, 11, 13, 14, 99)],
+    )
+    def test_path_naming_no_node_rejected_at_the_call(self, g_max, path):
+        # below, at and beyond the cap alike: (1, 1) once resumed as (1,)
+        with pytest.raises(ValueError, match="not a minimal generator above"):
+            enumerate_by_genus(g_max, resume=path)
+
+    @pytest.mark.parametrize("g_max", [3, 5])
+    def test_every_node_resumes_to_its_suffix(self, g_max):
+        # nodes beyond the cap too: their suffix is the rest of the walk
+        walk = [S.gaps for S in enumerate_by_genus(g_max)]
+        for path in [S.gaps for S in enumerate_by_genus(g_max + 2)]:
+            suffix = [S.gaps for S in enumerate_by_genus(g_max, resume=path)]
+            assert suffix == [gaps for gaps in walk if gaps > path], path
+
+    def test_resume_builds_no_earlier_subtree(self, monkeypatch):
+        built, original = [], enumeration.children
+
+        def counted(S, limit=None):
+            kids = original(S, limit)
+            built.extend(child for _, child in kids)
+            return kids
+
+        monkeypatch.setattr(enumeration, "children", counted)
+        path = (1, 2, 3, 4, 5, 7)
+        walk = enumerate_by_genus(6, resume=path)
+        # at the call: the children of the path's nodes, nothing more
+        ancestors = [NumericalSemigroup.from_gaps(path[:i]) for i in range(len(path))]
+        descent = len(built)
+        assert descent == sum(len(original(S)) for S in ancestors)
+        # after it: only what the walk yields
+        suffix = list(walk)
+        assert len(built) > descent and set(built[descent:]) <= set(suffix)
 
 
 class TestCounts:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nsg import NumericalSemigroup, SemigroupAnalysis, classify, walk_genus_tree
+from nsg import NumericalSemigroup, SemigroupAnalysis, classify, enumerate_by_genus
 from nsg import analysis as analysis_module
 from nsg import witt as witt_module
 from nsg.enumeration import format_token
@@ -30,7 +30,7 @@ def _dumps(data) -> str:
 class TestFrozenExports:
     @pytest.mark.parametrize("generators", list(REPORTS))
     def test_build_report(self, generators):
-        record = build_report(NumericalSemigroup(generators))
+        record = build_report(SemigroupAnalysis(NumericalSemigroup(generators)))
         assert _dumps(record.to_json_dict()) == _dumps(REPORTS[generators])
 
     def test_build_report_from_analysis(self):
@@ -65,7 +65,7 @@ class TestSharedAnalysis:
         )
         summary = run_verification(EnumerationJob("by-genus", 6), tuple(CHECKS))
         assert summary.total == 50
-        family = [S for S, _ in walk_genus_tree(6)]
+        family = list(enumerate_by_genus(6))
         assert betti_calls == family
         # the factors of a symmetric semigroup are read once, off the one sweep
         symmetric = [tuple(S.polynomial()) for S in family if S.is_symmetric()]
@@ -108,7 +108,7 @@ class TestSharedAnalysis:
         betti_calls = self._count_calls(monkeypatch, "betti_elements")
         job = EnumerationJob("by-genus", 7, ("betti-sorted",))
         summary = run_verification(job, tuple(CHECKS))
-        family = [S for S, _ in walk_genus_tree(7)]
+        family = list(enumerate_by_genus(7))
         # the filter computed the catalog of every semigroup, the checks
         # reused it
         assert betti_calls == family
@@ -221,12 +221,12 @@ class TestEnumerationJob:
             EnumerationJob("by-genus", 3, resume_token=token)
 
     def test_resume_gives_the_exact_suffix(self):
-        walk = [path for _, path in walk_genus_tree(5)]
+        walk = [S.gaps for S in enumerate_by_genus(5)]
         assert len(walk) == sum(SEMIGROUPS_PER_GENUS[:6])
         full = run_verification(EnumerationJob("by-genus", 5), ("thm1",))
         for i, path in enumerate(walk):
             token = format_token(path)
-            suffix = [p for _, p in walk_genus_tree(5, resume=path)]
+            suffix = [S.gaps for S in enumerate_by_genus(5, resume=path)]
             assert suffix == walk[i + 1:], token
             resumed = run_verification(EnumerationJob("by-genus", 5, resume_token=token), ("thm1",))
             assert resumed.total == len(walk) - i - 1
@@ -277,6 +277,6 @@ class TestProgress:
     def test_token_is_the_path_reached(self):
         calls, summary = self._calls(EnumerationJob("by-genus", 11))
         assert summary.total == 821
-        path = [path for _, path in walk_genus_tree(11)][499]
+        path = [S.gaps for S in enumerate_by_genus(11)][499]
         assert calls == [(500, format_token(path))]
         assert calls == [(500, "1.2.3.4.5.7.8.9.11.13.14")]

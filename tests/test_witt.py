@@ -10,22 +10,27 @@ from nsg import (
     BadConstantTermError,
     NumericalSemigroup,
     ci_with_frobenius,
-    cyclotomic_factorization,
     cyclotomic_polynomial,
     enumerate_by_frobenius,
     enumerate_by_genus,
     exponent_sequence,
     factor_into_cyclotomics,
     is_cyclotomic,
-    power_sums,
-    witt_expand_moebius,
 )
 from nsg import CyclotomicFactorization, ExponentSequence, SemigroupAnalysis, intpoly
+from nsg import witt as witt_module
 from nsg.arith import divisors, mobius
 from nsg.witt import ExponentSweep, _check_constant_term, _index_bound
 
 from expected import EXPONENTS_3_5_7, EXPONENTS_4_6_9_18
 from oracles import degree, euler_phi, evaluate, mul_one_minus_xk_pow
+
+
+def sweep_sums(poly, count):
+    """The power sums s(1)..s(count) of the inverse roots, as an ExponentSweep keeps them."""
+    sweep = ExponentSweep(poly)
+    sweep.extend(count)
+    return sweep.sums[1:]
 
 
 def witt_expand_iterative(prefix, bound=None):
@@ -34,7 +39,7 @@ def witt_expand_iterative(prefix, bound=None):
     Maintains ``h = f * prod_{k<=m} (1 - x^k)^(-e_k)``; at step m the series
     h is congruent to ``1 - e_m x^m`` modulo ``x^(m+1)``, which reads off e_m.
     Independent of the power sums and the divisor sweep of
-    :func:`witt_expand_moebius`.
+    :class:`ExponentSweep`.
     """
     coeffs = _check_constant_term(prefix)
     if bound is None:
@@ -86,7 +91,7 @@ def assert_growth_envelope(poly, ks):
         r2 = abs(roots[1])
         assert r2 - r1 > 1e-9, f"smallest root moduli {r1!r} and {r2!r} are not separated"
     alpha1 = roots[0].real  # strict modulus gap forces a real smallest root
-    entries = witt_expand_moebius(coeffs, max(ks))
+    entries = ExponentSweep(coeffs).prefix(max(ks))
     for k in ks:
         deviation = abs(entries[k] - alpha1 ** (-k) / k)
         second = deg * r2 ** (-k) if deg >= 2 else 0.0
@@ -140,7 +145,7 @@ def settled_at(poly, result):
     if result.complete:
         return max([deg, *result.exponents])
     top = _index_bound(deg)
-    sums = power_sums(poly, top)
+    sums = sweep_sums(poly, top)
     return next((k for k in range(1, top + 1) if abs(sums[k - 1]) > deg), top)
 
 
@@ -209,34 +214,34 @@ class TestIterativeExpansion:
 
 class TestPowerSums:
     def test_single_root(self):
-        assert power_sums([1, -1], 6) == [1] * 6
+        assert sweep_sums([1, -1], 6) == [1] * 6
 
     def test_lucas_numbers(self):
-        assert power_sums([1, -1, -1], 5) == [1, 3, 4, 7, 11]
+        assert sweep_sums([1, -1, -1], 5) == [1, 3, 4, 7, 11]
 
     def test_period_six(self):
-        assert power_sums([1, -1, 1], 6) == [1, -1, -2, -1, 1, 2]
+        assert sweep_sums([1, -1, 1], 6) == [1, -1, -2, -1, 1, 2]
 
     def test_constant(self):
-        assert power_sums([1], 4) == [0, 0, 0, 0]
+        assert sweep_sums([1], 4) == [0, 0, 0, 0]
 
 
 class TestMoebiusExpansion:
     def test_geometric(self):
-        assert list(witt_expand_moebius([1, -2], 4)) == [2, 1, 2, 3]
+        assert list(ExponentSweep([1, -2]).prefix(4)) == [2, 1, 2, 3]
 
     def test_single_factor(self):
-        assert list(witt_expand_moebius([1, -1], 6)) == [1, 0, 0, 0, 0, 0]
+        assert list(ExponentSweep([1, -1]).prefix(6)) == [1, 0, 0, 0, 0, 0]
 
     def test_published_listing(self, s357):
-        assert tuple(witt_expand_moebius(s357.polynomial(), 150)) == EXPONENTS_3_5_7
+        assert tuple(ExponentSweep(s357.polynomial()).prefix(150)) == EXPONENTS_3_5_7
 
     def test_agrees_with_iterative(self, five_gen):
         for S in (five_gen, NumericalSemigroup(4, 5, 6)):
             bound = S.default_bound
             poly = S.polynomial()
             padded = poly + [0] * (bound + 1 - len(poly))
-            assert list(witt_expand_moebius(poly, bound)) == list(
+            assert list(ExponentSweep(poly).prefix(bound)) == list(
                 witt_expand_iterative(padded, bound)
             )
 
@@ -245,11 +250,11 @@ class TestMoebiusExpansion:
     def test_random_polynomials_match_iterative(self, tail, bound):
         poly = [1] + tail
         padded = (poly + [0] * bound)[: bound + 1]
-        assert witt_expand_moebius(poly, bound) == witt_expand_iterative(padded, bound)
+        assert ExponentSweep(poly).prefix(bound) == witt_expand_iterative(padded, bound)
 
     def test_round_trip(self, s469):
         bound = s469.default_bound
-        entries = witt_expand_moebius(s469.polynomial(), bound)
+        entries = ExponentSweep(s469.polynomial()).prefix(bound)
         rebuilt = reconstruct_prefix(list(entries), bound)
         padded = s469.polynomial() + [0] * (bound + 1)
         assert rebuilt == padded[: bound + 1]
@@ -475,7 +480,7 @@ class TestAnalysisSweep:
         reach = swept.reach(poly)  # before the oracles sweep the polynomial again
         factors, complete = trial_division_factors(poly)
         assert full == (exponents_of_cyclotomic_product(factors) if complete else None)
-        assert sequence == witt_expand_moebius(poly, S.default_bound)
+        assert sequence == ExponentSweep(poly).prefix(S.default_bound)
         assert sequence == witt_expand_iterative(poly + [0] * S.default_bound, S.default_bound)
         settled = settled_at(poly, factor_into_cyclotomics(poly))
         assert reach == max(S.default_bound, settled)
@@ -491,7 +496,7 @@ class TestAnalysisSweep:
         poly, deg = S.polynomial(), S.frobenius + 1
         assert not SemigroupAnalysis(S).cyclotomic
         reach = swept.reach(poly)
-        sums = power_sums(poly, S.default_bound)
+        sums = sweep_sums(poly, S.default_bound)
         first = next(k for k, s in enumerate(sums, 1) if abs(s) > deg)
         assert reach == first < S.default_bound
 
@@ -532,13 +537,17 @@ class TestIsCyclotomic:
         S = NumericalSemigroup(5, 6, 7, 8)
         assert S.is_symmetric() and not is_cyclotomic(S)
 
-    def test_factorization_gated_on_symmetry(self, s469, s357, naturals):
-        assert cyclotomic_factorization(s357) is None
-        assert cyclotomic_factorization(naturals).factors == {}
-        factorization = cyclotomic_factorization(s469)
-        assert factorization.complete
-        assert factorization == factor_into_cyclotomics(s469.polynomial())
-        assert not cyclotomic_factorization(NumericalSemigroup(5, 6, 7, 8)).complete
+    def test_factorization_gated_on_symmetry(self, monkeypatch, s469, s357, naturals):
+        searched, search = [], witt_module.factor_into_cyclotomics
+        monkeypatch.setattr(
+            witt_module, "factor_into_cyclotomics", lambda poly: searched.append(poly) or search(poly)
+        )
+        assert not is_cyclotomic(s357) and searched == []  # not symmetric: no search
+        assert is_cyclotomic(naturals) and is_cyclotomic(s469)
+        assert searched == [naturals.polynomial(), s469.polynomial()]
+        assert search(naturals.polynomial()).factors == {}
+        assert search(s469.polynomial()).complete
+        assert not search(NumericalSemigroup(5, 6, 7, 8).polynomial()).complete
 
 
 class TestNecklace:
@@ -549,7 +558,7 @@ class TestNecklace:
 
     def test_matches_expansion(self):
         for alpha in (2, 3, 5):
-            entries = witt_expand_moebius([1, -alpha], 8)
+            entries = ExponentSweep([1, -alpha]).prefix(8)
             assert list(entries) == [necklace_coefficient(alpha, k) for k in range(1, 9)]
 
     def test_prime_divisibility(self):
