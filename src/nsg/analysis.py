@@ -152,20 +152,20 @@ class SemigroupAnalysis:
         betti_sorted = betti.is_totally_ordered()
         betti_divisible = _totally_ordered_by_divisibility(betti.elements)
         unique_betti = len(betti) == 1
-        betti_forest = betti.hasse().is_forest
+        betti_forest = len(betti.u_set()) == len(betti)  # every down-set a chain
 
         support = self.support
         support_set = self.support_order
         if not support_set.is_totally_ordered():
             assert not betti_sorted, "incomparable support pair on a sorted Betti set"
+        support_forest = len(support_set.u_set()) == len(support_set)
         if support.exact:
             assert betti_sorted == support_set.is_totally_ordered()
             assert betti_divisible == _totally_ordered_by_divisibility(support.members)
             assert unique_betti == (len(support.members) == 1)
-            e_forest = support_set.hasse().is_forest
+            e_forest = support_forest
         else:
-            prefix_forest = support_set.hasse().is_forest
-            e_forest = None if prefix_forest else False
+            e_forest = None if support_forest else False
         return Classification(
             betti_sorted, betti_divisible, unique_betti, betti_forest, e_forest
         )
@@ -219,8 +219,8 @@ class SemigroupAnalysis:
         sequence, catalog = self.sequence, self.betti
         betti_u = self.betti_order.u_set()
         support_u = self.prefix_support_order.u_set()
-        if set(betti_u) != set(support_u):
-            return f"chain parts differ: {tuple(betti_u)} vs {tuple(support_u)}"
+        if betti_u != support_u:
+            return f"chain parts differ: {betti_u} vs {support_u}"
         for b in betti_u:
             if sequence[b] != catalog[b].nc - 1:
                 return f"at {b}: e = {sequence[b]}, classes - 1 = {catalog[b].nc - 1}"

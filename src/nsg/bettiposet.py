@@ -34,6 +34,9 @@ class OrderedSubset:
     - The lower covers of b are the maximal elements of its strict down-set.
     - The Hasse diagram is a forest (at most one lower cover each) exactly
       when every down-set is a chain.
+    - The strict down-set D of b is a chain exactly when it is empty, or its
+      largest element a has down-set D and a's strict down-set is a chain (a
+      chain lies in its largest element's down-set). One flag each keeps this.
     """
 
     def __init__(self, S: NumericalSemigroup, elements):
@@ -49,6 +52,11 @@ class OrderedSubset:
             | 1 << j
             for j, b in enumerate(elements)
         ]
+        self._chain = chain = []
+        for j, down in enumerate(self._down):
+            strict = down ^ 1 << j
+            top = strict.bit_length() - 1
+            chain.append(not strict or (self._down[top] == strict and chain[top]))
 
     def __iter__(self):
         return iter(self.elements)
@@ -65,34 +73,25 @@ class OrderedSubset:
     def minimals(self) -> tuple[int, ...]:
         return tuple(x for j, x in enumerate(self.elements) if self._down[j] == 1 << j)
 
-    def _is_chain(self, positions) -> bool:
-        """Whether the elements at ascending positions are consecutively comparable."""
-        down = self._down
-        return all(down[j] >> i & 1 for i, j in zip(positions, positions[1:]))
-
     def is_totally_ordered(self) -> bool:
-        return self._is_chain(range(len(self.elements)))
+        """Whether the largest element's down-set is the whole set and a chain."""
+        n = len(self.elements)
+        return not n or (self._down[-1] == (1 << n) - 1 and self._chain[-1])
 
-    def u_set(self) -> "OrderedSubset":
-        """Elements whose down-set is a chain; keeps the same minimals."""
-        return OrderedSubset(
-            self.S,
-            [x for x, down in zip(self.elements, self._down) if self._is_chain(_bits(down))],
-        )
+    def u_set(self) -> tuple[int, ...]:
+        """Elements whose down-set is a chain, ascending; keeps the same minimals."""
+        return tuple(x for x, chain in zip(self.elements, self._chain) if chain)
 
     def hasse(self) -> "HasseDiagram":
         """Cover graph: each b's lower covers are the maximal elements below it."""
         covers = []
-        is_forest = True
         for j, b in enumerate(self.elements):
             strict = self._down[j] ^ 1 << j
             below = 0
             for i in _bits(strict):
                 below |= self._down[i] ^ 1 << i
-            lower_covers = _bits(strict & ~below)
-            covers.extend((self.elements[i], b) for i in lower_covers)
-            is_forest = is_forest and len(lower_covers) <= 1
-        return HasseDiagram(self.elements, tuple(sorted(covers)), is_forest)
+            covers.extend((self.elements[i], b) for i in _bits(strict & ~below))
+        return HasseDiagram(self.elements, tuple(sorted(covers)), all(self._chain))
 
 
 def _bits(mask: int) -> list[int]:

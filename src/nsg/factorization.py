@@ -12,11 +12,16 @@ components of ∇_s (Rosales & García-Sánchez, *Numerical Semigroups*,
 Springer 2009, ch. 7). The support of a factorization is a clique of ∇_s, so
 each R-class is the set of factorizations supported in one component.
 One graph search (:func:`_components`) finds the components, reading
-membership off one padded copy of the membership table, and both
+membership off the membership table (padded past its end when
+:func:`factorization_graph` reads higher), and both
 :func:`betti_elements` and :func:`factorization_graph` read their classes
 from it; the tests hold it to the definition above. The catalog searches
 only the elements w + n_i, w in the Apéry set of the multiplicity, which
-hold every Betti element (the proof is in :func:`betti_elements`).
+hold every Betti element, in ascending order. It counts isolated
+factorizations without listing any, by two facts (the proofs are in
+:func:`betti_elements`): the class of a component C of ∇_s is a singleton
+iff s - c has one factorization for every c in C, and x has one
+factorization iff x - b is not in S for every Betti element b.
 
 Betti search bound: every s > frobenius + 2*max(A) has a connected graph.
 This is the same fact: for any two vertices n_i, n_j of ∇_s,
@@ -65,14 +70,9 @@ def denumerant_series(S: NumericalSemigroup, bound: int) -> list[int]:
 
     Matches the coefficients of ``prod_{n in A} 1/(1 - x^n)``.
     """
-    return _ways(S.generators, bound)
-
-
-def _ways(generators, bound: int) -> list[int]:
-    """Counts of factorizations over ``generators`` for every 0 <= s <= bound."""
     ways = [0] * (bound + 1)
     ways[0] = 1
-    for g in generators:
+    for g in S.generators:
         for k in range(g, bound + 1):
             ways[k] += ways[k - g]
     return ways
@@ -186,7 +186,7 @@ class BettiData(NamedTuple):
 
 
 def betti_search_bound(S: NumericalSemigroup) -> int:
-    return S.frobenius + 2 * S.max_generator
+    return S.default_bound - 1
 
 
 def betti_elements(S: NumericalSemigroup) -> dict[int, BettiData]:
@@ -199,10 +199,18 @@ def betti_elements(S: NumericalSemigroup) -> dict[int, BettiData]:
     and its vertices n_j are not adjacent to m: s - n_j - m is not in S.
     Either way s - n_j lies in Ap(S, m). Each candidate's classes are the
     components of ∇_s found by :func:`_components`, so no factorization is
-    listed. A component C holds an isolated factorization when its
-    restricted denumerant (the factorizations of s over C alone) is 1. A
-    singleton {n_i} always does: a factorization of s using n_i lies in
-    n_i's component, so s = k * n_i, with one factorization over {n_i}.
+    listed. The class R_C of a component C is a singleton exactly when no
+    vertex c of C leaves s - c above a Betti element of the catalog so far:
+
+    - |R_C| = 1 iff each s - c, c in C, has one factorization: two of s - c,
+      plus e_c, are two in R_C; R_C is connected by shared support, so two
+      of its members share some c and give two of s - c.
+    - x has one factorization iff x - b is not in S for every Betti b: two
+      of b plus one of x - b are two of x; a y with two factorizations and
+      x - y in S, minimal in the order, has no two sharing a generator c
+      (y - c would have two), so it is a Betti element.
+
+    Each such b <= s - c < s is a candidate, so it is scanned before s.
     """
     catalog: dict[int, BettiData] = {}
     bound, gens = betti_search_bound(S), S.generators
@@ -211,7 +219,10 @@ def betti_elements(S: NumericalSemigroup) -> dict[int, BettiData]:
     for s in sorted({w + g for w in apery for g in gens[1:] if w + g <= bound}):
         components = _components(gens, member, s)
         if len(components) >= 2:
-            isolated = sum(len(part) == 1 or _ways(part, s)[s] == 1 for part in components)
+            isolated = sum(
+                not any(b <= s - c and member[s - c - b] for c in part for b in catalog)
+                for part in components
+            )
             catalog[s] = BettiData(nc=len(components), isolated_count=isolated)
     return catalog
 

@@ -48,14 +48,6 @@ class NumericalSemigroup:
         table = _membership_sieve(values)
         frobenius = _last_false(table)
         generators = _minimal_generators(values, table)
-
-        # Final table window: Betti candidates and the default exponent
-        # truncation both live below frobenius + 2*max(generators) + 1.
-        bound = frobenius + 2 * generators[-1] + 1
-        if len(table) <= bound:
-            table = table + [True] * (bound + 1 - len(table))
-        else:
-            table = table[: bound + 1]
         gaps = tuple(i for i, member in enumerate(table) if not member)
         _set_slots(self, tuple(generators), gaps, frobenius, table)
 
@@ -134,7 +126,7 @@ class NumericalSemigroup:
         # ascending, as 2g <= m (which lets 3g in) holds only at the root, g = 1
         candidates = [g + a for a in (*self.generators, 2 * g) if a <= m]
         table = self._table[:g]
-        table.append(False)  # every c - a read below is at most g
+        table.append(False)  # every c - a read below is at most g; _set_slots pads
         generators = list(self.generators)
         generators.remove(g)
         for c in candidates:  # ascending, so every generator below c is known
@@ -144,8 +136,6 @@ class NumericalSemigroup:
             else:
                 generators.append(c)
         generators.sort()
-        bound = g + 2 * generators[-1] + 1  # the window __init__ keeps
-        table.extend([True] * (bound - g))
         child = object.__new__(NumericalSemigroup)
         _set_slots(child, tuple(generators), self.gaps + (g,), g, table)
         return child
@@ -184,7 +174,7 @@ class NumericalSemigroup:
     @property
     def default_bound(self) -> int:
         """Truncation used for exponent sequences: frobenius + 2*max(A) + 1."""
-        return self.frobenius + 2 * self.max_generator + 1
+        return len(self._table) - 1
 
     def elements_up_to(self, bound: int):
         """All members n with 0 <= n <= bound, ascending."""
@@ -199,15 +189,10 @@ class NumericalSemigroup:
         """
         if m < 1 or m not in self:
             raise NotAMemberError(f"{m} must be a positive element of the semigroup")
-        out = []
-        found = 0
-        n = 0
-        while found < m:
-            if n in self and (n - m) not in self:
-                out.append(n)
-                found += 1
-            n += 1
-        return out
+        # each element is at most frobenius + m, so every n - m read lies in the table
+        table, end = self._table, len(self._table)
+        window = range(self.frobenius + m + 1)
+        return [n for n in window if (n >= end or table[n]) and (n < m or not table[n - m])]
 
     # -- series and polynomial views -------------------------------------------
 
@@ -272,6 +257,11 @@ def _set_slots(
     S: NumericalSemigroup, generators: tuple, gaps: tuple, frobenius: int, table: list
 ) -> None:
     """Fill every slot of a new S; genus and multiplicity follow from the rest."""
+    # cut or pad the table in place to 0..default_bound = frobenius + 2*max(A) + 1,
+    # the window of every Betti candidate and of the default exponent truncation
+    end = frobenius + 2 * generators[-1] + 2
+    del table[end:]
+    table.extend([True] * (end - len(table)))
     set_slot = object.__setattr__  # the class's own __setattr__ refuses
     set_slot(S, "generators", generators)
     set_slot(S, "gaps", gaps)

@@ -176,12 +176,13 @@ class TestUSet:
     def test_minimals_preserved(self, five_gen, s357):
         for S in (five_gen, s357):
             betti = OrderedSubset(S, betti_elements(S))
-            assert betti.minimals() == betti.u_set().minimals()
+            assert betti.minimals() == OrderedSubset(S, betti.u_set()).minimals()
 
     def test_totally_ordered_iff_u_is(self):
         for S in enumerate_by_genus(7):
             betti = OrderedSubset(S, betti_elements(S))
-            assert betti.is_totally_ordered() == betti.u_set().is_totally_ordered()
+            u_set = OrderedSubset(S, betti.u_set())
+            assert betti.is_totally_ordered() == u_set.is_totally_ordered()
 
     def test_matches_down_set_definition(self):
         # the definition, one down-set subset per element, as the oracle
@@ -202,6 +203,16 @@ class TestHasse:
         diagram = OrderedSubset(five_gen, betti_elements(five_gen)).hasse()
         assert diagram.covers == ((30, 57), (32, 48), (32, 57))
         assert not diagram.is_forest
+
+    def test_full_top_down_set_is_not_enough(self):
+        # 7 lies above both 3 and 4, which are incomparable
+        subset = OrderedSubset(NumericalSemigroup(3, 4), [3, 4, 7])
+        assert not subset.is_totally_ordered()
+        assert subset.u_set() == (3, 4)
+        diagram = subset.hasse()
+        assert diagram.covers == ((3, 7), (4, 7))
+        assert not diagram.is_forest
+        assert_matches_definitions(subset)
 
     def test_singleton(self):
         S = NumericalSemigroup(3, 5)

@@ -213,6 +213,37 @@ class TestCatalogShortcuts:
                         over_part = [v for v in vectors if sum(v) == v[i]]
                         assert len(over_part) == 1, (S.generators, s)
 
+    @pytest.mark.parametrize(
+        "family",
+        [
+            lambda: enumerate_by_genus(9),
+            lambda: (S for F in range(1, 42, 2) for S in ci_with_frobenius(F)),
+        ],
+        ids=["genus-9", "ci-up-to-41"],
+    )
+    def test_unique_factorization_iff_above_no_betti(self, family):
+        # x has one factorization iff x in S and x - b not in S for every Betti b
+        for S in family():
+            catalog = betti_elements(S)
+            counts = denumerant_series(S, S.default_bound)
+            for x, count in enumerate(counts):
+                above_none = x in S and not any(x - b in S for b in catalog)
+                assert (count == 1) == above_none, (S.generators, x)
+
+    def test_isolated_class_iff_each_vertex_leaves_one_factorization(self):
+        # R_C is a singleton iff s - c has one factorization for every c in C
+        for S in enumerate_by_genus(8):
+            bound = betti_search_bound(S)
+            member = _padded_table(S, bound)
+            counts = denumerant_series(S, bound)
+            for s in range(bound + 1):
+                vectors = factorizations(S, s)
+                for part in _components(S.generators, member, s):
+                    indices = [S.generators.index(c) for c in part]
+                    in_class = [v for v in vectors if any(v[i] for i in indices)]
+                    unique_below = all(counts[s - c] == 1 for c in part)
+                    assert (len(in_class) == 1) == unique_below, (S.generators, s)
+
 
 class TestIsolated:
     def test_all_isolated_at_minimal(self, s456):
