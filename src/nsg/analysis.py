@@ -73,7 +73,7 @@ class SemigroupAnalysis:
 
     @cached_property
     def sweep(self) -> ExponentSweep:
-        return ExponentSweep(self.semigroup.polynomial())
+        return ExponentSweep.of_semigroup(self.semigroup)
 
     @cached_property
     def sequence(self) -> ExponentSequence:
@@ -179,10 +179,10 @@ class SemigroupAnalysis:
         S, sequence, counts = self.semigroup, self.sequence, self.denumerants
         if sequence[1] != 1:
             return f"e_1 = {sequence[1]}"
-        generators = set(S.generators)
-        for j in range(2, sequence.bound + 1):
-            e = sequence[j]
-            if j not in S:
+        generators, table = set(S.generators), S.membership_table
+        end = len(table)  # every j past the table, as a larger bound reads, is a member
+        for j, e in enumerate(sequence.entries[1:], start=2):
+            if j < end and not table[j]:
                 if e != 0:
                     return f"gap {j} has e = {e}"
             elif j in generators:

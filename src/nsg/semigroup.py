@@ -163,10 +163,6 @@ class NumericalSemigroup:
         return len(self.generators)
 
     @property
-    def max_generator(self) -> int:
-        return self.generators[-1]
-
-    @property
     def is_trivial(self) -> bool:
         """True for the full semigroup of non-negative integers."""
         return self.generators == (1,)
@@ -175,10 +171,6 @@ class NumericalSemigroup:
     def default_bound(self) -> int:
         """Truncation used for exponent sequences: frobenius + 2*max(A) + 1."""
         return len(self._table) - 1
-
-    def elements_up_to(self, bound: int):
-        """All members n with 0 <= n <= bound, ascending."""
-        return [n for n in range(bound + 1) if n in self]
 
     # -- Apery sets ------------------------------------------------------------
 
@@ -194,19 +186,15 @@ class NumericalSemigroup:
         window = range(self.frobenius + m + 1)
         return [n for n in window if (n >= end or table[n]) and (n < m or not table[n - m])]
 
-    # -- series and polynomial views -------------------------------------------
-
-    def hilbert_prefix(self, bound: int) -> list[int]:
-        """Coefficients 0..bound of the generating series of membership."""
-        if bound < 0:
-            raise ValueError("bound must be >= 0")
-        return [1 if n in self else 0 for n in range(bound + 1)]
+    # -- polynomial view ---------------------------------------------------------
 
     def polynomial(self) -> list[int]:
         """The semigroup polynomial ``(1 - x) * sum_{s in S} x^s``.
 
         Monic of degree frobenius + 1, equivalently
-        ``1 + (x - 1) * sum_{g gap} x^g``; evaluates to 1 at x = 1.
+        ``1 + (x - 1) * sum_{g gap} x^g``; evaluates to 1 at x = 1. The
+        exponent sweep does not read it: it runs on the Apery numerator
+        (:meth:`nsg.witt.ExponentSweep.of_semigroup`).
         """
         coeffs = [0] * (self.frobenius + 2)
         coeffs[0] = 1

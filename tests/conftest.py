@@ -10,6 +10,8 @@ from nsg import factorization as factorization_module
 from nsg import witt as witt_module
 from nsg.cli import main
 
+from oracles import sweep_polynomial
+
 
 def pytest_collection_modifyitems(config, items):
     """Skip tests marked ``stretch`` unless NSG_STRETCH=1."""
@@ -95,14 +97,18 @@ class SweepLog(defaultdict):
 
 @pytest.fixture
 def swept(monkeypatch):
-    """A :class:`SweepLog` of every ``ExponentSweep.extend`` call that computes entries."""
+    """A :class:`SweepLog` of every ``ExponentSweep.extend`` call that computes entries.
+
+    Keyed on the polynomial the sweep expands, whatever numerator and period it runs on.
+    """
     log = SweepLog()
     extend = witt_module.ExponentSweep.extend
 
-    def counted(sweep, bound):
-        if bound >= len(sweep.entries):
-            log[tuple(sweep.coeffs)].append((len(sweep.entries), bound))
-        return extend(sweep, bound)
+    def counted(sweep, *args):
+        first = len(sweep.entries)
+        extend(sweep, *args)
+        if len(sweep.entries) > first:
+            log[tuple(sweep_polynomial(sweep))].append((first, len(sweep.entries) - 1))
 
     monkeypatch.setattr(witt_module.ExponentSweep, "extend", counted)
     return log

@@ -8,7 +8,7 @@ has the fixed length ``bound + 1``.
 """
 
 from nsg.arith import prime_factors
-from nsg.intpoly import trim
+from nsg.intpoly import divexact, mul, trim
 
 
 def degree(poly: list[int]) -> int:
@@ -78,3 +78,23 @@ def mul_one_minus_xk_pow(series: list[int], k: int, exponent: int, bound: int) -
     if exponent == 0:
         return series[: bound + 1] + [0] * (bound + 1 - len(series))
     return mul_trunc(series, binomial_series(exponent, k, bound), bound)
+
+
+def elements_up_to(S, bound: int) -> list[int]:
+    """All members n of S with 0 <= n <= bound, ascending."""
+    return [n for n in range(bound + 1) if n in S]
+
+
+def hilbert_prefix(S, bound: int) -> list[int]:
+    """Coefficients 0..bound of the generating series of membership of S."""
+    assert bound >= 0
+    return [1 if n in S else 0 for n in range(bound + 1)]
+
+
+def sweep_polynomial(sweep) -> list[int]:
+    """The polynomial f = (1 - x) * numerator / (1 - x^period) an ExponentSweep expands.
+
+    By exact division, so a sweep whose f is no polynomial fails here.
+    """
+    one_minus_xm = [1] + [0] * (sweep.period - 1) + [-1]
+    return divexact(mul([1, -1], sweep.numerator), one_minus_xm)

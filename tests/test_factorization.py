@@ -122,7 +122,7 @@ class TestBettiCatalog:
         # the search bound is conservative: a window above it stays connected
         for S in (s357, s456):
             bound = betti_search_bound(S)
-            for s in range(bound + 1, bound + S.max_generator + 1):
+            for s in range(bound + 1, bound + S.generators[-1] + 1):
                 assert factorization_graph(S, s).n_classes == 1
 
 

@@ -14,7 +14,7 @@ from nsg import (
 )
 
 from expected import FROBENIUS_FAMILIES, POLYNOMIAL_3_5_7, POLYNOMIAL_4_6_9
-from oracles import is_self_reciprocal, mul_one_minus_xk_pow
+from oracles import elements_up_to, hilbert_prefix, is_self_reciprocal, mul_one_minus_xk_pow
 
 
 class TestConstruction:
@@ -117,8 +117,8 @@ class TestMembership:
 
     def test_window_closure(self, s469, five_gen):
         for S in (s469, five_gen):
-            window = S.frobenius + 2 * S.max_generator
-            members = S.elements_up_to(window)
+            window = S.frobenius + 2 * S.generators[-1]
+            members = elements_up_to(S, window)
             for a in members:
                 for b in members:
                     if a + b <= window:
@@ -138,6 +138,16 @@ class TestApery:
             assert 0 in apery
             for a in apery:
                 assert a in five_gen and (a - m) not in five_gen
+
+    def test_hilbert_series_is_the_apery_numerator_over_one_minus_x_to_the_m(self):
+        # each s in S is w + j*m for exactly one w in Ap(S, m) and j >= 0, so
+        # H = A / (1 - x^m); the exponent sweep runs on (1 - x) * A / (1 - x^m)
+        for S in (*enumerate_by_genus(9), NumericalSemigroup(2, 83)):
+            m, bound = S.multiplicity, S.default_bound
+            numerator = [0] * (bound + 1)
+            for w in S.apery_set(m):
+                numerator[w] = 1
+            assert mul_one_minus_xk_pow(numerator, m, -1, bound) == hilbert_prefix(S, bound), S
 
     def test_non_member_raises(self, s357):
         with pytest.raises(NotAMemberError):
@@ -162,13 +172,13 @@ class TestPolynomial:
         assert all(a * b < 0 for a, b in zip(non_zero, non_zero[1:]))
 
     def test_hilbert_prefix(self, s357, naturals):
-        assert NumericalSemigroup(2, 3).hilbert_prefix(6) == [1, 0, 1, 1, 1, 1, 1]
-        assert naturals.hilbert_prefix(4) == [1] * 5
-        assert s357.hilbert_prefix(8) == [1, 0, 0, 1, 0, 1, 1, 1, 1]
+        assert hilbert_prefix(NumericalSemigroup(2, 3), 6) == [1, 0, 1, 1, 1, 1, 1]
+        assert hilbert_prefix(naturals, 4) == [1] * 5
+        assert hilbert_prefix(s357, 8) == [1, 0, 0, 1, 0, 1, 1, 1, 1]
 
     def test_hilbert_matches_polynomial(self, five_gen):
         bound = five_gen.frobenius + 10
-        prefix = five_gen.hilbert_prefix(bound)
+        prefix = hilbert_prefix(five_gen, bound)
         product = mul_one_minus_xk_pow(prefix, 1, 1, bound)
         padded = five_gen.polynomial() + [0] * (bound + 1)
         assert product == padded[: bound + 1]

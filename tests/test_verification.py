@@ -21,6 +21,7 @@ from nsg.verification import (
 from nsg import verification as verification_module
 
 from expected import GENUS_7_ALL_CHECKS, REPORTS, SEMIGROUPS_PER_GENUS
+from oracles import sweep_polynomial
 
 
 def _dumps(data) -> str:
@@ -61,7 +62,7 @@ class TestSharedAnalysis:
         betti_calls = self._count_calls(monkeypatch, "betti_elements")
         factor_reads = self._count_calls(
             monkeypatch, "cyclotomic_factors", witt_module.ExponentSweep,
-            key=lambda sweep: tuple(sweep.coeffs),
+            key=lambda sweep: tuple(sweep_polynomial(sweep)),
         )
         summary = run_verification(EnumerationJob("by-genus", 6), tuple(CHECKS))
         assert summary.total == 50

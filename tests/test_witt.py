@@ -18,12 +18,11 @@ from nsg import (
     is_cyclotomic,
 )
 from nsg import CyclotomicFactorization, ExponentSequence, SemigroupAnalysis, intpoly
-from nsg import witt as witt_module
 from nsg.arith import divisors, mobius
 from nsg.witt import ExponentSweep, _check_constant_term, _index_bound
 
 from expected import EXPONENTS_3_5_7, EXPONENTS_4_6_9_18
-from oracles import degree, euler_phi, evaluate, mul_one_minus_xk_pow
+from oracles import degree, euler_phi, evaluate, mul_one_minus_xk_pow, sweep_polynomial
 
 
 def sweep_sums(poly, count):
@@ -505,6 +504,98 @@ class TestAnalysisSweep:
         assert swept.reach(naturals.polynomial()) == 0
 
 
+def assert_apery_route_matches(S):
+    """The sweep of S's Apery numerator against the sweep of its polynomial.
+
+    Same polynomial, degree, entries to the default bound and power sums of
+    f (the numerator's plus 1 - m*[m | k]); and, on fresh sweeps, the same
+    cyclotomic verdict at the same stopping index.
+    """
+    poly, m = S.polynomial(), S.multiplicity
+    apery, plain = ExponentSweep.of_semigroup(S), ExponentSweep(poly)
+    assert sweep_polynomial(apery) == poly, S.generators
+    assert apery.degree == plain.degree == S.frobenius + 1
+    assert apery.prefix(S.default_bound) == plain.prefix(S.default_bound), S.generators
+    sums = [s + 1 - (m if k % m == 0 else 0) for k, s in enumerate(apery.sums)]
+    assert sums[1:] == plain.sums[1:], S.generators
+    apery, plain = ExponentSweep.of_semigroup(S), ExponentSweep(poly)
+    assert apery.cyclotomic_factors() == plain.cyclotomic_factors(), S.generators
+    assert len(apery.entries) == len(plain.entries), S.generators
+
+
+class TestAperyRoute:
+    """``ExponentSweep.of_semigroup`` sweeps (1 - x) * A / (1 - x^m), A the Apery numerator."""
+
+    def test_numerator_is_the_apery_set(self, five_gen, naturals):
+        for S in (five_gen, naturals, NumericalSemigroup(2, 83)):
+            sweep = ExponentSweep.of_semigroup(S)
+            m = S.multiplicity
+            assert sweep.period == m and len(sweep.numerator) == S.frobenius + m + 1
+            assert [w for w, a in enumerate(sweep.numerator) if a] == S.apery_set(m)
+
+    def test_by_genus_up_to_10(self):
+        for S in enumerate_by_genus(10):
+            assert_apery_route_matches(S)
+
+    def test_every_frobenius_21_semigroup(self):
+        for S in enumerate_by_frobenius(21):
+            assert_apery_route_matches(S)
+
+    def test_complete_intersections_up_to_frobenius_81(self):
+        for F in range(1, 82, 2):
+            for S in ci_with_frobenius(F):
+                assert_apery_route_matches(S)
+
+    @pytest.mark.stretch
+    def test_complete_intersections_at_frobenius_151(self):
+        for S in ci_with_frobenius(151):
+            assert_apery_route_matches(S)
+
+    @pytest.mark.parametrize(
+        "generators",
+        [(1,), (2, 83), *(tuple(range(m, 2 * m)) for m in range(2, 13))],
+        ids=lambda generators: ",".join(map(str, generators)),
+    )
+    def test_edge_cases_against_elimination(self, generators):
+        # <1> has m = 1 and A = 1; <m, ..., 2m - 1> has P = 1 - x + x^m,
+        # 3 terms, against A's m
+        S = NumericalSemigroup(*generators)
+        assert_apery_route_matches(S)
+        bound = S.default_bound
+        padded = S.polynomial() + [0] * bound
+        expected = witt_expand_iterative(padded, bound)
+        assert ExponentSweep.of_semigroup(S).prefix(bound) == expected == exponent_sequence(S)
+
+    @pytest.mark.parametrize(
+        "generators", [(5, 6, 7, 8), (3, 5, 7), (4, 6, 9), (3, 4, 5), (5, 7, 11)]
+    )
+    def test_limit_stops_after_the_first_larger_power_sum(self, generators):
+        # the limit reads f's power sums, not the numerator's: at <3,4,5> the
+        # numerator's pass the degree first, at <5,7,11> f's do
+        S = NumericalSemigroup(*generators)
+        poly, deg, bound = S.polynomial(), S.frobenius + 1, S.default_bound
+        sums = sweep_sums(poly, bound)
+        first = next((k for k, s in enumerate(sums, 1) if abs(s) > deg), bound)
+        for sweep in (ExponentSweep(poly), ExponentSweep.of_semigroup(S)):
+            sweep.extend(bound, deg)
+            assert len(sweep.entries) - 1 == first
+            assert sweep.prefix(bound) == ExponentSweep(poly).prefix(bound)
+
+    @pytest.mark.parametrize("numerator, period", [([1, 1], 0), ([1], 2), ([1, 0, 1], 3)])
+    def test_no_polynomial_rejected(self, numerator, period):
+        with pytest.raises(ValueError):
+            ExponentSweep(numerator, period)
+
+    def test_a_numerator_of_mixed_signs(self):
+        # (1 - x) * (1 - x + x^2 + x^3 - x^4 + x^5) / (1 - x^2) = Phi_6^2
+        poly = intpoly.mul(cyclotomic_polynomial(6), cyclotomic_polynomial(6))
+        sweep = ExponentSweep([1, -1, 1, 1, -1, 1], 2)
+        assert sweep_polynomial(sweep) == poly
+        assert list(sweep.prefix(8)) == [2, -2, -2, 0, 0, 2, 0, 0]
+        result = sweep.cyclotomic_factors()
+        assert result == factor_into_cyclotomics(poly) and result.factors == {6: 2}
+
+
 class TestIndexBound:
     def test_covers_every_index_with_small_phi(self):
         top = 300
@@ -538,16 +629,18 @@ class TestIsCyclotomic:
         assert S.is_symmetric() and not is_cyclotomic(S)
 
     def test_factorization_gated_on_symmetry(self, monkeypatch, s469, s357, naturals):
-        searched, search = [], witt_module.factor_into_cyclotomics
+        searched, search = [], ExponentSweep.cyclotomic_factors
         monkeypatch.setattr(
-            witt_module, "factor_into_cyclotomics", lambda poly: searched.append(poly) or search(poly)
+            ExponentSweep,
+            "cyclotomic_factors",
+            lambda sweep: searched.append(sweep_polynomial(sweep)) or search(sweep),
         )
         assert not is_cyclotomic(s357) and searched == []  # not symmetric: no search
         assert is_cyclotomic(naturals) and is_cyclotomic(s469)
         assert searched == [naturals.polynomial(), s469.polynomial()]
-        assert search(naturals.polynomial()).factors == {}
-        assert search(s469.polynomial()).complete
-        assert not search(NumericalSemigroup(5, 6, 7, 8).polynomial()).complete
+        assert factor_into_cyclotomics(naturals.polynomial()).factors == {}
+        assert factor_into_cyclotomics(s469.polynomial()).complete
+        assert not factor_into_cyclotomics(NumericalSemigroup(5, 6, 7, 8).polynomial()).complete
 
 
 class TestNecklace:
