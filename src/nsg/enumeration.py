@@ -13,8 +13,21 @@ One preorder walk on an explicit stack serves every family: children are
 pushed in reverse, so they are visited ascending in the removed generator
 and the walk yields in ascending order of the gap tuples. A walk by genus
 yields every node up to the cap and resumes after any node from the later
-siblings along its path. A walk to a Frobenius number builds no child beyond
-it, and none at a node already at it, and yields the nodes at it.
+siblings along its path. A walk to a Frobenius number F yields the nodes at
+F and builds only the nodes with a descendant at F, themselves included.
+S minus g has one iff g <= F and F is not in the monoid spanned by S's
+generators below g:
+
+- every descendant of S minus g removes only elements above g, so it keeps
+  S's elements below g and the monoid they span, and F with it if it is in;
+- conversely, if F is not in it, that monoid cut at F plus every integer
+  above F is a numerical semigroup with Frobenius number F. It agrees with S
+  below g, misses g (a minimal generator is no sum of smaller elements) and
+  holds every integer above F >= g, so it is a descendant of S minus g.
+
+That monoid only grows with g, so once it reaches F every later generator is
+dead too. The walk carries it as a bitmask over 0..F, one int per stack
+entry (see :func:`children`).
 
 Complete intersections are enumerated separately, bottom-up by Frobenius
 number through gluings, which reaches Frobenius values far beyond what the
@@ -47,39 +60,70 @@ def parse_token(token: str) -> Path:
 
 
 def children(
-    S: NumericalSemigroup, limit: int | None = None
-) -> list[tuple[int, NumericalSemigroup]]:
+    S: NumericalSemigroup, limit: int | None = None, mask: int | None = None
+) -> list[tuple]:
     """The tree children (g, S minus g), ascending in the removed generator g.
 
     g runs over the minimal generators above the Frobenius number, capped at
-    ``limit`` when given, so a walk builds only the children it visits. Each
-    child comes from :meth:`NumericalSemigroup.remove_generator`, which
-    derives it from S's own table.
+    ``limit`` when given. Each child comes from
+    :meth:`NumericalSemigroup.remove_generator`, which derives it from S's
+    own table.
+
+    A walk to a Frobenius target passes it as ``limit`` together with S's
+    ``mask``: bit n is set iff n <= limit lies in the monoid spanned by S's
+    generators below its Frobenius number. Then only the live children are
+    built, and each comes as (g, S minus g, mask at g), the mask of the
+    monoid spanned by S's generators below g, which is the child's own mask.
+    Bit ``limit`` of the mask at g is clear iff S minus g has a descendant
+    with Frobenius number ``limit`` (module docstring), and once it is set it
+    stays set, so the scan stops at the first dead g. Closing the mask under
+    g doubles the shift (g, 2g, 4g, ...) up to the limit. With no limit a
+    mask is passed through unread.
     """
-    return [
-        (g, S.remove_generator(g))
-        for g in S.generators
-        if S.frobenius < g and (limit is None or g <= limit)
-    ]
+    if mask is None:
+        return [
+            (g, S.remove_generator(g))
+            for g in S.generators
+            if S.frobenius < g and (limit is None or g <= limit)
+        ]
+    if limit is None:
+        return [(g, S.remove_generator(g), mask) for g in S.generators if S.frobenius < g]
+    kids, full = [], (2 << limit) - 1
+    for g in S.generators:
+        if g <= S.frobenius:
+            continue
+        if g > limit or mask >> limit & 1:
+            break
+        kids.append((g, S.remove_generator(g), mask))
+        shift = g
+        while shift <= limit:
+            mask |= mask << shift
+            shift <<= 1
+        mask &= full
+    return kids
 
 
 def _walk(stack: list, g_max, frobenius: int | None) -> Iterator[NumericalSemigroup]:
-    """Preorder from ``stack``, whose top is visited first.
+    """Preorder from ``stack`` of (g, S, mask) entries, whose top is visited first.
 
     A node at the Frobenius target is yielded and never expanded; with no
     target every node is yielded. A node is expanded when its children have
-    genus <= g_max. A walk to a target F passes g_max = F, which never stops
-    it: the gaps of a node below F lie in 1..F - 1.
+    genus <= g_max, through :func:`children` with the target and the node's
+    mask, so a walk to a target pushes only live children, each with its own
+    mask, and every node it pops lies on a path to the target. A walk to a
+    target F passes g_max = F, which never stops it: the gaps of a node
+    below F lie in 1..F - 1. The entries are as :func:`children` returns
+    them; g is not read, and with no target neither is the mask.
     """
     while stack:
-        S = stack.pop()
+        _, S, mask = stack.pop()
         if S.frobenius == frobenius:
             yield S
             continue
         if frobenius is None:
             yield S
         if S.genus + 1 <= g_max:
-            stack.extend(child for _, child in reversed(children(S, frobenius)))
+            stack.extend(reversed(children(S, frobenius, mask)))
 
 
 def enumerate_by_genus(g_max, resume: Path | None = None) -> Iterator[NumericalSemigroup]:
@@ -92,7 +136,7 @@ def enumerate_by_genus(g_max, resume: Path | None = None) -> Iterator[NumericalS
     names no node of the tree is a ValueError at the call, at any depth.
     """
     if resume is None:
-        return _walk([NumericalSemigroup(1)] if g_max >= 0 else [], g_max, None)
+        return _walk([(None, NumericalSemigroup(1), 0)] if g_max >= 0 else [], g_max, None)
     node, stack = NumericalSemigroup(1), []
     for g in resume:
         kids = dict(children(node))
@@ -101,10 +145,10 @@ def enumerate_by_genus(g_max, resume: Path | None = None) -> Iterator[NumericalS
                 f"{g} is not a minimal generator above the Frobenius number {node.frobenius}"
             )
         if node.genus + 1 <= g_max:
-            stack.extend(kids[h] for h in reversed(kids) if h > g)
+            stack.extend((h, kids[h], 0) for h in reversed(kids) if h > g)
         node = kids[g]
     if node.genus + 1 <= g_max:
-        stack.extend(child for _, child in reversed(children(node)))
+        stack.extend((h, child, 0) for h, child in reversed(children(node)))
     return _walk(stack, g_max, None)
 
 
@@ -117,15 +161,16 @@ def _require_int(frobenius) -> None:
 def enumerate_by_frobenius(frobenius: int) -> Iterator[NumericalSemigroup]:
     """Every numerical semigroup with the given Frobenius number, exactly once.
 
-    Same tree, pruned: a child's Frobenius number equals the removed
-    generator, so branches through generators above the target never recover
-    and are never built, and a node at the target has no children to build.
-    The target is checked at the call, not at the first ``next``.
+    Same tree, pruned to the live nodes: S minus g is built only when g <= F
+    and F is not in the monoid spanned by S's generators below g, exactly
+    the nodes with a descendant at F (module docstring), and a node at the
+    target has no children to build. The root's mask holds 0 alone. The
+    target is checked at the call, not at the first ``next``.
     """
     _require_int(frobenius)
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1")
-    return _walk([NumericalSemigroup(1)], frobenius, frobenius)
+    return _walk([(None, NumericalSemigroup(1), 1)], frobenius, frobenius)
 
 
 # A target F recurses into at most -1 and the odd numbers below it, so 512

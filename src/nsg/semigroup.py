@@ -186,23 +186,6 @@ class NumericalSemigroup:
         window = range(self.frobenius + m + 1)
         return [n for n in window if (n >= end or table[n]) and (n < m or not table[n - m])]
 
-    # -- polynomial view ---------------------------------------------------------
-
-    def polynomial(self) -> list[int]:
-        """The semigroup polynomial ``(1 - x) * sum_{s in S} x^s``.
-
-        Monic of degree frobenius + 1, equivalently
-        ``1 + (x - 1) * sum_{g gap} x^g``; evaluates to 1 at x = 1. The
-        exponent sweep does not read it: it runs on the Apery numerator
-        (:meth:`nsg.witt.ExponentSweep.of_semigroup`).
-        """
-        coeffs = [0] * (self.frobenius + 2)
-        coeffs[0] = 1
-        for g in self.gaps:
-            coeffs[g + 1] += 1
-            coeffs[g] -= 1
-        return coeffs
-
     def is_symmetric(self) -> bool:
         """Whether exactly one of n, frobenius - n belongs to S for all n.
 

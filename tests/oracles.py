@@ -91,6 +91,22 @@ def hilbert_prefix(S, bound: int) -> list[int]:
     return [1 if n in S else 0 for n in range(bound + 1)]
 
 
+def semigroup_polynomial(S) -> list[int]:
+    """The semigroup polynomial ``(1 - x) * sum_{s in S} x^s`` from S's gaps.
+
+    Monic of degree frobenius + 1, equivalently
+    ``1 + (x - 1) * sum_{g gap} x^g``; evaluates to 1 at x = 1. The package
+    sweeps exponents from the Apery numerator instead
+    (:meth:`nsg.witt.ExponentSweep.of_semigroup`).
+    """
+    coeffs = [0] * (S.frobenius + 2)
+    coeffs[0] = 1
+    for g in S.gaps:
+        coeffs[g + 1] += 1
+        coeffs[g] -= 1
+    return coeffs
+
+
 def sweep_polynomial(sweep) -> list[int]:
     """The polynomial f = (1 - x) * numerator / (1 - x^period) an ExponentSweep expands.
 

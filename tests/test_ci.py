@@ -18,6 +18,8 @@ from nsg import (
 )
 from nsg import factorization, intpoly
 
+from oracles import semigroup_polynomial
+
 ROUTES = {
     "is_complete_intersection": is_complete_intersection,
     "presentation size": lambda S: presentation_size(S) == S.embedding_dimension - 1,
@@ -69,11 +71,11 @@ def _assert_tree_identities(tree, betti=None):
     for part in (tree.left, tree.right):
         _assert_tree_identities(part)
     glued = NumericalSemigroup(_tree_generators(tree))
-    lhs = intpoly.mul(glued.polynomial(), _one_minus_xk(tree.a1))
+    lhs = intpoly.mul(semigroup_polynomial(glued), _one_minus_xk(tree.a1))
     lhs = intpoly.mul(lhs, _one_minus_xk(tree.a2))
     rhs = intpoly.mul([1, -1], _one_minus_xk(tree.a1 * tree.a2))
     for part, scale in ((tree.left, tree.a1), (tree.right, tree.a2)):
-        part_polynomial = NumericalSemigroup(_tree_generators(part)).polynomial()
+        part_polynomial = semigroup_polynomial(NumericalSemigroup(_tree_generators(part)))
         rhs = intpoly.mul(rhs, _inflate(part_polynomial, scale))
     assert lhs == rhs, f"product formula fails at node {tree.a1}, {tree.a2}"
     if betti is None:
@@ -91,7 +93,7 @@ def verify_ci_identities(S):
     analysis = SemigroupAnalysis(S)
     assert analysis.complete_intersection, S.generators
     catalog = analysis.betti
-    lhs = S.polynomial()
+    lhs = semigroup_polynomial(S)
     for n in S.generators:
         lhs = intpoly.mul(lhs, _one_minus_xk(n))
     rhs = [1, -1]  # 1 - x

@@ -11,6 +11,8 @@ from nsg import cli as cli_module
 from nsg.cli import main
 from nsg.verification import CHECKS
 
+from oracles import semigroup_polynomial
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 NSG = [sys.executable, "-m", "nsg.cli"]
 ENV = dict(os.environ, PYTHONPATH=str(SRC))
@@ -106,6 +108,15 @@ class TestEnumerate:
         assert result.exit_code == 0, result.output
         assert result.output.strip() == "8"
 
+    @pytest.mark.parametrize(
+        "frobenius, count", [(16, 205), pytest.param(24, 3578, marks=pytest.mark.stretch)]
+    )
+    def test_frobenius_count(self, cli, frobenius, count):
+        # OEIS A124506; an even target is where the walk leaves the most dead subtrees
+        result = cli("enumerate", "--frobenius", str(frobenius), "--count-only")
+        assert result.exit_code == 0, result.output
+        assert result.output.strip() == str(count)
+
     def test_frobenius_0_exits_2(self, cli):
         result = cli("enumerate", "--frobenius", "0", "--filter", "ci")
         assert result.exit_code == 2, result.output
@@ -137,7 +148,7 @@ class TestAnalyze:
         S = NumericalSemigroup(4, 6, 9)
         swept.clear()
         result = cli("analyze", "4,6,9", "--bound", str(bound))
-        assert result.exit_code == 0 and swept[tuple(S.polynomial())] == sweeps
+        assert result.exit_code == 0 and swept[tuple(semigroup_polynomial(S))] == sweeps
         sequence = exponent_sequence(S, bound)
         line = f"exponents ({bound} entries): {sequence.format()}"
         assert result.stdout.splitlines() == plain[:-1] + [line]

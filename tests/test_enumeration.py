@@ -15,6 +15,7 @@ from nsg.enumeration import (
 
 from expected import (
     FROBENIUS_FAMILIES,
+    FROBENIUS_WALK_BUILT,
     FROBENIUS_WALK_ORDER,
     GENUS_WALK_ORDER,
     SEMIGROUPS_PER_GENUS,
@@ -100,6 +101,56 @@ class TestChildren:
         assert children(s469) == []  # every generator lies below F = 11
 
 
+def _monoid_mask(generators, bound: int) -> int:
+    """Bit n set iff 0 <= n <= bound lies in the monoid the generators span, by a sieve."""
+    member = [True] + [False] * bound
+    for n in range(1, bound + 1):
+        member[n] = any(a <= n and member[n - a] for a in generators)
+    return sum(1 << n for n, m in enumerate(member) if m)
+
+
+class TestLiveNodes:
+    @pytest.mark.parametrize(
+        "frobenius",
+        list(range(1, 24)) + [pytest.param(f, marks=pytest.mark.stretch) for f in (24, 25)],
+    )
+    def test_walk_builds_exactly_the_prefixes_of_the_family(self, monkeypatch, frobenius):
+        # a node has a descendant at F iff its gap tuple prefixes the gap tuple
+        # of a semigroup with Frobenius number F: no dead node built, none missed
+        built, original = [], NumericalSemigroup.remove_generator
+
+        def counted(S, g):
+            child = original(S, g)
+            built.append(child.gaps)
+            return child
+
+        monkeypatch.setattr(NumericalSemigroup, "remove_generator", counted)
+        family = [S.gaps for S in enumerate_by_frobenius(frobenius)]
+        prefixes = {gaps[:i] for gaps in family for i in range(1, len(gaps) + 1)}
+        assert len(built) == len(set(built))
+        assert set(built) == prefixes
+        if frobenius in FROBENIUS_WALK_BUILT:
+            assert len(built) == FROBENIUS_WALK_BUILT[frobenius]
+
+    @pytest.mark.parametrize("frobenius", [16, 17])
+    def test_each_mask_is_the_monoid_below_the_removed_generator(self, frobenius):
+        checked = 0
+        stack = [(NumericalSemigroup(1), 1)]
+        while stack:
+            S, mask = stack.pop()
+            for g, child, child_mask in children(S, frobenius, mask):
+                below = [a for a in child.generators if a < g]
+                assert child_mask == _monoid_mask(below, frobenius), (child, g)
+                stack.append((child, child_mask))
+                checked += 1
+        assert checked == len(
+            {S.gaps[:i] for S in enumerate_by_frobenius(frobenius) for i in range(1, S.genus + 1)}
+        )
+
+    def test_without_a_target_the_mask_is_passed_through(self, s357):
+        assert children(s357, None, 5) == [(g, c, 5) for g, c in children(s357)]
+
+
 class TestGenusCap:
     def test_fractional_cap_stops(self):
         # a cap of 2.5 admits genus <= 2; islice keeps a walk that never stops finite
@@ -128,9 +179,9 @@ class TestResume:
     def test_resume_builds_no_earlier_subtree(self, monkeypatch):
         built, original = [], enumeration.children
 
-        def counted(S, limit=None):
-            kids = original(S, limit)
-            built.extend(child for _, child in kids)
+        def counted(S, *args):
+            kids = original(S, *args)
+            built.extend(kid[1] for kid in kids)
             return kids
 
         monkeypatch.setattr(enumeration, "children", counted)

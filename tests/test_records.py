@@ -14,6 +14,8 @@ from nsg import (
     minimal_presentation,
 )
 
+from oracles import semigroup_polynomial
+
 
 def _records():
     """One instance of each record class and a field of it (Leaf has none)."""
@@ -30,7 +32,7 @@ def _records():
         (analysis.betti[18], "nc"),
         (minimal_presentation(S), "by_element"),
         (analysis.sequence, "entries"),
-        (factor_into_cyclotomics(S.polynomial()), "complete"),
+        (factor_into_cyclotomics(semigroup_polynomial(S)), "complete"),
         (LEAF, "left"),
         (gluing_decompose(S), "a1"),
         (EnumerationJob("by-genus", 3), "limit"),

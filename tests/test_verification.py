@@ -21,7 +21,7 @@ from nsg.verification import (
 from nsg import verification as verification_module
 
 from expected import GENUS_7_ALL_CHECKS, REPORTS, SEMIGROUPS_PER_GENUS
-from oracles import sweep_polynomial
+from oracles import semigroup_polynomial, sweep_polynomial
 
 
 def _dumps(data) -> str:
@@ -69,12 +69,12 @@ class TestSharedAnalysis:
         family = list(enumerate_by_genus(6))
         assert betti_calls == family
         # the factors of a symmetric semigroup are read once, off the one sweep
-        symmetric = [tuple(S.polynomial()) for S in family if S.is_symmetric()]
+        symmetric = [tuple(semigroup_polynomial(S)) for S in family if S.is_symmetric()]
         assert factor_reads == symmetric and len(symmetric) == 17
         # which the checks extend to the default bound, each entry once; every
         # factor reading settles within it, and the checks are vacuous on <1>
         reaches = {poly: swept.reach(poly) for poly in list(swept)}
-        assert reaches == {tuple(S.polynomial()): S.default_bound for S in family[1:]}
+        assert reaches == {tuple(semigroup_polynomial(S)): S.default_bound for S in family[1:]}
         assert family[0].is_trivial
 
     @pytest.mark.parametrize(
@@ -98,7 +98,7 @@ class TestSharedAnalysis:
         assert summaries[0] == summaries[1]
         assert reaches[0] == reaches[1]
         swept_family = [S for S in enumerate_job(job) if not S.is_trivial]
-        assert set(reaches[0]) == {tuple(S.polynomial()) for S in swept_family}
+        assert set(reaches[0]) == {tuple(semigroup_polynomial(S)) for S in swept_family}
 
     def test_thm1_alone_builds_no_betti_catalog(self, catalog_builds):
         summary = run_verification(EnumerationJob("by-genus", 8), ("thm1",))

@@ -22,7 +22,14 @@ from nsg.arith import divisors, mobius
 from nsg.witt import ExponentSweep, _check_constant_term, _index_bound
 
 from expected import EXPONENTS_3_5_7, EXPONENTS_4_6_9_18
-from oracles import degree, euler_phi, evaluate, mul_one_minus_xk_pow, sweep_polynomial
+from oracles import (
+    degree,
+    euler_phi,
+    evaluate,
+    mul_one_minus_xk_pow,
+    semigroup_polynomial,
+    sweep_polynomial,
+)
 
 
 def sweep_sums(poly, count):
@@ -175,7 +182,7 @@ def assert_semigroup_matches_oracles(S):
 
     The exponents also extend the sequence.
     """
-    result = assert_matches_oracles(S.polynomial())
+    result = assert_matches_oracles(semigroup_polynomial(S))
     full = SemigroupAnalysis(S).full_exponents
     assert full == (result.exponents if result.complete else None), S.generators
     if result.complete:
@@ -233,12 +240,12 @@ class TestMoebiusExpansion:
         assert list(ExponentSweep([1, -1]).prefix(6)) == [1, 0, 0, 0, 0, 0]
 
     def test_published_listing(self, s357):
-        assert tuple(ExponentSweep(s357.polynomial()).prefix(150)) == EXPONENTS_3_5_7
+        assert tuple(ExponentSweep(semigroup_polynomial(s357)).prefix(150)) == EXPONENTS_3_5_7
 
     def test_agrees_with_iterative(self, five_gen):
         for S in (five_gen, NumericalSemigroup(4, 5, 6)):
             bound = S.default_bound
-            poly = S.polynomial()
+            poly = semigroup_polynomial(S)
             padded = poly + [0] * (bound + 1 - len(poly))
             assert list(ExponentSweep(poly).prefix(bound)) == list(
                 witt_expand_iterative(padded, bound)
@@ -253,9 +260,9 @@ class TestMoebiusExpansion:
 
     def test_round_trip(self, s469):
         bound = s469.default_bound
-        entries = ExponentSweep(s469.polynomial()).prefix(bound)
+        entries = ExponentSweep(semigroup_polynomial(s469)).prefix(bound)
         rebuilt = reconstruct_prefix(list(entries), bound)
-        padded = s469.polynomial() + [0] * (bound + 1)
+        padded = semigroup_polynomial(s469) + [0] * (bound + 1)
         assert rebuilt == padded[: bound + 1]
 
 
@@ -280,12 +287,12 @@ class TestExponentSequence:
     def test_matches_iterative_up_to_genus_10(self):
         for S in enumerate_by_genus(10):
             sequence = exponent_sequence(S)
-            padded = S.polynomial() + [0] * (sequence.bound + 1)
+            padded = semigroup_polynomial(S) + [0] * (sequence.bound + 1)
             assert sequence == witt_expand_iterative(padded, sequence.bound), S.generators
 
     def test_sum_zero_for_finite_support(self, s469, glued):
         for S in (s469, glued):
-            exponents = factor_into_cyclotomics(S.polynomial()).exponents
+            exponents = factor_into_cyclotomics(semigroup_polynomial(S)).exponents
             assert sum(exponents.values()) == 0
 
 
@@ -295,7 +302,7 @@ class TestCyclotomicPolynomials:
         assert cyclotomic_polynomial(6) == [1, -1, 1]
 
     def test_semigroup_of_two_primes(self):
-        assert cyclotomic_polynomial(15) == NumericalSemigroup(3, 5).polynomial()
+        assert cyclotomic_polynomial(15) == semigroup_polynomial(NumericalSemigroup(3, 5))
 
     def test_degree_is_phi(self):
         for n in range(1, 60):
@@ -319,17 +326,17 @@ class TestCyclotomicPolynomials:
 
 class TestCyclotomicFactorization:
     def test_complete_example(self, s469):
-        result = factor_into_cyclotomics(s469.polynomial())
+        result = factor_into_cyclotomics(semigroup_polynomial(s469))
         assert result.complete
         assert result.factors == {6: 1, 12: 1, 18: 1}
         product = [1]
         for d, h in result.factors.items():
             for _ in range(h):
                 product = intpoly.mul(product, cyclotomic_polynomial(d))
-        assert product == s469.polynomial()
+        assert product == semigroup_polynomial(s469)
 
     def test_incomplete(self, s357):
-        assert not factor_into_cyclotomics(s357.polynomial()).complete
+        assert not factor_into_cyclotomics(semigroup_polynomial(s357)).complete
 
     def test_constant(self):
         result = factor_into_cyclotomics([1])
@@ -351,7 +358,7 @@ class TestCyclotomicFactorization:
     def test_read_off_a_longer_sweep(self, s469, s357):
         # a sweep already run past N is read, not extended
         for S in (s469, s357):
-            poly = S.polynomial()
+            poly = semigroup_polynomial(S)
             longer = ExponentSweep(poly)
             longer.extend(_index_bound(len(poly) - 1) + 25)
             entries = list(longer.entries)
@@ -360,7 +367,7 @@ class TestCyclotomicFactorization:
 
     def test_sweep_below_the_degree_read_on(self, s469):
         # no certificate holds below the degree, so the reader sweeps on
-        poly = s469.polynomial()
+        poly = semigroup_polynomial(s469)
         short = ExponentSweep(poly)
         short.extend(len(poly) - 2)
         assert short.cyclotomic_factors() == factor_into_cyclotomics(poly)
@@ -368,7 +375,7 @@ class TestCyclotomicFactorization:
 
     def test_certified_at_the_default_bound(self, s469):
         # the sweep stops at the top of the support, short of the bound and of N
-        poly = s469.polynomial()
+        poly = semigroup_polynomial(s469)
         assert s469.default_bound < _index_bound(len(poly) - 1)
         sweep = ExponentSweep(poly)
         result = sweep.cyclotomic_factors()
@@ -378,7 +385,7 @@ class TestCyclotomicFactorization:
     def test_refuted_at_the_default_bound(self):
         # symmetric, not a complete intersection: a power sum outgrows the degree
         S = NumericalSemigroup(5, 6, 7, 8)
-        poly = S.polynomial()
+        poly = semigroup_polynomial(S)
         assert S.is_symmetric() and S.default_bound < _index_bound(len(poly) - 1)
         sweep = ExponentSweep(poly)
         assert sweep.cyclotomic_factors() == CyclotomicFactorization({}, False, {})
@@ -471,7 +478,7 @@ class TestAnalysisSweep:
     @pytest.mark.parametrize("cyclotomic_first", [False, True])
     def test_readers_share_one_sweep(self, swept, generators, cyclotomic_first):
         S = NumericalSemigroup(*generators)
-        poly, analysis = S.polynomial(), SemigroupAnalysis(S)
+        poly, analysis = semigroup_polynomial(S), SemigroupAnalysis(S)
         if cyclotomic_first:
             full, sequence = analysis.full_exponents, analysis.sequence
         else:
@@ -488,11 +495,11 @@ class TestAnalysisSweep:
         # <2,83>: e = 1, -1, -1, 1 at 1, 2, 83, 166; the default bound is 248
         S = NumericalSemigroup(2, 83)
         assert SemigroupAnalysis(S).cyclotomic
-        assert swept.reach(S.polynomial()) == 166 < S.default_bound
+        assert swept.reach(semigroup_polynomial(S)) == 166 < S.default_bound
 
     def test_non_complete_intersection_stops_at_the_first_large_power_sum(self, swept):
         S = NumericalSemigroup(5, 6, 7, 8)
-        poly, deg = S.polynomial(), S.frobenius + 1
+        poly, deg = semigroup_polynomial(S), S.frobenius + 1
         assert not SemigroupAnalysis(S).cyclotomic
         reach = swept.reach(poly)
         sums = sweep_sums(poly, S.default_bound)
@@ -501,7 +508,7 @@ class TestAnalysisSweep:
 
     def test_trivial_certifies_with_nothing(self, swept, naturals):
         assert SemigroupAnalysis(naturals).full_exponents == {}
-        assert swept.reach(naturals.polynomial()) == 0
+        assert swept.reach(semigroup_polynomial(naturals)) == 0
 
 
 def assert_apery_route_matches(S):
@@ -511,7 +518,7 @@ def assert_apery_route_matches(S):
     f (the numerator's plus 1 - m*[m | k]); and, on fresh sweeps, the same
     cyclotomic verdict at the same stopping index.
     """
-    poly, m = S.polynomial(), S.multiplicity
+    poly, m = semigroup_polynomial(S), S.multiplicity
     apery, plain = ExponentSweep.of_semigroup(S), ExponentSweep(poly)
     assert sweep_polynomial(apery) == poly, S.generators
     assert apery.degree == plain.degree == S.frobenius + 1
@@ -562,7 +569,7 @@ class TestAperyRoute:
         S = NumericalSemigroup(*generators)
         assert_apery_route_matches(S)
         bound = S.default_bound
-        padded = S.polynomial() + [0] * bound
+        padded = semigroup_polynomial(S) + [0] * bound
         expected = witt_expand_iterative(padded, bound)
         assert ExponentSweep.of_semigroup(S).prefix(bound) == expected == exponent_sequence(S)
 
@@ -573,7 +580,7 @@ class TestAperyRoute:
         # the limit reads f's power sums, not the numerator's: at <3,4,5> the
         # numerator's pass the degree first, at <5,7,11> f's do
         S = NumericalSemigroup(*generators)
-        poly, deg, bound = S.polynomial(), S.frobenius + 1, S.default_bound
+        poly, deg, bound = semigroup_polynomial(S), S.frobenius + 1, S.default_bound
         sums = sweep_sums(poly, bound)
         first = next((k for k, s in enumerate(sums, 1) if abs(s) > deg), bound)
         for sweep in (ExponentSweep(poly), ExponentSweep.of_semigroup(S)):
@@ -637,10 +644,10 @@ class TestIsCyclotomic:
         )
         assert not is_cyclotomic(s357) and searched == []  # not symmetric: no search
         assert is_cyclotomic(naturals) and is_cyclotomic(s469)
-        assert searched == [naturals.polynomial(), s469.polynomial()]
-        assert factor_into_cyclotomics(naturals.polynomial()).factors == {}
-        assert factor_into_cyclotomics(s469.polynomial()).complete
-        assert not factor_into_cyclotomics(NumericalSemigroup(5, 6, 7, 8).polynomial()).complete
+        assert searched == [semigroup_polynomial(naturals), semigroup_polynomial(s469)]
+        assert factor_into_cyclotomics(semigroup_polynomial(naturals)).factors == {}
+        assert factor_into_cyclotomics(semigroup_polynomial(s469)).complete
+        assert not factor_into_cyclotomics(semigroup_polynomial(NumericalSemigroup(5, 6, 7, 8))).complete
 
 
 class TestNecklace:
@@ -667,7 +674,7 @@ class TestGrowthEnvelope:
         assert_growth_envelope([1, -2], range(1, 21))
 
     def test_published_range(self, s357):
-        assert_growth_envelope(s357.polynomial(), range(30, 101))
+        assert_growth_envelope(semigroup_polynomial(s357), range(30, 101))
 
     def test_single_root_one(self):
         assert_growth_envelope([1, -1], range(1, 11))
