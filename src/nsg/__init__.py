@@ -2,7 +2,7 @@
 
 Construction and invariants live on :class:`NumericalSemigroup`; the
 surrounding modules compute product expansions of the semigroup polynomial,
-factorization structure (Betti elements, R-classes, minimal presentations),
+factorization structure (Betti elements and their R-classes),
 the member-difference order on them, complete intersections with their
 gluing trees, exhaustive enumeration drivers, and batch verification of the
 paper's claims over those families.
@@ -40,23 +40,16 @@ from .errors import (
     IntegralityError,
     NonCoprimeGeneratorsError,
     NotAMemberError,
-    NotIsolatedBettiError,
     NsgError,
 )
 from .factorization import (
     BettiData,
     FactorizationGraph,
-    MinimalPresentation,
     betti_elements,
-    betti_search_bound,
-    denumerant,
     denumerant_series,
     factorization_graph,
     factorizations,
-    isolated_factorizations,
-    minimal_presentation,
     presentation_size,
-    restricted_factorizations,
 )
 from .semigroup import NumericalSemigroup
 from .verification import (

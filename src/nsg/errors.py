@@ -28,6 +28,3 @@ class IntegralityError(NsgError, ArithmeticError):
 class BoundTooSmallError(NsgError, ValueError):
     """The requested truncation bound is below the minimum this operation needs."""
 
-
-class NotIsolatedBettiError(NsgError, ValueError):
-    """Restriction sets must consist of Betti elements with isolated factorizations."""

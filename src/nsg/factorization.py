@@ -33,8 +33,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import NotAMemberError, NotIsolatedBettiError
-from .records import FrozenRecord
+from .errors import NotAMemberError
 from .semigroup import NumericalSemigroup
 
 Vector = tuple[int, ...]
@@ -78,13 +77,6 @@ def denumerant_series(S: NumericalSemigroup, bound: int) -> list[int]:
     return ways
 
 
-def denumerant(S: NumericalSemigroup, s: int) -> int:
-    """Number of factorizations of s; 1 for s = 0, 0 off the semigroup."""
-    if s < 0:
-        return 0
-    return denumerant_series(S, s)[s]
-
-
 class FactorizationGraph(NamedTuple):
     """The factorizations of one element with their R-class partition.
 
@@ -92,7 +84,6 @@ class FactorizationGraph(NamedTuple):
     smallest index, i.e. by lexicographically largest member.
     """
 
-    element: int
     vertices: tuple[Vector, ...]
     r_classes: tuple[tuple[int, ...], ...]
 
@@ -102,22 +93,6 @@ class FactorizationGraph(NamedTuple):
 
     def isolated(self) -> list[Vector]:
         return [self.vertices[cls[0]] for cls in self.r_classes if len(cls) == 1]
-
-    def to_dot(self) -> str:
-        lines = [f'graph factorizations_{self.element} {{']
-        names = {i: '"' + ",".join(map(str, v)) + '"' for i, v in enumerate(self.vertices)}
-        for i in range(len(self.vertices)):
-            lines.append(f"  {names[i]};")
-        for i in range(len(self.vertices)):
-            for j in range(i + 1, len(self.vertices)):
-                if _shares_support(self.vertices[i], self.vertices[j]):
-                    lines.append(f"  {names[i]} -- {names[j]};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-
-def _shares_support(x: Vector, y: Vector) -> bool:
-    return any(a and b for a, b in zip(x, y))
 
 
 def _padded_table(S: NumericalSemigroup, bound: int) -> list[bool]:
@@ -153,11 +128,11 @@ def factorization_graph(S: NumericalSemigroup, s: int) -> FactorizationGraph:
     The support of a factorization is a clique of ∇_s, so each vector goes
     into the class of the component holding its support; the zero vector of
     s = 0 has empty support and forms a class of its own. It lists every
-    factorization of s, so in the package only what needs the vectors calls
-    it: :func:`minimal_presentation`, :func:`isolated_factorizations` and
-    :func:`restricted_factorizations`; users get the graph and its
-    :meth:`FactorizationGraph.to_dot`. The tests hold its classes to the
-    definition (vectors joined when their supports meet).
+    factorization of s, so no verdict reads it: the verdicts read
+    :func:`betti_elements`. The tests hold its classes to the definition
+    (vectors joined when their supports meet) and build the factorization
+    listings of the paper's lemmas (isolated factorizations, minimal
+    presentations, restricted factorizations) on it.
     """
     if s not in S:
         raise NotAMemberError(f"{s} is not in the semigroup")
@@ -169,7 +144,7 @@ def factorization_graph(S: NumericalSemigroup, s: int) -> FactorizationGraph:
         support = next((g for g, e in zip(S.generators, vector) if e), None)
         classes.setdefault(component_of.get(support), []).append(index)
     # indices ascend, so the classes appear ordered by their smallest index
-    return FactorizationGraph(s, vertices, tuple(map(tuple, classes.values())))
+    return FactorizationGraph(vertices, tuple(map(tuple, classes.values())))
 
 
 class BettiData(NamedTuple):
@@ -183,10 +158,6 @@ class BettiData(NamedTuple):
 
     nc: int
     isolated_count: int
-
-
-def betti_search_bound(S: NumericalSemigroup) -> int:
-    return S.default_bound - 1
 
 
 def betti_elements(S: NumericalSemigroup) -> dict[int, BettiData]:
@@ -213,7 +184,7 @@ def betti_elements(S: NumericalSemigroup) -> dict[int, BettiData]:
     Each such b <= s - c < s is a candidate, so it is scanned before s.
     """
     catalog: dict[int, BettiData] = {}
-    bound, gens = betti_search_bound(S), S.generators
+    bound, gens = S.default_bound - 1, S.generators
     member = S.membership_table  # covers 0..default_bound, past the search bound
     apery = S.apery_set(S.multiplicity)[1:]  # w = 0 gives the generators
     for s in sorted({w + g for w in apery for g in gens[1:] if w + g <= bound}):
@@ -230,89 +201,3 @@ def betti_elements(S: NumericalSemigroup) -> dict[int, BettiData]:
 def presentation_size(S: NumericalSemigroup) -> int:
     """Cardinality of any minimal presentation, ``sum_b (nc(b) - 1)`` over Betti elements."""
     return sum(data.nc - 1 for data in betti_elements(S).values())
-
-
-def isolated_factorizations(S: NumericalSemigroup, s: int) -> list[Vector]:
-    """Factorizations of s forming singleton R-classes."""
-    return factorization_graph(S, s).isolated()
-
-
-class MinimalPresentation(FrozenRecord):
-    """Chained pairs of factorizations, grouped by Betti element."""
-
-    __slots__ = ("by_element",)
-
-    def __init__(self, by_element: dict[int, tuple[tuple[Vector, Vector], ...]]):
-        self._init(by_element)
-
-    @property
-    def pairs(self) -> list[tuple[Vector, Vector]]:
-        return [pair for chains in self.by_element.values() for pair in chains]
-
-    def __len__(self) -> int:
-        return sum(len(chains) for chains in self.by_element.values())
-
-
-def minimal_presentation(S: NumericalSemigroup) -> MinimalPresentation:
-    """One minimal presentation, deterministic across platforms.
-
-    Per Betti element the lexicographically largest factorization of each
-    R-class is chosen and the representatives are chained in order. Any other
-    choice would also be minimal; this one is fixed for test stability.
-    """
-    by_element = {}
-    for b, data in betti_elements(S).items():
-        graph = factorization_graph(S, b)
-        representatives = [graph.vertices[cls[0]] for cls in graph.r_classes]
-        by_element[b] = tuple(
-            (representatives[i], representatives[i + 1])
-            for i in range(len(representatives) - 1)
-        )
-    return MinimalPresentation(by_element)
-
-
-def restricted_factorizations(
-    S: NumericalSemigroup, s: int, restriction: "set[int] | list[int] | tuple[int, ...]"
-) -> list[Vector]:
-    """Factorizations of s splitting as w + x_1 + ... + x_l.
-
-    Here w is the unique factorization of its value and each x_i is an
-    isolated factorization of an element of ``restriction``. Every element
-    of the restriction set must be a Betti element with at least one isolated
-    factorization. With an empty restriction the result is all of Z(s) when s
-    factors uniquely, else empty.
-    """
-    if s not in S:
-        raise NotAMemberError(f"{s} is not in the semigroup")
-    pool: list[Vector] = []
-    for b in sorted(set(restriction)):
-        if b not in S:
-            raise NotIsolatedBettiError(f"{b} is not in the semigroup")
-        graph = factorization_graph(S, b)
-        isolated = graph.isolated()
-        if graph.n_classes < 2 or not isolated:
-            raise NotIsolatedBettiError(
-                f"{b} is not a Betti element with an isolated factorization"
-            )
-        pool.extend(isolated)
-
-    gens = S.generators
-    counts = denumerant_series(S, s)
-    memo: dict[Vector, bool] = {}
-
-    def decomposes(z: Vector) -> bool:
-        cached = memo.get(z)
-        if cached is not None:
-            return cached
-        value = sum(e * g for e, g in zip(z, gens))
-        if counts[value] == 1:
-            memo[z] = True
-            return True
-        result = any(
-            all(a >= b for a, b in zip(z, x)) and decomposes(tuple(a - b for a, b in zip(z, x)))
-            for x in pool
-        )
-        memo[z] = result
-        return result
-
-    return [z for z in factorizations(S, s) if decomposes(z)]

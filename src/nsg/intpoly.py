@@ -3,6 +3,14 @@
 A polynomial is a plain ``list[int]`` whose index is the degree, kept trimmed
 (no trailing zeros, ``[]`` is the zero polynomial). Everything here is exact:
 Python integers never overflow and divisions assert their own exactness.
+
+The verdict path reads only :func:`trim`, for the exponent sweep's numerator.
+:func:`sub`, ``ONE`` and :func:`divexact` build the polynomials of
+:func:`nsg.witt.cyclotomic_polynomial` (in ``witt._cyclotomic``), and
+:func:`divides` has no caller in the package. They stay because
+``perfbench/trace.py`` binds ``divides``, ``divexact`` and the functions of
+:mod:`nsg.arith` by name, and ``_cyclotomic`` is what loads ``nsg.arith``.
+The product of two polynomials is a test oracle only.
 """
 
 from .errors import IntegralityError
@@ -22,19 +30,6 @@ def sub(a: list[int], b: list[int]) -> list[int]:
     for i, c in enumerate(b):
         out[i] -= c
     return trim(out)
-
-
-def mul(a: list[int], b: list[int]) -> list[int]:
-    a, b = trim(a), trim(b)
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return out
 
 
 def divexact(a: list[int], b: list[int]) -> list[int]:

@@ -199,15 +199,7 @@ class NumericalSemigroup:
         """
         return 2 * self.genus == self.frobenius + 1
 
-    # -- serialization and dunder plumbing --------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "generators": list(self.generators),
-            "frobenius": self.frobenius,
-            "genus": self.genus,
-            "gaps": list(self.gaps),
-        }
+    # -- comparison and pickling -----------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NumericalSemigroup):
@@ -221,6 +213,7 @@ class NumericalSemigroup:
         return f"NumericalSemigroup{self.generators}"
 
     def __reduce__(self):
+        # pickle and copy cannot set the slots past the refusing __setattr__
         return (NumericalSemigroup, self.generators)
 
 

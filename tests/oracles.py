@@ -1,14 +1,21 @@
-"""Polynomial and series oracles shared by several test files.
+"""Polynomial, series and factorization oracles shared by several test files.
 
 None of these is on a route ``nsg`` takes to a verdict: they rebuild series
 from exponents and state properties in their textbook form, so the tests can
 check the package's one route against them. A polynomial or series prefix is
 a ``list[int]`` indexed by degree, as in :mod:`nsg.intpoly`; a series prefix
 has the fixed length ``bound + 1``.
+
+The factorization listings at the end (minimal presentations, restricted
+factorizations) are no second route to anything the package computes: they
+are the objects the paper's lemmas speak about, listed vector by vector from
+:func:`nsg.factorization.factorization_graph` so the tests can state those
+lemmas (Rosales & García-Sánchez, *Numerical Semigroups*, 2009, ch. 7).
 """
 
 from nsg.arith import prime_factors
-from nsg.intpoly import divexact, mul, trim
+from nsg.factorization import betti_elements, denumerant_series, factorization_graph, factorizations
+from nsg.intpoly import divexact, trim
 
 
 def degree(poly: list[int]) -> int:
@@ -22,6 +29,20 @@ def euler_phi(n: int) -> int:
     for p in prime_factors(n):
         result -= result // p
     return result
+
+
+def mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two polynomials, trimmed."""
+    a, b = trim(a), trim(b)
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    out[i + j] += ca * cb
+    return out
 
 
 def evaluate(poly: list[int], x: int) -> int:
@@ -114,3 +135,52 @@ def sweep_polynomial(sweep) -> list[int]:
     """
     one_minus_xm = [1] + [0] * (sweep.period - 1) + [-1]
     return divexact(mul([1, -1], sweep.numerator), one_minus_xm)
+
+
+def minimal_presentation(S) -> dict[int, tuple]:
+    """One minimal presentation: Betti element -> its chained pairs of factorizations.
+
+    Per Betti element the lexicographically largest factorization of each
+    R-class represents it, and the representatives are chained in order.
+    Any other choice would also be minimal; this one is fixed.
+    """
+    presentation = {}
+    for b in betti_elements(S):
+        graph = factorization_graph(S, b)
+        representatives = [graph.vertices[cls[0]] for cls in graph.r_classes]
+        presentation[b] = tuple(zip(representatives, representatives[1:]))
+    return presentation
+
+
+def restricted_factorizations(S, s: int, restriction) -> list[tuple[int, ...]]:
+    """Factorizations of s splitting as w + x_1 + ... + x_l.
+
+    Here w is the unique factorization of its value and each x_i is an
+    isolated factorization of an element of ``restriction``, each of which
+    must be a Betti element with an isolated factorization. With an empty
+    restriction the result is all of Z(s) when s factors uniquely, else
+    empty.
+    """
+    assert s in S, s
+    pool = []
+    for b in sorted(set(restriction)):
+        assert b in S, b
+        graph = factorization_graph(S, b)
+        isolated = graph.isolated()
+        assert graph.n_classes >= 2 and isolated, b
+        pool.extend(isolated)
+
+    gens = S.generators
+    counts = denumerant_series(S, s)
+    memo = {}
+
+    def decomposes(z):
+        if z not in memo:
+            value = sum(e * g for e, g in zip(z, gens))
+            memo[z] = counts[value] == 1 or any(
+                all(a >= b for a, b in zip(z, x)) and decomposes(tuple(a - b for a, b in zip(z, x)))
+                for x in pool
+            )
+        return memo[z]
+
+    return [z for z in factorizations(S, s) if decomposes(z)]

@@ -12,12 +12,12 @@ from nsg import (
     NumericalSemigroup,
     betti_elements,
     classify,
+    denumerant_series,
     enumerate_by_frobenius,
     enumerate_by_genus,
     exponent_sequence,
     exponent_support,
     leq,
-    restricted_factorizations,
     verify_theorems,
 )
 from nsg.analysis import SemigroupAnalysis
@@ -25,7 +25,7 @@ from nsg.bettiposet import OrderedSubset
 from nsg.witt import ExponentSequence
 
 from expected import ORDER_DIGEST_FROBENIUS_21, ORDER_DIGEST_GENUS_10, THEOREM_DIGESTS_GENUS_8
-from oracles import elements_up_to, hilbert_prefix
+from oracles import elements_up_to, hilbert_prefix, restricted_factorizations
 
 
 def down_set(subset, x):
@@ -255,13 +255,11 @@ class TestExponentSupport:
             exponent_support(s357, 5)
 
     def test_members_in_semigroup_with_two_factorizations(self, five_gen):
-        from nsg import denumerant
-
         support = exponent_support(five_gen)
         for d in support.members:
             if d <= support.bound:
                 assert d in five_gen
-                assert denumerant(five_gen, d) >= 2
+                assert denumerant_series(five_gen, d)[d] >= 2
 
 
 class TestResidualCoefficients:

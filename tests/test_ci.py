@@ -16,9 +16,9 @@ from nsg import (
     is_cyclotomic,
     presentation_size,
 )
-from nsg import factorization, intpoly
+from nsg import factorization
 
-from oracles import semigroup_polynomial
+from oracles import mul, semigroup_polynomial
 
 ROUTES = {
     "is_complete_intersection": is_complete_intersection,
@@ -71,12 +71,12 @@ def _assert_tree_identities(tree, betti=None):
     for part in (tree.left, tree.right):
         _assert_tree_identities(part)
     glued = NumericalSemigroup(_tree_generators(tree))
-    lhs = intpoly.mul(semigroup_polynomial(glued), _one_minus_xk(tree.a1))
-    lhs = intpoly.mul(lhs, _one_minus_xk(tree.a2))
-    rhs = intpoly.mul([1, -1], _one_minus_xk(tree.a1 * tree.a2))
+    lhs = mul(semigroup_polynomial(glued), _one_minus_xk(tree.a1))
+    lhs = mul(lhs, _one_minus_xk(tree.a2))
+    rhs = mul([1, -1], _one_minus_xk(tree.a1 * tree.a2))
     for part, scale in ((tree.left, tree.a1), (tree.right, tree.a2)):
         part_polynomial = semigroup_polynomial(NumericalSemigroup(_tree_generators(part)))
-        rhs = intpoly.mul(rhs, _inflate(part_polynomial, scale))
+        rhs = mul(rhs, _inflate(part_polynomial, scale))
     assert lhs == rhs, f"product formula fails at node {tree.a1}, {tree.a2}"
     if betti is None:
         betti = frozenset(factorization.betti_elements(glued))
@@ -95,11 +95,11 @@ def verify_ci_identities(S):
     catalog = analysis.betti
     lhs = semigroup_polynomial(S)
     for n in S.generators:
-        lhs = intpoly.mul(lhs, _one_minus_xk(n))
+        lhs = mul(lhs, _one_minus_xk(n))
     rhs = [1, -1]  # 1 - x
     for b, data in catalog.items():
         for _ in range(data.nc - 1):
-            rhs = intpoly.mul(rhs, _one_minus_xk(b))
+            rhs = mul(rhs, _one_minus_xk(b))
     assert lhs == rhs, f"polynomial product identity fails for {S.generators}"
     degree = sum(b * (data.nc - 1) for b, data in catalog.items())
     assert S.frobenius + sum(S.generators) == degree, S.generators

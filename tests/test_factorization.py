@@ -6,25 +6,19 @@ from hypothesis import assume, given, settings, strategies as st
 from nsg import (
     NotAMemberError,
     ci_with_frobenius,
-    NotIsolatedBettiError,
     NumericalSemigroup,
     betti_elements,
-    betti_search_bound,
-    denumerant,
     denumerant_series,
     enumerate_by_frobenius,
     enumerate_by_genus,
     factorization_graph,
     factorizations,
-    isolated_factorizations,
-    minimal_presentation,
     presentation_size,
-    restricted_factorizations,
 )
 from nsg.bettiposet import OrderedSubset
 from nsg.factorization import _components, _padded_table
 
-from oracles import mul_one_minus_xk_pow
+from oracles import minimal_presentation, mul_one_minus_xk_pow, restricted_factorizations
 
 
 def value_of(S, vector):
@@ -49,10 +43,10 @@ class TestFactorizations:
             assert all(value_of(five_gen, v) == s for v in vectors)
 
     def test_denumerant(self, s456, s357):
-        assert denumerant(s456, 10) == 2
-        assert denumerant(s357, 6) == 1
-        assert denumerant(s357, 0) == 1
-        assert denumerant(s357, 1) == 0
+        assert denumerant_series(s456, 10)[10] == 2
+        assert denumerant_series(s357, 6)[6] == 1
+        assert denumerant_series(s357, 0)[0] == 1
+        assert denumerant_series(s357, 1)[1] == 0
 
     def test_series_matches_enumeration(self, five_gen):
         bound = 60
@@ -61,7 +55,7 @@ class TestFactorizations:
             assert series[s] == len(factorizations(five_gen, s))
 
     def test_series_matches_product_expansion(self, s469):
-        bound = betti_search_bound(s469)
+        bound = s469.default_bound - 1
         series = denumerant_series(s469, bound)
         product = [1] + [0] * bound
         for g in s469.generators:
@@ -91,11 +85,6 @@ class TestGraph:
         with pytest.raises(NotAMemberError):
             factorization_graph(s357, 4)
 
-    def test_dot_output(self, s469):
-        dot = factorization_graph(s469, 18).to_dot()
-        assert '"3,1,0" -- "0,3,0"' in dot
-        assert dot.startswith("graph factorizations_18 {")
-
 
 class TestBettiCatalog:
     def test_357(self, s357):
@@ -116,12 +105,12 @@ class TestBettiCatalog:
     def test_keys_within_window(self, five_gen):
         catalog = betti_elements(five_gen)
         for b in catalog:
-            assert 2 * five_gen.multiplicity <= b <= betti_search_bound(five_gen)
+            assert 2 * five_gen.multiplicity <= b <= five_gen.default_bound - 1
 
     def test_connected_above_bound(self, s357, s456):
         # the search bound is conservative: a window above it stays connected
         for S in (s357, s456):
-            bound = betti_search_bound(S)
+            bound = S.default_bound - 1
             for s in range(bound + 1, bound + S.generators[-1] + 1):
                 assert factorization_graph(S, s).n_classes == 1
 
@@ -146,7 +135,7 @@ def definition_classes(S, s):
 def assert_matches_definition(S):
     """Every graph's classes and the whole Betti catalog against the definition."""
     catalog = {}
-    for s in range(betti_search_bound(S) + 1):
+    for s in range(S.default_bound):
         if s not in S:
             continue
         classes = definition_classes(S, s)
@@ -196,14 +185,14 @@ class TestCatalogShortcuts:
         # s is Betti => s - n_i in Ap(S, m) for some generator n_i other than m
         for S in enumerate_by_genus(10):
             apery = set(S.apery_set(S.multiplicity))
-            for s in range(betti_search_bound(S) + 1):
+            for s in range(S.default_bound):
                 if s in S and factorization_graph(S, s).n_classes >= 2:
                     assert any(s - g in apery for g in S.generators[1:]), (S.generators, s)
 
     def test_singleton_component_restricted_denumerant_is_1(self):
         # the factorizations of s over {n_i} alone, for {n_i} a component of ∇_s
         for S in enumerate_by_genus(8):
-            bound = betti_search_bound(S)
+            bound = S.default_bound - 1
             member = _padded_table(S, bound)
             for s in range(bound + 1):
                 vectors = factorizations(S, s)
@@ -233,7 +222,7 @@ class TestCatalogShortcuts:
     def test_isolated_class_iff_each_vertex_leaves_one_factorization(self):
         # R_C is a singleton iff s - c has one factorization for every c in C
         for S in enumerate_by_genus(8):
-            bound = betti_search_bound(S)
+            bound = S.default_bound - 1
             member = _padded_table(S, bound)
             counts = denumerant_series(S, bound)
             for s in range(bound + 1):
@@ -247,13 +236,13 @@ class TestCatalogShortcuts:
 
 class TestIsolated:
     def test_all_isolated_at_minimal(self, s456):
-        assert isolated_factorizations(s456, 10) == factorizations(s456, 10)
+        assert factorization_graph(s456, 10).isolated() == factorizations(s456, 10)
 
     def test_57_has_isolated(self, five_gen):
-        assert isolated_factorizations(five_gen, 57) == [(0, 0, 0, 0, 3)]
+        assert factorization_graph(five_gen, 57).isolated() == [(0, 0, 0, 0, 3)]
 
     def test_generator_trivially_isolated(self, s357):
-        assert isolated_factorizations(s357, 3) == [(1, 0, 0)]
+        assert factorization_graph(s357, 3).isolated() == [(1, 0, 0)]
 
     def test_minimality_characterization(self, five_gen):
         # a factorization is non-isolated iff it strictly dominates an
@@ -262,7 +251,7 @@ class TestIsolated:
         pool = [
             x
             for b in catalog
-            for x in isolated_factorizations(five_gen, b)
+            for x in factorization_graph(five_gen, b).isolated()
         ]
         for s in range(70):
             if s not in five_gen:
@@ -281,7 +270,7 @@ class TestIsolated:
             catalog = betti_elements(S)
             minimals = set(OrderedSubset(S, catalog).minimals())
             for b, data in catalog.items():
-                all_isolated = data.isolated_count == data.nc == denumerant(S, b)
+                all_isolated = data.isolated_count == data.nc == denumerant_series(S, b)[b]
                 assert (b in minimals) == all_isolated
 
     def test_chain_nonminimal_has_one_big_class(self, five_gen, s469):
@@ -305,29 +294,32 @@ class TestIsolated:
                 if b1 == b2 or (b2 - b1) not in five_gen:
                     continue
                 for x in factorizations(five_gen, b1):
-                    for y in isolated_factorizations(five_gen, b2):
+                    for y in factorization_graph(five_gen, b2).isolated():
                         assert not any(p and q for p, q in zip(x, y))
+
+
+def presentation_length(S):
+    """Number of pairs in the oracle's minimal presentation of S."""
+    return sum(len(chains) for chains in minimal_presentation(S).values())
 
 
 class TestMinimalPresentation:
     def test_sizes(self, s357, s469):
-        assert len(minimal_presentation(s357)) == 3
-        assert len(minimal_presentation(s469)) == 2
+        assert presentation_length(s357) == 3
+        assert presentation_length(s469) == 2
 
     def test_two_generator_pair(self):
         S = NumericalSemigroup(3, 5)
-        presentation = minimal_presentation(S)
-        assert presentation.by_element == {15: (((5, 0), (0, 3)),)}
+        assert minimal_presentation(S) == {15: (((5, 0), (0, 3)),)}
 
     def test_pairs_factor_the_same_element(self, five_gen):
-        presentation = minimal_presentation(five_gen)
-        for b, chains in presentation.by_element.items():
+        for b, chains in minimal_presentation(five_gen).items():
             for x, y in chains:
                 assert value_of(five_gen, x) == value_of(five_gen, y) == b
 
     def test_size_formula(self, five_gen):
         catalog = betti_elements(five_gen)
-        assert len(minimal_presentation(five_gen)) == sum(
+        assert presentation_length(five_gen) == sum(
             data.nc - 1 for data in catalog.values()
         ) == presentation_size(five_gen)
 
@@ -345,18 +337,12 @@ class TestRestrictedFactorizations:
         assert restricted_factorizations(s456, 10, set()) == []
         assert restricted_factorizations(s357, 6, set()) == factorizations(s357, 6)
 
-    def test_bad_restriction_raises(self, s456):
-        with pytest.raises(NotIsolatedBettiError):
-            restricted_factorizations(s456, 20, {9})  # 9 is not a Betti element
-        with pytest.raises(NotAMemberError):
-            restricted_factorizations(s456, 3, {10})
-
     def test_binomial_count_at_betti_minimal(self, s456, s357):
         for S, b in ((s456, 10), (s456, 12), (s357, 10)):
             data = betti_elements(S)[b]
             apery = set(S.apery_set(b))
-            counts = denumerant_series(S, betti_search_bound(S))
-            for s in range(betti_search_bound(S) + 1):
+            counts = denumerant_series(S, S.default_bound - 1)
+            for s in range(S.default_bound):
                 if s not in S:
                     continue
                 q, w = 0, s

@@ -11,7 +11,6 @@ from nsg import (
     factor_into_cyclotomics,
     factorization_graph,
     gluing_decompose,
-    minimal_presentation,
 )
 
 from oracles import semigroup_polynomial
@@ -30,7 +29,6 @@ def _records():
         (report, "checks"),
         (factorization_graph(S, 18), "vertices"),
         (analysis.betti[18], "nc"),
-        (minimal_presentation(S), "by_element"),
         (analysis.sequence, "entries"),
         (factor_into_cyclotomics(semigroup_polynomial(S)), "complete"),
         (LEAF, "left"),

@@ -1,4 +1,5 @@
-import json
+import copy
+import pickle
 from math import gcd
 
 import pytest
@@ -232,15 +233,11 @@ class TestSymmetry:
 
 
 class TestSerialization:
-    def test_json_dict(self, s469):
-        data = s469.to_json_dict()
-        assert data == {
-            "generators": [4, 6, 9],
-            "frobenius": 11,
-            "genus": 6,
-            "gaps": [1, 2, 3, 5, 7, 11],
-        }
-        json.dumps(data)  # serializable
-
     def test_repr(self, s469):
         assert repr(s469) == "NumericalSemigroup(4, 6, 9)"
+
+    def test_pickle_and_copy(self, s469):
+        # the slots are immutable, so both go through __reduce__
+        for clone in (pickle.loads(pickle.dumps(s469)), copy.copy(s469), copy.deepcopy(s469)):
+            assert clone == s469
+            assert clone.gaps == s469.gaps and clone.membership_table == s469.membership_table

@@ -26,6 +26,7 @@ from oracles import (
     degree,
     euler_phi,
     evaluate,
+    mul,
     mul_one_minus_xk_pow,
     semigroup_polynomial,
     sweep_polynomial,
@@ -318,7 +319,7 @@ class TestCyclotomicPolynomials:
             product = [1]
             for d in range(1, n + 1):
                 if n % d == 0:
-                    product = intpoly.mul(product, cyclotomic_polynomial(d))
+                    product = mul(product, cyclotomic_polynomial(d))
             want = [0] * (n + 1)
             want[0], want[n] = -1, 1
             assert product == want
@@ -332,7 +333,7 @@ class TestCyclotomicFactorization:
         product = [1]
         for d, h in result.factors.items():
             for _ in range(h):
-                product = intpoly.mul(product, cyclotomic_polynomial(d))
+                product = mul(product, cyclotomic_polynomial(d))
         assert product == semigroup_polynomial(s469)
 
     def test_incomplete(self, s357):
@@ -343,12 +344,12 @@ class TestCyclotomicFactorization:
         assert result.complete and result.factors == {} and result.exponents == {}
 
     def test_repeated_factor(self):
-        poly = intpoly.mul(cyclotomic_polynomial(6), cyclotomic_polynomial(6))
+        poly = mul(cyclotomic_polynomial(6), cyclotomic_polynomial(6))
         assert factor_into_cyclotomics(poly).factors == {6: 2}
 
     def test_incomplete_records_no_factors(self):
         # Phi_6 divides it, but an incomplete result reports no divisor
-        poly = intpoly.mul(cyclotomic_polynomial(6), [1, -3, 1])
+        poly = mul(cyclotomic_polynomial(6), [1, -3, 1])
         assert factor_into_cyclotomics(poly) == CyclotomicFactorization({}, False, {})
 
     def test_not_monic_rejected(self):
@@ -408,7 +409,7 @@ class TestCyclotomicFactorization:
         # alone, n is the index bound N itself
         poly = [1]
         for n in indices:
-            poly = intpoly.mul(poly, cyclotomic_polynomial(n))
+            poly = mul(poly, cyclotomic_polynomial(n))
         deg, top = len(poly) - 1, max(indices)
         assert (top == _index_bound(deg)) == (indices == (210,))
         for bound in {deg, max(deg, 100), top - 1, top}:
@@ -427,7 +428,7 @@ class TestCyclotomicFactorization:
         # phi(330) = 80 adds a second index far above its own degree
         poly = [1]
         for n in indices:
-            poly = intpoly.mul(poly, cyclotomic_polynomial(n))
+            poly = mul(poly, cyclotomic_polynomial(n))
         result = assert_matches_oracles(poly)
         assert result.complete and result.factors == {n: 1 for n in indices}
 
@@ -461,10 +462,10 @@ class TestCyclotomicFactorization:
     def test_random_products_of_cyclotomics(self, indices, middle):
         poly = [1]
         for n in indices:
-            poly = intpoly.mul(poly, cyclotomic_polynomial(n))
+            poly = mul(poly, cyclotomic_polynomial(n))
         if middle is not None:
             # times 1 + ... + x^k: cyclotomic or not, the oracle decides
-            poly = intpoly.mul(poly, [1] + middle + [1])
+            poly = mul(poly, [1] + middle + [1])
         result = assert_matches_oracles(poly)
         if middle is None:
             assert result.complete
@@ -595,7 +596,7 @@ class TestAperyRoute:
 
     def test_a_numerator_of_mixed_signs(self):
         # (1 - x) * (1 - x + x^2 + x^3 - x^4 + x^5) / (1 - x^2) = Phi_6^2
-        poly = intpoly.mul(cyclotomic_polynomial(6), cyclotomic_polynomial(6))
+        poly = mul(cyclotomic_polynomial(6), cyclotomic_polynomial(6))
         sweep = ExponentSweep([1, -1, 1, 1, -1, 1], 2)
         assert sweep_polynomial(sweep) == poly
         assert list(sweep.prefix(8)) == [2, -2, -2, 0, 0, 2, 0, 0]
