@@ -179,10 +179,9 @@ class SemigroupAnalysis:
         S, sequence, counts = self.semigroup, self.sequence, self.denumerants
         if sequence[1] != 1:
             return f"e_1 = {sequence[1]}"
-        generators, table = set(S.generators), S.membership_table
-        end = len(table)  # every j past the table, as a larger bound reads, is a member
+        generators, member = set(S.generators), S.membership(self.bound)
         for j, e in enumerate(sequence.entries[1:], start=2):
-            if j < end and not table[j]:
+            if not member[j]:
                 if e != 0:
                     return f"gap {j} has e = {e}"
             elif j in generators:

@@ -43,12 +43,11 @@ class OrderedSubset:
         self.S = S
         self.elements = elements = tuple(sorted(set(elements)))
         self._index = {x: i for i, x in enumerate(elements)}
-        # bit i of _down[j] is set when elements[i] <= elements[j]; b - a >= 0
-        # here, so membership is the table entry or lies past the table
-        table = S.membership_table
-        end = len(table)
+        # bit i of _down[j] is set when elements[i] <= elements[j]; every b - a
+        # read lies in 0..max - min
+        member = S.membership(elements[-1] - elements[0]) if elements else []
         self._down = [
-            sum(1 << i for i, a in enumerate(elements[:j]) if b - a >= end or table[b - a])
+            sum(1 << i for i, a in enumerate(elements[:j]) if member[b - a])
             | 1 << j
             for j, b in enumerate(elements)
         ]
@@ -155,13 +154,7 @@ class Classification(NamedTuple):
     e_forest: bool | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "betti_sorted": self.betti_sorted,
-            "betti_divisible": self.betti_divisible,
-            "unique_betti": self.unique_betti,
-            "betti_forest": self.betti_forest,
-            "e_forest": self.e_forest,
-        }
+        return self._asdict()
 
 
 def classify(S: NumericalSemigroup) -> Classification:

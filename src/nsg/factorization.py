@@ -12,8 +12,8 @@ components of ∇_s (Rosales & García-Sánchez, *Numerical Semigroups*,
 Springer 2009, ch. 7). The support of a factorization is a clique of ∇_s, so
 each R-class is the set of factorizations supported in one component.
 One graph search (:func:`_components`) finds the components, reading
-membership off the membership table (padded past its end when
-:func:`factorization_graph` reads higher), and both
+membership off one padded copy of the table,
+:meth:`~nsg.semigroup.NumericalSemigroup.membership`, and both
 :func:`betti_elements` and :func:`factorization_graph` read their classes
 from it; the tests hold it to the definition above. The catalog searches
 only the elements w + n_i, w in the Apéry set of the multiplicity, which
@@ -95,12 +95,6 @@ class FactorizationGraph(NamedTuple):
         return [self.vertices[cls[0]] for cls in self.r_classes if len(cls) == 1]
 
 
-def _padded_table(S: NumericalSemigroup, bound: int) -> list[bool]:
-    """Membership of 0..bound, one list lookup each, for any bound."""
-    table = S.membership_table
-    return table[: bound + 1] + [True] * (bound + 1 - len(table))
-
-
 def _components(generators, member: list[bool], s: int) -> list[list[int]]:
     """The connected components of ∇_s as ascending lists of generators.
 
@@ -137,7 +131,7 @@ def factorization_graph(S: NumericalSemigroup, s: int) -> FactorizationGraph:
     if s not in S:
         raise NotAMemberError(f"{s} is not in the semigroup")
     vertices = tuple(factorizations(S, s))
-    components = _components(S.generators, _padded_table(S, s), s)
+    components = _components(S.generators, S.membership(s), s)
     component_of = {g: c for c, part in enumerate(components) for g in part}
     classes: dict[int, list[int]] = {}
     for index, vector in enumerate(vertices):
@@ -185,7 +179,7 @@ def betti_elements(S: NumericalSemigroup) -> dict[int, BettiData]:
     """
     catalog: dict[int, BettiData] = {}
     bound, gens = S.default_bound - 1, S.generators
-    member = S.membership_table  # covers 0..default_bound, past the search bound
+    member = S.membership(bound)
     apery = S.apery_set(S.multiplicity)[1:]  # w = 0 gives the generators
     for s in sorted({w + g for w in apery for g in gens[1:] if w + g <= bound}):
         components = _components(gens, member, s)

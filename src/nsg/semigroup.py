@@ -2,10 +2,14 @@
 
 A numerical semigroup is an additively closed subset of the non-negative
 integers containing 0 whose complement (the set of *gaps*) is finite. It is
-determined by its unique minimal generating system. Everything a
-:class:`NumericalSemigroup` exposes is precomputed at construction from a
-dynamic-programming membership sieve (or, for a child in the semigroup tree,
-derived from its parent's table), and instances are immutable.
+determined by its unique minimal generating system, or by which n <= F, the
+Frobenius number, belong to it: every n > F does. A :class:`NumericalSemigroup`
+stores exactly that, a membership table over 0..F, built by a
+dynamic-programming sieve (or, for a child in the semigroup tree, derived
+from its parent's table). Its generators, Frobenius number, genus and
+multiplicity are precomputed; the gaps and every padded copy of the table
+(:meth:`~NumericalSemigroup.membership`) are read off the table. Instances
+are immutable.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ class NumericalSemigroup:
     (11, 6)
     """
 
-    __slots__ = ("generators", "gaps", "frobenius", "genus", "multiplicity", "_table")
+    __slots__ = ("generators", "frobenius", "genus", "multiplicity", "_table")
 
     def __init__(self, *raw):
         if len(raw) == 1 and not isinstance(raw[0], int):
@@ -48,8 +52,7 @@ class NumericalSemigroup:
         table = _membership_sieve(values)
         frobenius = _last_false(table)
         generators = _minimal_generators(values, table)
-        gaps = tuple(i for i, member in enumerate(table) if not member)
-        _set_slots(self, tuple(generators), gaps, frobenius, table)
+        _set_slots(self, tuple(generators), frobenius, table)
 
     def __setattr__(self, name, value):
         raise AttributeError("NumericalSemigroup is immutable")
@@ -103,11 +106,11 @@ class NumericalSemigroup:
 
         This is a child in the semigroup tree. Every slot is derived from
         this semigroup without a sieve: the child's Frobenius number is g,
-        its gaps are ours plus g, and its membership table is ours with g
-        cleared. Removing g keeps the other minimal generators minimal, and
-        every new one is g + a for a minimal generator a (2g included) or
-        3g: a new generator h is g + s for some non-zero s, and unless s is
-        a generator or 2g, h splits further inside the child. Only
+        and its membership table over 0..g is ours, then members up to
+        g - 1, then the gap g. Removing g keeps the other minimal generators
+        minimal, and every new one is g + a for a minimal generator a (2g
+        included) or 3g: a new generator h is g + s for some non-zero s, and
+        unless s is a generator or 2g, h splits further inside the child. Only
         candidates up to g + m can be new, for m the child's multiplicity
         (ours, or g + 1 when g is ours): a larger c is (c - m) + m, and
         c - m > g is a member. That leaves g + m, or 2g and 2g + 1, or at
@@ -125,8 +128,8 @@ class NumericalSemigroup:
         m = self.multiplicity if g != self.multiplicity else g + 1
         # ascending, as 2g <= m (which lets 3g in) holds only at the root, g = 1
         candidates = [g + a for a in (*self.generators, 2 * g) if a <= m]
-        table = self._table[:g]
-        table.append(False)  # every c - a read below is at most g; _set_slots pads
+        # every c - a read below is at most g
+        table = self._table + [True] * (g - 1 - self.frobenius) + [False]
         generators = list(self.generators)
         generators.remove(g)
         for c in candidates:  # ascending, so every generator below c is known
@@ -137,7 +140,7 @@ class NumericalSemigroup:
                 generators.append(c)
         generators.sort()
         child = object.__new__(NumericalSemigroup)
-        _set_slots(child, tuple(generators), self.gaps + (g,), g, table)
+        _set_slots(child, tuple(generators), g, table)
         return child
 
     # -- membership and basic invariants --------------------------------------
@@ -149,14 +152,20 @@ class NumericalSemigroup:
             return self._table[n]
         return True
 
-    @property
-    def membership_table(self) -> list[bool]:
-        """Membership of 0, 1, ..., :attr:`default_bound`; every n past it is a member.
+    def membership(self, n: int) -> list[bool]:
+        """Membership of 0, 1, ..., n as a new list, ``[]`` for n < 0.
 
-        The table itself, not a copy, for loops that test many n >= 0
-        without a :meth:`__contains__` call each. Do not modify it.
+        For loops that test many k in 0..n without a :meth:`__contains__`
+        call each; past the Frobenius number every entry is True.
         """
-        return self._table
+        if n < 0:
+            return []
+        return self._table[: n + 1] + [True] * (n - self.frobenius)
+
+    @property
+    def gaps(self) -> tuple[int, ...]:
+        """The gaps, ascending: the n <= frobenius outside S."""
+        return tuple(n for n, member in enumerate(self._table) if not member)
 
     @property
     def embedding_dimension(self) -> int:
@@ -169,8 +178,11 @@ class NumericalSemigroup:
 
     @property
     def default_bound(self) -> int:
-        """Truncation used for exponent sequences: frobenius + 2*max(A) + 1."""
-        return len(self._table) - 1
+        """Truncation used for exponent sequences: frobenius + 2*max(A) + 1.
+
+        Every Betti element lies below it (see :mod:`nsg.factorization`).
+        """
+        return self.frobenius + 2 * self.generators[-1] + 1
 
     # -- Apery sets ------------------------------------------------------------
 
@@ -181,10 +193,9 @@ class NumericalSemigroup:
         """
         if m < 1 or m not in self:
             raise NotAMemberError(f"{m} must be a positive element of the semigroup")
-        # each element is at most frobenius + m, so every n - m read lies in the table
-        table, end = self._table, len(self._table)
-        window = range(self.frobenius + m + 1)
-        return [n for n in window if (n >= end or table[n]) and (n < m or not table[n - m])]
+        # each element is at most frobenius + m
+        member = self.membership(self.frobenius + m)
+        return [n for n, k in enumerate(member) if k and (n < m or not member[n - m])]
 
     def is_symmetric(self) -> bool:
         """Whether exactly one of n, frobenius - n belongs to S for all n.
@@ -217,20 +228,13 @@ class NumericalSemigroup:
         return (NumericalSemigroup, self.generators)
 
 
-def _set_slots(
-    S: NumericalSemigroup, generators: tuple, gaps: tuple, frobenius: int, table: list
-) -> None:
+def _set_slots(S: NumericalSemigroup, generators: tuple, frobenius: int, table: list) -> None:
     """Fill every slot of a new S; genus and multiplicity follow from the rest."""
-    # cut or pad the table in place to 0..default_bound = frobenius + 2*max(A) + 1,
-    # the window of every Betti candidate and of the default exponent truncation
-    end = frobenius + 2 * generators[-1] + 2
-    del table[end:]
-    table.extend([True] * (end - len(table)))
+    del table[frobenius + 1 :]  # cut in place to 0..frobenius; every n past it is a member
     set_slot = object.__setattr__  # the class's own __setattr__ refuses
     set_slot(S, "generators", generators)
-    set_slot(S, "gaps", gaps)
     set_slot(S, "frobenius", frobenius)
-    set_slot(S, "genus", len(gaps))
+    set_slot(S, "genus", table.count(False))
     set_slot(S, "multiplicity", generators[0])
     set_slot(S, "_table", table)
 

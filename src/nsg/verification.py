@@ -41,6 +41,15 @@ FILTERS: dict[str, Callable[[SemigroupAnalysis], bool]] = {
 }
 
 
+def _validate_names(kind: str, names, known) -> None:
+    """A ValueError for the first unknown or repeated name of a ``kind``."""
+    for i, name in enumerate(names):
+        if name not in known:
+            raise ValueError(f"unknown {kind} {name!r}; known: {','.join(known)}")
+        if name in names[:i]:
+            raise ValueError(f"{kind} {name!r} named twice")
+
+
 class EnumerationJob(FrozenRecord):
     """What to enumerate: mode, bound, optional filters and resume point.
 
@@ -66,11 +75,7 @@ class EnumerationJob(FrozenRecord):
         least = 0 if self.mode == "by-genus" else 1
         if self.limit < least:
             raise ValueError(f"limit must be >= {least} in {self.mode} mode")
-        for i, name in enumerate(self.filters):
-            if name not in FILTERS:
-                raise ValueError(f"unknown filter {name!r}; known: {','.join(FILTERS)}")
-            if name in self.filters[:i]:
-                raise ValueError(f"filter {name!r} named twice")
+        _validate_names("filter", self.filters, FILTERS)
         if self.resume_token is not None:
             if self.mode != "by-genus":
                 raise ValueError("resume tokens apply to by-genus jobs only")
@@ -188,11 +193,7 @@ def validate_checks(names) -> tuple[str, ...]:
     names = tuple(names)
     if not names:
         raise ValueError("no check named; known: " + ",".join(CHECKS))
-    for i, name in enumerate(names):
-        if name not in CHECKS:
-            raise ValueError(f"unknown check {name!r}; known: {','.join(CHECKS)}")
-        if name in names[:i]:
-            raise ValueError(f"check {name!r} named twice")
+    _validate_names("check", names, CHECKS)
     return names
 
 

@@ -16,7 +16,7 @@ from nsg import (
     presentation_size,
 )
 from nsg.bettiposet import OrderedSubset
-from nsg.factorization import _components, _padded_table
+from nsg.factorization import _components
 
 from oracles import minimal_presentation, mul_one_minus_xk_pow, restricted_factorizations
 
@@ -193,7 +193,7 @@ class TestCatalogShortcuts:
         # the factorizations of s over {n_i} alone, for {n_i} a component of ∇_s
         for S in enumerate_by_genus(8):
             bound = S.default_bound - 1
-            member = _padded_table(S, bound)
+            member = S.membership(bound)
             for s in range(bound + 1):
                 vectors = factorizations(S, s)
                 for part in _components(S.generators, member, s):
@@ -223,7 +223,7 @@ class TestCatalogShortcuts:
         # R_C is a singleton iff s - c has one factorization for every c in C
         for S in enumerate_by_genus(8):
             bound = S.default_bound - 1
-            member = _padded_table(S, bound)
+            member = S.membership(bound)
             counts = denumerant_series(S, bound)
             for s in range(bound + 1):
                 vectors = factorizations(S, s)

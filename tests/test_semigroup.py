@@ -108,19 +108,30 @@ class TestMembership:
     def test_beyond_table(self, s469):
         assert 10**9 in s469
 
-    def test_membership_table_agrees_with_contains(self, s357, s469, five_gen, naturals):
+    def test_membership_agrees_with_contains(self, s357, s469, five_gen, naturals):
         for S in (s357, s469, five_gen, naturals):
-            table = S.membership_table
-            assert len(table) > S.frobenius
-            assert all(table[n] == (n in S) for n in range(len(table)))
+            for n in (-3, -1, 0, S.frobenius - 1, S.frobenius, S.default_bound + 5):
+                member = S.membership(n)
+                assert len(member) == max(n + 1, 0), (S, n)
+                assert all(member[k] == (k in S) for k in range(len(member))), (S, n)
 
-    def test_membership_table_covers_the_default_bound(self):
-        # __init__ and remove_generator both cut the table to 0..default_bound
+    def test_table_covers_zero_to_frobenius(self):
+        # __init__ and remove_generator both store membership of 0..frobenius only
         family = [*enumerate_by_genus(12), NumericalSemigroup(100, 101)]
         family += [S for f in range(1, 20) for S in enumerate_by_frobenius(f)]
         assert family[0].is_trivial
         for S in family:
-            assert len(S.membership_table) == S.default_bound + 1, S
+            assert len(S._table) == S.frobenius + 1, S
+
+    def test_membership_returns_a_copy(self, s469):
+        S, twin = s469, NumericalSemigroup(4, 6, 9)
+        gaps, apery, digest = S.gaps, S.apery_set(4), hash(S)
+        for n in (S.frobenius, S.default_bound):
+            member = S.membership(n)
+            member[:] = [not k for k in member]
+        assert 11 not in S and 12 in S and 1 not in S and 0 in S
+        assert S.gaps == gaps and S.apery_set(4) == apery
+        assert hash(S) == digest == hash(twin) and S == twin
 
     def test_window_closure(self, s469, five_gen):
         for S in (s469, five_gen):
@@ -240,4 +251,5 @@ class TestSerialization:
         # the slots are immutable, so both go through __reduce__
         for clone in (pickle.loads(pickle.dumps(s469)), copy.copy(s469), copy.deepcopy(s469)):
             assert clone == s469
-            assert clone.gaps == s469.gaps and clone.membership_table == s469.membership_table
+            assert clone.gaps == s469.gaps
+            assert clone.membership(s469.default_bound) == s469.membership(s469.default_bound)
