@@ -5,7 +5,8 @@ expansion exponents), ``betti`` (Betti structure), ``enumerate`` (families by
 genus or Frobenius number, with filters), ``verify`` (batch checks over a
 family). Exit status 0 means every requested check passed, 1 signals a
 counterexample (or an interrupt, or a reader that closed the output pipe),
-2 a usage error. ``verify`` walks its family serially, in this process.
+2 a usage error, an export path that cannot be written included, found before
+any work. ``verify`` walks its family serially, in this process.
 
 Every command is a fresh interpreter, so the parser is the standard
 library's ``argparse``, and nothing on this module's import path pulls in a
@@ -51,6 +52,14 @@ def _write(writer, data, path) -> None:
         writer(data, path)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _probe(_, path) -> None:
+    """Open ``path`` for append, writing nothing; a file this creates is removed again."""
+    existed = os.path.exists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
 
 
 def _family_job(options, resume_token=None) -> EnumerationJob:
@@ -173,8 +182,6 @@ def verify(options) -> int:
         check_names = validate_checks(name for name in options.checks.split(",") if name)
     except ValueError as exc:
         raise UsageError(f"--checks: {exc}") from exc
-    if options.json_path:  # fail before the walk: open it for append, writing nothing
-        _write(lambda _, path: open(path, "a").close(), None, options.json_path)
 
     def progress(done: int, token: str | None) -> None:
         print(f"checked {done}" + ("" if token is None else f" (token {token})"), file=sys.stderr)
@@ -253,6 +260,10 @@ def main(args: list[str] | None = None, prog_name: str = "nsg"):
     parser = _parser(prog_name)
     options = parser.parse_args(args)
     try:
+        for name in ("json_path", "dot_path", "csv_path"):
+            path = getattr(options, name, None)
+            if path:  # fail before the work
+                _write(_probe, None, path)
         status = options.run(options)
         sys.stdout.flush()  # inside the try: a closed pipe fails here, not at exit
     except UsageError as exc:

@@ -7,7 +7,7 @@ of genus g appears exactly once at depth g. A child's Frobenius number is its
 removed generator, so the path of removed generators from the root to a node
 is exactly its gap tuple, ascending. A child is built from its parent's
 membership table (:meth:`~nsg.semigroup.NumericalSemigroup.remove_generator`),
-at O(g + e) rather than a fresh sieve.
+at O(g + e) rather than a fresh closure of its generators.
 
 One preorder walk on an explicit stack serves every family: children are
 pushed in reverse, so they are visited ascending in the removed generator
@@ -27,7 +27,7 @@ generators below g:
 
 That monoid only grows with g, so once it reaches F every later generator is
 dead too. The walk carries it as a bitmask over 0..F, one int per stack
-entry (see :func:`children`).
+entry, closed by :func:`~nsg.semigroup.close_under` (see :func:`children`).
 
 Complete intersections are enumerated separately, bottom-up by Frobenius
 number through gluings, which reaches Frobenius values far beyond what the
@@ -40,7 +40,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterator
 
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, close_under
 
 Path = tuple[int, ...]
 
@@ -76,9 +76,9 @@ def children(
     monoid spanned by S's generators below g, which is the child's own mask.
     Bit ``limit`` of the mask at g is clear iff S minus g has a descendant
     with Frobenius number ``limit`` (module docstring), and once it is set it
-    stays set, so the scan stops at the first dead g. Closing the mask under
-    g doubles the shift (g, 2g, 4g, ...) up to the limit. With no limit a
-    mask is passed through unread.
+    stays set, so the scan stops at the first dead g. The next mask is this
+    one closed under g up to the limit. With no limit a mask is passed
+    through unread.
     """
     if mask is None:
         return [
@@ -88,18 +88,14 @@ def children(
         ]
     if limit is None:
         return [(g, S.remove_generator(g), mask) for g in S.generators if S.frobenius < g]
-    kids, full = [], (2 << limit) - 1
+    kids = []
     for g in S.generators:
         if g <= S.frobenius:
             continue
         if g > limit or mask >> limit & 1:
             break
         kids.append((g, S.remove_generator(g), mask))
-        shift = g
-        while shift <= limit:
-            mask |= mask << shift
-            shift <<= 1
-        mask &= full
+        mask = close_under(mask, g, limit)
     return kids
 
 

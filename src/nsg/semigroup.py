@@ -4,12 +4,12 @@ A numerical semigroup is an additively closed subset of the non-negative
 integers containing 0 whose complement (the set of *gaps*) is finite. It is
 determined by its unique minimal generating system, or by which n <= F, the
 Frobenius number, belong to it: every n > F does. A :class:`NumericalSemigroup`
-stores exactly that, a membership table over 0..F, built by a
-dynamic-programming sieve (or, for a child in the semigroup tree, derived
-from its parent's table). Its generators, Frobenius number, genus and
-multiplicity are precomputed; the gaps and every padded copy of the table
-(:meth:`~NumericalSemigroup.membership`) are read off the table. Instances
-are immutable.
+stores exactly that, a membership table over 0..F, read off a bitmask closed
+under each generator by :func:`close_under` (or, for a child in the semigroup
+tree, derived from its parent's table). Its generators, Frobenius number,
+genus and multiplicity are precomputed; the gaps and every padded copy of the
+table (:meth:`~NumericalSemigroup.membership`) are read off the table.
+Instances are immutable.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ class NumericalSemigroup:
             )
 
         table = _membership_sieve(values)
-        frobenius = _last_false(table)
-        generators = _minimal_generators(values, table)
-        _set_slots(self, tuple(generators), frobenius, table)
+        generators = []  # every n - a read is at most max(values)
+        _append_minimal(generators, values, table + [True] * (values[-1] + 1 - len(table)))
+        _set_slots(self, tuple(generators), len(table) - 1, table)
 
     def __setattr__(self, name, value):
         raise AttributeError("NumericalSemigroup is immutable")
@@ -105,7 +105,7 @@ class NumericalSemigroup:
         """S minus g, for a minimal generator g above the Frobenius number.
 
         This is a child in the semigroup tree. Every slot is derived from
-        this semigroup without a sieve: the child's Frobenius number is g,
+        this semigroup, closing no mask: the child's Frobenius number is g,
         and its membership table over 0..g is ours, then members up to
         g - 1, then the gap g. Removing g keeps the other minimal generators
         minimal, and every new one is g + a for a minimal generator a (2g
@@ -114,11 +114,9 @@ class NumericalSemigroup:
         candidates up to g + m can be new, for m the child's multiplicity
         (ours, or g + 1 when g is ours): a larger c is (c - m) + m, and
         c - m > g is a member. That leaves g + m, or 2g and 2g + 1, or at
-        the root 2 and 3. A candidate c is a minimal generator iff c - a is
-        not a member for every smaller generator a (a split x + y of c has
-        a generator a <= x, and then c - a = (x - a) + y), a plain loop that
-        stops at the first member c - a. So the cost is the O(g) table copy
-        plus O(e) lookups. :meth:`from_gaps` builds the same semigroup
+        the root 2 and 3, tested as :meth:`__init__` tests its values
+        (:func:`_append_minimal`). So the cost is the O(g) table copy plus
+        O(e) lookups. :meth:`from_gaps` builds the same semigroup
         independently and serves as the test oracle.
         """
         if g <= self.frobenius or g not in self.generators:
@@ -132,12 +130,7 @@ class NumericalSemigroup:
         table = self._table + [True] * (g - 1 - self.frobenius) + [False]
         generators = list(self.generators)
         generators.remove(g)
-        for c in candidates:  # ascending, so every generator below c is known
-            for a in generators:
-                if a < c and table[c - a]:
-                    break
-            else:
-                generators.append(c)
+        _append_minimal(generators, candidates, table)
         generators.sort()
         child = object.__new__(NumericalSemigroup)
         _set_slots(child, tuple(generators), g, table)
@@ -229,8 +222,7 @@ class NumericalSemigroup:
 
 
 def _set_slots(S: NumericalSemigroup, generators: tuple, frobenius: int, table: list) -> None:
-    """Fill every slot of a new S; genus and multiplicity follow from the rest."""
-    del table[frobenius + 1 :]  # cut in place to 0..frobenius; every n past it is a member
+    """Fill every slot of a new S from its table over 0..F; genus and multiplicity follow."""
     set_slot = object.__setattr__  # the class's own __setattr__ refuses
     set_slot(S, "generators", generators)
     set_slot(S, "frobenius", frobenius)
@@ -239,55 +231,48 @@ def _set_slots(S: NumericalSemigroup, generators: tuple, frobenius: int, table: 
     set_slot(S, "_table", table)
 
 
+def close_under(mask: int, g: int, limit: int) -> int:
+    """The bitmask ``mask`` closed under adding g, cut to bits 0..limit.
+
+    Shifting by g, 2g, 4g, ... while the shift is at most ``limit`` adds every
+    multiple of g up to it: after the shift by 2^j * g, each count below
+    2^(j+1) is in.
+    """
+    shift = g
+    while shift <= limit:
+        mask |= mask << shift
+        shift <<= 1
+    return mask & ((2 << limit) - 1)
+
+
 def _membership_sieve(values: list[int]) -> list[bool]:
-    """DP sieve over a generating set, extended until the complement is exhausted.
+    """Membership of 0..F in the monoid an ascending generating set spans.
 
-    The table is grown until it ends in multiplicity-many consecutive members;
-    from that point on every integer is a member, so the largest gap is final.
+    The mask of {0} is closed under every generator up to a bound, doubled
+    from 2*max + 2 until its top multiplicity-many bits are all members, so
+    every larger integer is one too. Each pass starts from the last cut mask,
+    which holds 0, so it reaches every member up to the new bound.
     """
-    multiplicity = values[0]
-    bound = 2 * values[-1] + 2
-    table = [False] * (bound + 1)
-    table[0] = True
-    start = 1
-    while True:
-        for n in range(start, bound + 1):
-            for v in values:
-                if v > n:
-                    break
-                if table[n - v]:
-                    table[n] = True
-                    break
-        run = 0
-        for n in range(bound, 0, -1):
-            if not table[n]:
-                break
-            run += 1
-        if run >= multiplicity:
-            return table
-        start = bound + 1
+    multiplicity, bound, mask = values[0], values[-1] + 1, 1
+    while mask >> (bound + 1 - multiplicity) != (1 << multiplicity) - 1:
         bound *= 2
-        table.extend([False] * (bound + 1 - len(table)))
+        for v in values:
+            mask = close_under(mask, v, bound)
+    frobenius = (~mask & ((2 << bound) - 1)).bit_length() - 1
+    return [bit == "1" for bit in format(mask, "b")[::-1][: frobenius + 1]]
 
 
-def _last_false(table: list[bool]) -> int:
-    for n in range(len(table) - 1, -1, -1):
-        if not table[n]:
-            return n
-    return -1
+def _append_minimal(generators: list[int], candidates, table: list[bool]) -> None:
+    """Append each of the ascending ``candidates`` that is a minimal generator.
 
-
-def _minimal_generators(values: list[int], table: list[bool]) -> list[int]:
-    """Filter an ascending generating set down to the minimal system.
-
-    n is kept iff n - a is not a member for every kept generator a, the test
-    :meth:`NumericalSemigroup.remove_generator` applies to its candidates.
+    c is one iff c - a is no member for each smaller generator a (a split
+    x + y of c has a generator a <= x, and c - a = (x - a) + y), so
+    ``generators`` must hold every one below the first candidate, and
+    ``table`` every c - a.
     """
-    out = []
-    for n in values:  # ascending, so every minimal generator below n is kept
-        for a in out:
-            if table[n - a]:
+    for c in candidates:
+        for a in generators:
+            if a < c and table[c - a]:
                 break
         else:
-            out.append(n)
-    return out
+            generators.append(c)

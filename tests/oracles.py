@@ -1,4 +1,4 @@
-"""Polynomial, series and factorization oracles shared by several test files.
+"""Membership, polynomial, series and factorization oracles shared by several test files.
 
 None of these is on a route ``nsg`` takes to a verdict: they rebuild series
 from exponents and state properties in their textbook form, so the tests can
@@ -13,9 +13,50 @@ are the objects the paper's lemmas speak about, listed vector by vector from
 lemmas (Rosales & García-Sánchez, *Numerical Semigroups*, 2009, ch. 7).
 """
 
+from math import gcd
+
 from nsg.arith import prime_factors
 from nsg.factorization import betti_elements, denumerant_series, factorization_graph, factorizations
 from nsg.intpoly import divexact, trim
+
+
+def reachable_sums(values, limit: int) -> set[int]:
+    """Every sum of elements of ``values`` up to ``limit``, 0 (the empty sum) included.
+
+    A graph search from 0 along the edges n -> n + v, one per v in ``values``.
+    """
+    reached, todo = {0}, [0]
+    while todo:
+        n = todo.pop()
+        for v in values:
+            if n + v <= limit and n + v not in reached:
+                reached.add(n + v)
+                todo.append(n + v)
+    return reached
+
+
+def monoid_by_reachability(values) -> tuple[list[bool], int, tuple[int, ...]]:
+    """(membership of 0..F, F, minimal generators) of the monoid ``values`` span, gcd 1.
+
+    Brauer's bound (1942) caps F: with d_i the gcd of the first i values,
+    ascending, F <= sum over i >= 2 of a_i * d_(i-1) / d_i, minus the sum
+    of every a_i. So the sums up to that or max(values), whichever is
+    larger, decide F and every generator: a value is a minimal generator
+    iff it is no sum of two non-zero members.
+    """
+    values = sorted(set(values))
+    limit, d = -values[0], values[0]
+    for v in values[1:]:
+        e = gcd(d, v)
+        limit += v * (d // e) - v
+        d = e
+    limit = max(limit, values[-1])
+    members = reachable_sums(values, limit)
+    frobenius = max((n for n in range(limit + 1) if n not in members), default=-1)
+    generators = tuple(
+        v for v in values if not any(a in members and v - a in members for a in range(1, v))
+    )
+    return [n in members for n in range(frobenius + 1)], frobenius, generators
 
 
 def degree(poly: list[int]) -> int:

@@ -134,12 +134,6 @@ class TestAnalyze:
         assert result.exit_code == 0, result.output
         assert "symmetric: True" in result.output.splitlines()
 
-    def test_unwritable_export_exits_2(self, cli):
-        result = cli("analyze", "4,6,9", "--dot", "/dev/null/x.dot")
-        assert result.exit_code == 2, result.output
-        last = result.stderr.splitlines()[-1]
-        assert last == "nsg analyze: error: cannot write /dev/null/x.dot: Not a directory"
-
     @pytest.mark.parametrize("bound, sweeps", [(20, [(1, 20)]), (30, [(1, 30)]), (40, [(1, 40)])])
     def test_bound_within_the_default_reads_the_one_sweep(self, cli, swept, bound, sweeps):
         # <4,6,9> has default bound 30, and its factors settle at 18: any
@@ -158,6 +152,44 @@ class TestAnalyze:
         result = cli("analyze", "4,6,9", "--bound", bound)
         assert result.exit_code == 2, result.output
         assert ">= 1" in result.output
+
+
+class TestUnwritableExport:
+    @pytest.mark.parametrize(
+        "args, work",
+        [
+            pytest.param(("analyze", "4,6,9", "--json"), "SemigroupAnalysis", id="analyze-json"),
+            pytest.param(("analyze", "4,6,9", "--dot"), "SemigroupAnalysis", id="analyze-dot"),
+            pytest.param(("betti", "8,12,18,25", "--json"), "SemigroupAnalysis", id="betti-json"),
+            pytest.param(("betti", "8,12,18,25", "--dot"), "SemigroupAnalysis", id="betti-dot"),
+            pytest.param(
+                ("exponents", "4,6,9", "--count", "5", "--json"), "exponent_sequence", id="exponents-json"
+            ),
+            pytest.param(
+                ("exponents", "4,6,9", "--count", "5", "--csv"), "exponent_sequence", id="exponents-csv"
+            ),
+            pytest.param(("enumerate", "--frobenius", "17", "--json"), "enumerate_job", id="enumerate-json"),
+        ],
+    )
+    def test_fails_before_the_work(self, cli, monkeypatch, args, work):
+        # verify's case is TestVerifyExitCodes::test_unwritable_json_fails_before_the_walk
+        def refuse(*args, **kwargs):
+            raise AssertionError("worked before checking the export path")
+
+        monkeypatch.setattr(cli_module, work, refuse)
+        path = "/dev/null/x." + args[-1][2:]
+        result = cli(*args, path)
+        assert result.exit_code == 2 and result.stdout == ""
+        last = result.stderr.splitlines()[-1]
+        assert last == f"nsg {args[0]}: error: cannot write {path}: Not a directory"
+
+    def test_the_check_writes_nothing(self, cli, tmp_path):
+        # a later usage error leaves no new empty file, and an existing file as it was
+        fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+        kept.write_text("old")
+        for path in (fresh, kept):
+            assert cli("exponents", "4,6,9", "--count", "0", "--json", str(path)).exit_code == 2
+        assert not fresh.exists() and kept.read_text() == "old"
 
 
 class TestFreshInterpreter:

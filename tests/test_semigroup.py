@@ -10,15 +10,18 @@ from nsg import (
     NonCoprimeGeneratorsError,
     NotAMemberError,
     NumericalSemigroup,
+    ci_with_frobenius,
     enumerate_by_frobenius,
     enumerate_by_genus,
 )
+from nsg.semigroup import close_under
 
 from expected import FROBENIUS_FAMILIES, POLYNOMIAL_3_5_7, POLYNOMIAL_4_6_9
 from oracles import (
     elements_up_to,
     hilbert_prefix,
     is_self_reciprocal,
+    monoid_by_reachability,
     mul_one_minus_xk_pow,
     semigroup_polynomial,
 )
@@ -94,6 +97,53 @@ class TestConstruction:
     def test_from_gaps_rejects_unclosed_complement(self):
         with pytest.raises(ValueError):
             NumericalSemigroup.from_gaps({3})  # 1 + 2 = 3 would leave S
+
+
+def assert_built_as_reachability_finds(values) -> None:
+    S = NumericalSemigroup(values)
+    table, frobenius, generators = monoid_by_reachability(values)
+    assert (S._table, S.frobenius, S.generators) == (table, frobenius, generators), values
+    assert S.genus == table.count(False), values
+
+
+class TestAgainstReachability:
+    """The constructor held to the sums of its generating set, found by a graph search."""
+
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=8))
+    def test_generating_sets(self, values):
+        assume(gcd(*values) == 1)
+        assert_built_as_reachability_finds(values)
+
+    def test_every_semigroup_of_genus_up_to_12(self):
+        for S in enumerate_by_genus(12):
+            assert_built_as_reachability_finds(S.generators)
+            # unsorted, with a redundant value
+            assert_built_as_reachability_finds([*reversed(S.generators), 2 * S.generators[-1]])
+
+    @pytest.mark.parametrize("f_max", [151, pytest.param(301, marks=pytest.mark.stretch)])
+    def test_glued_complete_intersections(self, f_max):
+        for frobenius in range(1, f_max + 1, 2):
+            for S in ci_with_frobenius(frobenius):
+                assert_built_as_reachability_finds(S.generators)
+
+
+def closure_by_multiples(mask: int, g: int, limit: int) -> int:
+    """Bit n set iff n <= limit is a set bit of ``mask`` plus a multiple of g."""
+    members = [n for n in range(limit + 1) if mask >> n & 1]
+    return sum({1 << (n + k * g) for n in members for k in range((limit - n) // g + 1)})
+
+
+class TestCloseUnder:
+    @given(st.integers(0, 1 << 70), st.integers(1, 70), st.integers(0, 64))
+    def test_matches_adding_every_multiple(self, mask, g, limit):
+        assert close_under(mask, g, limit) == closure_by_multiples(mask, g, limit)
+
+    def test_examples(self):
+        assert close_under(1, 3, 10) == 0b1001001001
+        assert close_under(1 | 1 << 12, 3, 10) == 0b1001001001  # bits past the limit go
+        assert close_under(0b1011, 9, 8) == 0b1011  # g > limit: the cut alone
+        assert close_under(0b1011, 5, 0) == 1
+        assert close_under(0b1010, 1, 0) == 0
 
 
 class TestMembership:
