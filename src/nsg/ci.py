@@ -90,6 +90,13 @@ def gluing_decompose(S: NumericalSemigroup) -> GluingTree | None:
 
 @lru_cache(maxsize=1024)  # one entry per generator tuple, gluing parts included
 def _decompose(gens: tuple[int, ...]) -> GluingTree | None:
+    """:func:`gluing_decompose` on minimal generators, testing each condition once.
+
+    The parts' gcds a1, a2 are coprime, as their gcd is that of ``gens``; the
+    parts divided by them are minimal, as a sum relation among them scales to
+    one among ``gens``; a1 > a2 is skipped, as its mirror sorts earlier and
+    succeeds or fails with it.
+    """
     e = len(gens)
     if e == 1:
         return LEAF if gens == (1,) else None
@@ -103,28 +110,19 @@ def _decompose(gens: tuple[int, ...]) -> GluingTree | None:
     for mask in range(1, full):
         a1 = subset_gcd[mask]
         a2 = subset_gcd[full ^ mask]
-        if a1 < 2 or a2 < 2 or gcd(a1, a2) != 1:
-            continue
-        part1 = tuple(gens[i] for i in range(e) if mask >> i & 1)
-        candidates.append((a1, a2, part1, mask))
+        if 2 <= a1 < a2:
+            part1 = tuple(gens[i] for i in range(e) if mask >> i & 1)
+            candidates.append((a1, a2, part1, mask))
     candidates.sort()
     for a1, a2, part1, mask in candidates:
-        part2 = tuple(gens[i] for i in range(e) if not mask >> i & 1)
-        left_semigroup = NumericalSemigroup(g // a1 for g in part1)
-        if a2 not in left_semigroup or a2 in left_semigroup.generators:
+        left = NumericalSemigroup(g // a1 for g in part1)
+        if a2 not in left or a2 in left.generators:
             continue
-        right_semigroup = NumericalSemigroup(g // a2 for g in part2)
-        if a1 not in right_semigroup or a1 in right_semigroup.generators:
+        right = NumericalSemigroup(g // a2 for i, g in enumerate(gens) if not mask >> i & 1)
+        if a1 not in right or a1 in right.generators:
             continue
-        if left_semigroup.generators != tuple(g // a1 for g in part1):
-            continue
-        if right_semigroup.generators != tuple(g // a2 for g in part2):
-            continue
-        left = gluing_decompose(left_semigroup)
-        if left is None:
-            continue
-        right = gluing_decompose(right_semigroup)
-        if right is None:
-            continue
-        return Gluing(a1, left, a2, right)
+        left_tree = _decompose(left.generators)
+        right_tree = None if left_tree is None else _decompose(right.generators)
+        if right_tree is not None:
+            return Gluing(a1, left_tree, a2, right_tree)
     return None

@@ -177,33 +177,31 @@ def ci_with_frobenius(frobenius: int) -> tuple[NumericalSemigroup, ...]:
     """All complete intersections with the given Frobenius number.
 
     Built by gluings: every non-trivial complete intersection is
-    ``a1*S1 + a2*S2`` with coprime scales at least 2 and complete
+    ``a1*S1 + a2*S2`` with coprime scales 2 <= a1 < a2 and complete
     intersection parts, and the Frobenius numbers compose as
-    ``F = a1*a2 + a1*F1 + a2*F2``. Since F >= (a1-1)(a2-1) - 1 the scale
-    pairs are finitely enumerable and the part Frobenius numbers shrink, so
-    the recursion bottoms out at the trivial semigroup (F = -1). Symmetry
-    forces F odd; even targets return nothing.
+    ``F = a1*a2 + a1*F1 + a2*F2``. So (a1-1)(a2-1) <= F + 1, where a2's
+    range ends, and the part Frobenius numbers shrink to the trivial
+    semigroup's -1. Symmetry forces F odd; even targets return nothing. F1
+    steps over -1 and the odd numbers up to where F2 = -1, so only an even F2
+    is skipped and every cached target is -1 or odd. The scaled generators
+    are the gluing's minimal generators: each semigroup is built once, keyed
+    by them.
     """
     _require_int(frobenius)
     if frobenius == -1:
         return (NumericalSemigroup(1),)
     if frobenius < 1 or frobenius % 2 == 0:
         return ()
-    found: set[NumericalSemigroup] = set()
+    found: dict[tuple[int, ...], NumericalSemigroup] = {}
     a1 = 2
     while (a1 - 1) * a1 <= frobenius + 1:
         for a2 in range(a1 + 1, (frobenius + 1) // (a1 - 1) + 2):
-            if (a1 - 1) * (a2 - 1) > frobenius + 1 or gcd(a1, a2) != 1:
+            if gcd(a1, a2) != 1:
                 continue
             remainder_base = frobenius - a1 * a2
-            for f1 in range(-1, (remainder_base + a2) // a1 + 1):
-                if f1 == 0 or (f1 > 0 and f1 % 2 == 0):
-                    continue
-                numerator = remainder_base - a1 * f1
-                if numerator % a2 != 0:
-                    continue
-                f2 = numerator // a2
-                if f2 < -1 or f2 == 0 or (f2 > 0 and f2 % 2 == 0):
+            for f1 in range(-1, (remainder_base + a2) // a1 + 1, 2):
+                f2, rest = divmod(remainder_base - a1 * f1, a2)
+                if rest or f2 % 2 == 0:
                     continue
                 for left in ci_with_frobenius(f1):
                     if a2 not in left or a2 in left.generators:
@@ -212,11 +210,11 @@ def ci_with_frobenius(frobenius: int) -> tuple[NumericalSemigroup, ...]:
                         if a1 not in right or a1 in right.generators:
                             continue
                         scaled = [a1 * g for g in left.generators]
-                        scaled += [a2 * g for g in right.generators]
-                        glued = NumericalSemigroup(scaled)
-                        if glued.frobenius != frobenius:
-                            raise RuntimeError(f"gluing {glued.generators} has F != {frobenius}")
-                        found.add(glued)
+                        key = tuple(sorted(scaled + [a2 * g for g in right.generators]))
+                        if key in found:
+                            continue
+                        glued = found[key] = NumericalSemigroup(key)
+                        if glued.generators != key or glued.frobenius != frobenius:
+                            raise RuntimeError(f"gluing {key} is not minimal or F != {frobenius}")
         a1 += 1
-    return tuple(sorted(found, key=lambda s: s.generators))
-
+    return tuple(found[key] for key in sorted(found))

@@ -417,3 +417,59 @@ THEOREM_DIGESTS_GENUS_8 = {
     0: "0359d0951f4984ece62b12e5a6c39510834148742bf7f37662e4b1fa80158d61",
     7: "e7c854f2d45b8b423701fefddd921cda73e2a5bebce3f3c97fa1db9017a8b230",
 }
+
+# ci_with_frobenius(F) for every odd F <= 151 and for F = 201, 301, captured
+# from the recursion that built a complete intersection once per gluing that
+# reaches it: the count and the first 16 hex digits of
+# sha256(repr(sorted generator tuples))
+CI_FAMILIES = {
+    1: (1, "506e77c7db3cda13"), 3: (1, "7326361bec2c884e"),
+    5: (2, "eb9b68b3015df2bd"), 7: (3, "72e39c910c954cab"),
+    9: (2, "73a89c6e68b37af2"), 11: (4, "c8e906018a489cef"),
+    13: (5, "11e3f381b419ea1c"), 15: (3, "cc10c98bc4abbfaa"),
+    17: (7, "543ed53f7918d720"), 19: (8, "4a3d2016138752a1"),
+    21: (5, "345f9753d9ae5804"), 23: (11, "33ab522212d5f0a5"),
+    25: (11, "bd32109ab798fc1e"), 27: (9, "54585fa6917115e7"),
+    29: (14, "e08e8a7a3e1002ea"), 31: (17, "6ba7a94add2ff25b"),
+    33: (12, "16152708b1164947"), 35: (18, "10400ad05a5e756a"),
+    37: (24, "cd47b4dfd2456b79"), 39: (16, "28fab76fccef81f2"),
+    41: (27, "45c3e0d82af8d4d2"), 43: (31, "ff8c47bc54d5b3d2"),
+    45: (21, "1162d76999df1e7f"), 47: (36, "33dc67ab6fcc1122"),
+    49: (38, "74afe1a7c166303e"), 51: (27, "acf0d712ef0e64b0"),
+    53: (46, "0e5f16c19cd39a58"), 55: (45, "2c7c70cecba800bb"),
+    57: (34, "e55e4f26d8865b24"), 59: (57, "dea059adfc552085"),
+    61: (62, "a3ecf452aa0a9d1d"), 63: (43, "efd5bd2933d0f47a"),
+    65: (65, "b79b285b688e13fd"), 67: (77, "9a722eeb56c85e76"),
+    69: (53, "58373f4a401e460a"), 71: (84, "4f6441761c108cb7"),
+    73: (90, "ae2bde6225c500aa"), 75: (61, "581c792e5b0d906e"),
+    77: (100, "d0efe4b564452083"), 79: (110, "86bc1e9f01144b4d"),
+    81: (80, "ffe36af853137a2b"), 83: (122, "fb21b6be6bf5cc66"),
+    85: (120, "abd1b26269bdd83d"), 87: (94, "b5cce8c8c37d8df4"),
+    89: (143, "1fb89b719f118e26"), 91: (151, "167463dd7dc44453"),
+    93: (108, "d6678404a82105eb"), 95: (158, "56801f60f5610681"),
+    97: (179, "a91457c5fe811875"), 99: (128, "a78144113782d0d6"),
+    101: (197, "5a3d9bbed6a81852"), 103: (209, "7a3b1350b025c398"),
+    105: (142, "ef104fe83e0258e7"), 107: (229, "e3845143a103521b"),
+    109: (238, "73b8e5fbe2a91db0"), 111: (172, "87bd98d09d7eced4"),
+    113: (264, "660790dea00cb139"), 115: (259, "0ee35838b9367696"),
+    117: (202, "0d972cab5f595124"), 119: (294, "6fb94c22893b637d"),
+    121: (311, "8a1403d5111193e7"), 123: (231, "2bab8a322d4715a2"),
+    125: (328, "d0d75116ff59e93f"), 127: (362, "5275ca2a4ed1780f"),
+    129: (259, "715806266a1d435b"), 131: (392, "6996a5728de755ef"),
+    133: (399, "1d77b5e9a0403aba"), 135: (291, "12ccf4bfbb74be08"),
+    137: (442, "174e97208af0b902"), 139: (454, "20fa30a26e6ae8db"),
+    141: (332, "e1b331bd7d24a705"), 143: (489, "f611ee3c41142781"),
+    145: (488, "89de106e0dd06bd4"), 147: (371, "398a67ea5dbd4b55"),
+    149: (554, "2e35e2f1f679dadf"), 151: (576, "20a94b76cfb768a1"),
+    201: (955, "220566e886f73702"), 301: (4760, "0e49fe7537f8766f"),
+}
+
+# sha256 of json.dumps of the list of [generators, gluing_decompose(S).to_json()
+# or None], with the count of entries: over ci_with_frobenius(F) for odd
+# F <= 151 in ascending F, each family in its returned order, and over
+# enumerate_by_genus(10) in walk order (441 of the 478 have no tree); captured
+# when the decomposition tried each split in both orientations
+GLUING_TREES = {
+    "ci-frobenius-151": (11048, "4aeda34488fc9de437e11e20d2808fc0b2ff69262a220d25288472c90a3f96b1"),
+    "genus-10": (478, "c559fbe338c3dbd6fa4a231877cdcaf37ae78599b6d2235e8e7cf03a160ac38e"),
+}

@@ -1,5 +1,8 @@
 """Complete intersections: every route to the answer agrees with the gluings."""
 
+import hashlib
+import json
+
 import pytest
 
 from nsg import (
@@ -10,6 +13,7 @@ from nsg import (
     SemigroupAnalysis,
     ci_with_frobenius,
     enumerate_by_frobenius,
+    enumerate_by_genus,
     enumerate_job,
     gluing_decompose,
     is_complete_intersection,
@@ -18,6 +22,7 @@ from nsg import (
 )
 from nsg import factorization
 
+from expected import GLUING_TREES
 from oracles import mul, semigroup_polynomial
 
 ROUTES = {
@@ -121,6 +126,24 @@ def test_gluings_find_exactly_the_complete_intersections(frobenius):
         verify_ci_identities(S)
     job = EnumerationJob("by-frobenius", frobenius, ("ci",))
     assert list(enumerate_job(job)) == list(glued)
+
+
+@pytest.mark.parametrize(
+    "name, family",
+    [
+        ("ci-frobenius-151", lambda: (S for F in range(1, 152, 2) for S in ci_with_frobenius(F))),
+        ("genus-10", lambda: enumerate_by_genus(10)),
+    ],
+)
+def test_witness_trees_frozen(name, family):
+    # the tree `nsg analyze` prints, and None for every semigroup that is no
+    # complete intersection
+    trees = []
+    for S in family():
+        tree = gluing_decompose(S)
+        trees.append([list(S.generators), None if tree is None else tree.to_json()])
+    digest = hashlib.sha256(json.dumps(trees).encode()).hexdigest()
+    assert (len(trees), digest) == GLUING_TREES[name]
 
 
 def test_trivial_semigroup(naturals):

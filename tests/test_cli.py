@@ -11,6 +11,7 @@ from nsg import cli as cli_module
 from nsg.cli import main
 from nsg.verification import CHECKS
 
+from expected import REPORTS
 from oracles import semigroup_polynomial
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -146,6 +147,21 @@ class TestAnalyze:
         sequence = exponent_sequence(S, bound)
         line = f"exponents ({bound} entries): {sequence.format()}"
         assert result.stdout.splitlines() == plain[:-1] + [line]
+
+    @pytest.mark.parametrize("bound", [20, 40])
+    def test_bound_sets_the_exported_prefix(self, cli, tmp_path, bound):
+        # below and above the default bound 30 of <4,6,9>: the report holds
+        # the prefix the command printed, and the rest of it is unchanged
+        out = tmp_path / "report.json"
+        result = cli("analyze", "4,6,9", "--bound", str(bound), "--json", str(out))
+        assert result.exit_code == 0, result.output
+        sequence = exponent_sequence(NumericalSemigroup(4, 6, 9), bound)
+        assert f"exponents ({bound} entries): {sequence.format()}" in result.stdout.splitlines()
+        report = json.loads(out.read_text())
+        assert report.pop("exponent_prefix") == [str(e) for e in sequence]
+        expected = dict(REPORTS[(4, 6, 9)])
+        del expected["exponent_prefix"]
+        assert report == expected
 
     @pytest.mark.parametrize("bound", ["0", "-3"])
     def test_bound_below_1_exits_2(self, cli, bound):

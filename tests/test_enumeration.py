@@ -14,6 +14,7 @@ from nsg.enumeration import (
 )
 
 from expected import (
+    CI_FAMILIES,
     FROBENIUS_FAMILIES,
     FROBENIUS_WALK_BUILT,
     FROBENIUS_WALK_ORDER,
@@ -256,6 +257,46 @@ class TestTargets:
         assert [S.generators for S in ci_with_frobenius(1)] == [(2, 3)]
         assert ci_with_frobenius(-1) == (NumericalSemigroup(1),)
         assert ci_with_frobenius(8) == ()
+
+
+class TestGluedFamilies:
+    @pytest.mark.parametrize(
+        "frobenius",
+        list(range(1, 152, 2)) + [pytest.param(f, marks=pytest.mark.stretch) for f in (201, 301)],
+    )
+    def test_families_frozen(self, frobenius):
+        family = ci_with_frobenius(frobenius)
+        assert all(S.frobenius == frobenius for S in family)
+        assert _digest(family) == CI_FAMILIES[frobenius]
+
+    @pytest.mark.parametrize(
+        "frobenius, built", [(151, 1586), pytest.param(301, 15233, marks=pytest.mark.stretch)]
+    )
+    def test_each_complete_intersection_is_built_once(self, monkeypatch, frobenius, built):
+        cached = enumeration.ci_with_frobenius
+        targets = {frobenius}
+        constructions = 0
+        init = NumericalSemigroup.__init__
+
+        def recorded(target):
+            targets.add(target)
+            return cached(target)
+
+        def counted(S, *raw):
+            nonlocal constructions
+            constructions += 1
+            init(S, *raw)
+
+        cached.cache_clear()
+        monkeypatch.setattr(enumeration, "ci_with_frobenius", recorded)
+        monkeypatch.setattr(NumericalSemigroup, "__init__", counted)
+        cached(frobenius)
+        monkeypatch.undo()
+        # one construction per semigroup the cache holds, over targets that
+        # are -1 or odd, as the cache's maxsize comment counts them
+        assert all(target == -1 or target % 2 for target in targets)
+        assert cached.cache_info().currsize == len(targets)
+        assert constructions == sum(len(cached(target)) for target in targets) == built
 
 
 def gap_subset_oracle(
