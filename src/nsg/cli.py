@@ -105,7 +105,7 @@ def analyze(options) -> int:
     print(f"classification: {flags.to_json_dict()}")
     print(f"exponents ({sequence.bound} entries): {sequence.format()}")
     if options.json_path:
-        report = build_report(analysis)._replace(exponent_prefix=tuple(sequence))
+        report = build_report(analysis, prefix=sequence)
         _write(write_json, report.to_json_dict(), options.json_path)
         print(f"wrote {options.json_path}", file=sys.stderr)
     if options.dot_path:

@@ -9,9 +9,10 @@ is exactly its gap tuple, ascending. A child is built from its parent's
 membership table (:meth:`~nsg.semigroup.NumericalSemigroup.remove_generator`),
 at O(g + e) rather than a fresh closure of its generators.
 
-One preorder walk on an explicit stack serves every family: children are
-pushed in reverse, so they are visited ascending in the removed generator
-and the walk yields in ascending order of the gap tuples. A walk by genus
+One preorder walk on an explicit stack serves every family, and one rule,
+:func:`children`, gives its entries (g, S minus g, mask at g), pushed in
+reverse so the walk visits them ascending in g, hence in ascending order of
+the gap tuples. A walk by genus carries mask 0, which prunes nothing: it
 yields every node up to the cap and resumes after any node from the later
 siblings along its path. A walk to a Frobenius number F yields the nodes at
 F and builds only the nodes with a descendant at F, themselves included.
@@ -59,35 +60,24 @@ def parse_token(token: str) -> Path:
         raise ValueError(f"malformed resume token {token!r}") from exc
 
 
-def children(
-    S: NumericalSemigroup, limit: int | None = None, mask: int | None = None
-) -> list[tuple]:
-    """The tree children (g, S minus g), ascending in the removed generator g.
+def children(S: NumericalSemigroup, limit: int | None = None, mask: int = 0) -> list[tuple]:
+    """The tree children (g, S minus g, mask at g), ascending in g.
 
-    g runs over the minimal generators above the Frobenius number, capped at
-    ``limit`` when given. Each child comes from
+    g runs over the minimal generators above the Frobenius number, up to
+    ``limit`` (no cap when None), and each child comes from
     :meth:`NumericalSemigroup.remove_generator`, which derives it from S's
-    own table.
-
-    A walk to a Frobenius target passes it as ``limit`` together with S's
-    ``mask``: bit n is set iff n <= limit lies in the monoid spanned by S's
-    generators below its Frobenius number. Then only the live children are
-    built, and each comes as (g, S minus g, mask at g), the mask of the
-    monoid spanned by S's generators below g, which is the child's own mask.
-    Bit ``limit`` of the mask at g is clear iff S minus g has a descendant
-    with Frobenius number ``limit`` (module docstring), and once it is set it
-    stays set, so the scan stops at the first dead g. The next mask is this
-    one closed under g up to the limit. With no limit a mask is passed
-    through unread.
+    own table. Bit n of ``mask`` is set iff n <= limit lies in the monoid
+    spanned by S's generators below its Frobenius number; the mask at g is
+    the monoid spanned by those below g, which is the child's own mask, and
+    the next one is this one closed under g up to the limit. Bit ``limit``
+    of the mask at g is clear iff S minus g has a descendant with Frobenius
+    number ``limit`` (module docstring), and once set it stays set, so the
+    scan stops at the first dead g. A walk to a Frobenius target passes it
+    as the limit with the node's mask, so only live children are built. Mask
+    0, the default, stays 0 under closure and prunes nothing: the children
+    are only capped, and each carries mask 0.
     """
-    if mask is None:
-        return [
-            (g, S.remove_generator(g))
-            for g in S.generators
-            if S.frobenius < g and (limit is None or g <= limit)
-        ]
-    if limit is None:
-        return [(g, S.remove_generator(g), mask) for g in S.generators if S.frobenius < g]
+    limit = S.generators[-1] if limit is None else limit
     kids = []
     for g in S.generators:
         if g <= S.frobenius:
@@ -109,7 +99,7 @@ def _walk(stack: list, g_max, frobenius: int | None) -> Iterator[NumericalSemigr
     mask, and every node it pops lies on a path to the target. A walk to a
     target F passes g_max = F, which never stops it: the gaps of a node
     below F lie in 1..F - 1. The entries are as :func:`children` returns
-    them; g is not read, and with no target neither is the mask.
+    them; g is not read, and with no target the mask is 0.
     """
     while stack:
         _, S, mask = stack.pop()
@@ -127,24 +117,27 @@ def enumerate_by_genus(g_max, resume: Path | None = None) -> Iterator[NumericalS
 
     With ``resume``, a node's path (its gap tuple), the walk yields the
     suffix strictly after that node: the stack is seeded with the node's
-    children and the later siblings along its path, as the walk holds them
-    just after the node, so earlier subtrees are never walked. A path that
-    names no node of the tree is a ValueError at the call, at any depth.
+    children and the later siblings along its path, the triples of
+    :func:`children` as the walk holds them just after the node, so earlier
+    subtrees are never walked. A path that names no node of the tree is a
+    ValueError at the call, at any depth.
     """
     if resume is None:
         return _walk([(None, NumericalSemigroup(1), 0)] if g_max >= 0 else [], g_max, None)
     node, stack = NumericalSemigroup(1), []
     for g in resume:
-        kids = dict(children(node))
-        if g not in kids:
+        kids = children(node)
+        at = [h for h, _, _ in kids]
+        if g not in at:
             raise ValueError(
                 f"{g} is not a minimal generator above the Frobenius number {node.frobenius}"
             )
+        i = at.index(g)
         if node.genus + 1 <= g_max:
-            stack.extend((h, kids[h], 0) for h in reversed(kids) if h > g)
-        node = kids[g]
+            stack.extend(reversed(kids[i + 1 :]))
+        node = kids[i][1]
     if node.genus + 1 <= g_max:
-        stack.extend((h, child, 0) for h, child in reversed(children(node)))
+        stack.extend(reversed(children(node)))
     return _walk(stack, g_max, None)
 
 

@@ -12,7 +12,8 @@ one serial preorder walk of :mod:`nsg.enumeration` (complete intersections
 by Frobenius number take the gluing enumerator instead). Outcomes accumulate
 in one :class:`VerificationSummary` in walk order, so exports are
 byte-stable. A node's tree path is its gap tuple, so the resume token of a
-by-genus run is read off the last semigroup checked.
+by-genus run is formatted from the last semigroup checked, which the summary
+keeps, and only when a progress callback or a reader of the summary asks.
 """
 
 from __future__ import annotations
@@ -142,16 +143,16 @@ class ReportRecord(NamedTuple):
 
 
 def build_report(
-    analysis: SemigroupAnalysis, verdicts: dict[str, bool] | None = None
+    analysis: SemigroupAnalysis, verdicts: dict[str, bool] | None = None, prefix=None
 ) -> ReportRecord:
-    """The report record of a semigroup, read from its analysis."""
+    """The report record of a semigroup from its analysis; ``prefix`` sets its exponents."""
     S = analysis.semigroup
     return ReportRecord(
         generators=S.generators,
         frobenius=S.frobenius,
         genus=S.genus,
         betti={b: (data.nc, data.isolated_count) for b, data in analysis.betti.items()},
-        exponent_prefix=tuple(analysis.sequence),
+        exponent_prefix=tuple(analysis.sequence if prefix is None else prefix),
         flags=analysis.classification.to_json_dict(),
         verdicts=dict(verdicts or {}),
     )
@@ -201,10 +202,10 @@ class VerificationSummary:
     """The tally of a run: pass counts, counterexamples and the resume point.
 
     :func:`run_verification` tallies semigroups one at a time, in the order
-    the walk visits them.
+    the walk visits them, and keeps the last one as ``last``.
     """
 
-    __slots__ = ("job", "checks", "total", "pass_counts", "counterexamples", "last_token")
+    __slots__ = ("job", "checks", "total", "pass_counts", "counterexamples", "last")
 
     def __init__(self, job: EnumerationJob, checks: tuple[str, ...]):
         self.job = job
@@ -212,7 +213,13 @@ class VerificationSummary:
         self.total = 0
         self.pass_counts: dict[str, int] = dict.fromkeys(checks, 0)
         self.counterexamples: list[ReportRecord] = []
-        self.last_token: str | None = None
+        self.last: NumericalSemigroup | None = None
+
+    @property
+    def last_token(self) -> str | None:
+        """The resume token of the last semigroup checked; by-genus jobs only."""
+        by_genus = self.job.mode == "by-genus"
+        return format_token(self.last.gaps) if by_genus and self.last is not None else None
 
     @property
     def all_pass(self) -> bool:
@@ -259,7 +266,6 @@ def run_verification(
     """
     checks = validate_checks(checks)
     summary = VerificationSummary(job, checks)
-    by_genus = job.mode == "by-genus"
     for analysis in _stream(job):
         verdicts = {name: CHECKS[name](analysis) for name in checks}
         summary.total += 1
@@ -267,7 +273,7 @@ def run_verification(
             summary.pass_counts[name] += ok
         if not all(verdicts.values()):
             summary.counterexamples.append(build_report(analysis, verdicts))
-        summary.last_token = format_token(analysis.semigroup.gaps) if by_genus else None
+        summary.last = analysis.semigroup
         if progress is not None and summary.total % _PROGRESS_EVERY == 0:
             progress(summary.total, summary.last_token)
     summary.counterexamples.sort(key=lambda r: r.generators)

@@ -473,3 +473,15 @@ GLUING_TREES = {
     "ci-frobenius-151": (11048, "4aeda34488fc9de437e11e20d2808fc0b2ff69262a220d25288472c90a3f96b1"),
     "genus-10": (478, "c559fbe338c3dbd6fa4a231877cdcaf37ae78599b6d2235e8e7cf03a160ac38e"),
 }
+
+# sha256 of the file `nsg verify ... --json PATH` writes, for the families of
+# the three benchmark workloads, each check list in CHECKS order; captured
+# when the walk formatted the resume token of every by-genus node it checked
+VERIFY_JSON = {
+    ("--genus-max", "9", "--checks", "ci-cyclotomic,thm1,thm2,thm5.2,conj-msg,conj-betti"):
+        "b1dbdf5df4a56cf37697c518c77a1ef4f218756220ae4b779c1795e8ceb699c6",
+    ("--frobenius", "23", "--checks", "conj-msg,conj-betti"):
+        "07d9fa230cb70b1acd367585e1de19ab6d5d9641b8c740c0ce9bc70eb96f8310",
+    ("--frobenius", "81", "--filter", "ci", "--checks", "ci-cyclotomic,conj-msg,conj-betti"):
+        "a8007e37c1ae2804f5a1ecb19a4ca518f1dada0271fbb52e1cba7c231ea1158a",
+}

@@ -136,17 +136,21 @@ class TestAnalyze:
         assert "symmetric: True" in result.output.splitlines()
 
     @pytest.mark.parametrize("bound, sweeps", [(20, [(1, 20)]), (30, [(1, 30)]), (40, [(1, 40)])])
-    def test_bound_within_the_default_reads_the_one_sweep(self, cli, swept, bound, sweeps):
+    def test_bound_within_the_default_reads_the_one_sweep(
+        self, cli, swept, tmp_path, bound, sweeps
+    ):
         # <4,6,9> has default bound 30, and its factors settle at 18: any
-        # --bound extends the analysis' one sweep, which no other read passes
+        # --bound extends the analysis' one sweep, which no other read passes,
+        # the --json report included
         plain = cli("analyze", "4,6,9").stdout.splitlines()
         S = NumericalSemigroup(4, 6, 9)
-        swept.clear()
-        result = cli("analyze", "4,6,9", "--bound", str(bound))
-        assert result.exit_code == 0 and swept[tuple(semigroup_polynomial(S))] == sweeps
         sequence = exponent_sequence(S, bound)
         line = f"exponents ({bound} entries): {sequence.format()}"
-        assert result.stdout.splitlines() == plain[:-1] + [line]
+        for export in ((), ("--json", str(tmp_path / "report.json"))):
+            swept.clear()
+            result = cli("analyze", "4,6,9", "--bound", str(bound), *export)
+            assert result.exit_code == 0 and swept[tuple(semigroup_polynomial(S))] == sweeps
+            assert result.stdout.splitlines() == plain[:-1] + [line]
 
     @pytest.mark.parametrize("bound", [20, 40])
     def test_bound_sets_the_exported_prefix(self, cli, tmp_path, bound):

@@ -56,7 +56,7 @@ class TestRemoveGenerator:
         stack = [NumericalSemigroup(1)]
         while stack:
             S = stack.pop()
-            for g, child in children(S, 19):
+            for g, child, _ in children(S, 19):
                 oracle = NumericalSemigroup.from_gaps(S.gaps + (g,))
                 for slot in NumericalSemigroup.__slots__:
                     assert getattr(child, slot) == getattr(oracle, slot), (S, g, slot)
@@ -90,14 +90,15 @@ class TestRemoveGenerator:
 
 class TestChildren:
     def test_limit_filters_the_full_list(self):
-        for S in enumerate_by_genus(8):
+        # every cap from 0 to past the largest generator, on every node of genus <= 9
+        for S in enumerate_by_genus(9):
             full = children(S)
-            for limit in range(S.frobenius - 1, S.frobenius + S.multiplicity + 2):
-                assert children(S, limit) == [(g, c) for g, c in full if g <= limit]
+            for limit in range(S.frobenius + S.generators[-1] + 1):
+                assert children(S, limit) == [kid for kid in full if kid[0] <= limit]
 
     def test_ascending_in_the_removed_generator(self, s357, s469):
-        assert [g for g, _ in children(s357)] == [5, 7]
-        assert [g for g, _ in children(s357, 6)] == [5]
+        assert [g for g, _, _ in children(s357)] == [5, 7]
+        assert [g for g, _, _ in children(s357, 6)] == [5]
         assert children(s357, 4) == []
         assert children(s469) == []  # every generator lies below F = 11
 
@@ -148,8 +149,30 @@ class TestLiveNodes:
             {S.gaps[:i] for S in enumerate_by_frobenius(frobenius) for i in range(1, S.genus + 1)}
         )
 
-    def test_without_a_target_the_mask_is_passed_through(self, s357):
-        assert children(s357, None, 5) == [(g, c, 5) for g, c in children(s357)]
+    @pytest.mark.parametrize("frobenius", [16, 17])
+    def test_mask_cuts_the_capped_list_at_the_first_dead_generator(self, frobenius):
+        # on every node of the walk: the live children are the capped ones
+        # up to the first g whose monoid below it reaches the target
+        stack = [(NumericalSemigroup(1), 1)]
+        while stack:
+            S, mask = stack.pop()
+            capped = [kid[:2] for kid in children(S, frobenius)]
+            dead = [
+                g for g, _ in capped
+                if _monoid_mask([a for a in S.generators if a < g], frobenius) >> frobenius & 1
+            ]
+            live = children(S, frobenius, mask)
+            cut = [g for g, _ in capped].index(dead[0]) if dead else len(capped)
+            assert [kid[:2] for kid in live] == capped[:cut], S
+            stack.extend((child, child_mask) for _, child, child_mask in live)
+
+    def test_without_a_target_the_mask_is_passed_through(self):
+        # mask 0, the default, closes to 0: each child carries it, capped or not
+        for S in enumerate_by_genus(9):
+            for limit in (None, S.frobenius + S.multiplicity):
+                kids = children(S, limit)
+                assert children(S, limit, 0) == kids
+                assert all(kid[2] == 0 for kid in kids)
 
 
 class TestGenusCap:

@@ -1,5 +1,6 @@
 """Golden bytes of the CLI exports: stdout and every file a command writes."""
 
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from expected import (
     ENUMERATE_GENUS_4_JSON,
     EXPORTS,
     REPORTS,
+    VERIFY_JSON,
 )
 
 
@@ -65,3 +67,10 @@ def test_enumerate_genus_4(run, tmp_path):
 
 def test_enumerate_frobenius_9(run):
     assert run("enumerate", "--frobenius", "9") == ENUMERATE_FROBENIUS_9
+
+
+@pytest.mark.parametrize("args", list(VERIFY_JSON))
+def test_verify_json_of_the_benchmark_families(run, tmp_path, args):
+    json_path = tmp_path / "v.json"
+    run("verify", *args, "--json", str(json_path))
+    assert hashlib.sha256(json_path.read_bytes()).hexdigest() == VERIFY_JSON[args]

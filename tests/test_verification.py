@@ -276,8 +276,14 @@ class TestProgress:
         assert summary.all_pass
 
     def test_token_is_the_path_reached(self):
-        calls, summary = self._calls(EnumerationJob("by-genus", 11))
-        assert summary.total == 821
-        path = [S.gaps for S in enumerate_by_genus(11)][499]
-        assert calls == [(500, format_token(path))]
-        assert calls == [(500, "1.2.3.4.5.7.8.9.11.13.14")]
+        # every 500th node's token in walk order, and the last node's in the summary
+        for g_max, total, token_500 in (
+            (11, 821, "1.2.3.4.5.7.8.9.11.13.14"),
+            (12, 1413, "1.2.3.4.5.6.7.9.10.13"),
+        ):
+            calls, summary = self._calls(EnumerationJob("by-genus", g_max))
+            walk = [format_token(S.gaps) for S in enumerate_by_genus(g_max)]
+            assert summary.total == len(walk) == total
+            assert calls == [(n, walk[n - 1]) for n in range(500, total + 1, 500)]
+            assert calls[0] == (500, token_500)
+            assert summary.last_token == walk[-1]
