@@ -176,12 +176,12 @@ class SemigroupAnalysis:
         "e_j = 0 at non-generators with a unique factorization",
     )
     def exponent_values_check(self):
-        S, sequence, counts = self.semigroup, self.sequence, self.denumerants
+        S, sequence, counts, top = self.semigroup, self.sequence, self.denumerants, self.bound
         if sequence[1] != 1:
             return f"e_1 = {sequence[1]}"
-        generators, member = set(S.generators), S.membership(self.bound)
+        generators, window = set(S.generators), S.window(top)
         for j, e in enumerate(sequence.entries[1:], start=2):
-            if not member[j]:
+            if not window >> (top - j) & 1:
                 if e != 0:
                     return f"gap {j} has e = {e}"
             elif j in generators:

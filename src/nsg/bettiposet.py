@@ -21,15 +21,16 @@ def leq(S: NumericalSemigroup, a: int, b: int) -> bool:
 
 
 class OrderedSubset:
-    """A finite set of integers with the member-difference order cached.
+    """A finite set of non-negative integers with the member-difference order cached.
 
-    The queries rest on three facts about this order (Rosales &
-    García-Sánchez, *Numerical Semigroups*, ch. 7):
+    The down-set of b is kept as a bitmask over values, bit a set iff a is an
+    element and b - a a member: one shift of S's window over 0..max, ANDed
+    with the mask of the elements. The queries rest on these facts about the
+    order (Rosales & García-Sánchez, *Numerical Semigroups*, ch. 7):
 
     - It refines the integer order: a <= b in it makes b - a a member, so
       a <= b as integers. The down-set of an element therefore lies among
-      the elements before it in ascending order, and is kept as a bitmask
-      over their positions. A set is a chain exactly when each element lies
+      the elements up to it. A set is a chain exactly when each element lies
       below the next one in ascending order.
     - The lower covers of b are the maximal elements of its strict down-set.
     - The Hasse diagram is a forest (at most one lower cover each) exactly
@@ -42,20 +43,17 @@ class OrderedSubset:
     def __init__(self, S: NumericalSemigroup, elements):
         self.S = S
         self.elements = elements = tuple(sorted(set(elements)))
-        self._index = {x: i for i, x in enumerate(elements)}
-        # bit i of _down[j] is set when elements[i] <= elements[j]; every b - a
-        # read lies in 0..max - min
-        member = S.membership(elements[-1] - elements[0]) if elements else []
-        self._down = [
-            sum(1 << i for i, a in enumerate(elements[:j]) if member[b - a])
-            | 1 << j
-            for j, b in enumerate(elements)
-        ]
-        self._chain = chain = []
-        for j, down in enumerate(self._down):
-            strict = down ^ 1 << j
-            top = strict.bit_length() - 1
-            chain.append(not strict or (self._down[top] == strict and chain[top]))
+        top = elements[-1] if elements else 0
+        window, self._members = S.window(top), sum(1 << x for x in elements)
+        # ascending in b: bit a of _down[b] is set when a <= b
+        self._down = down = {b: window >> (top - b) & self._members for b in elements}
+        chains = 0  # bit b set when b's down-set is a chain
+        for b, below in down.items():
+            strict = below ^ 1 << b
+            a = strict.bit_length() - 1
+            if not strict or (down[a] == strict and chains >> a & 1):
+                chains |= 1 << b
+        self._chains = chains
 
     def __iter__(self):
         return iter(self.elements)
@@ -64,33 +62,32 @@ class OrderedSubset:
         return len(self.elements)
 
     def __contains__(self, x):
-        return x in self._index
+        return x in self._down
 
     def leq(self, a: int, b: int) -> bool:
-        return bool(self._down[self._index[b]] >> self._index[a] & 1)
+        return bool(self._down[b] >> a & 1)
 
     def minimals(self) -> tuple[int, ...]:
-        return tuple(x for j, x in enumerate(self.elements) if self._down[j] == 1 << j)
+        return tuple(x for x, below in self._down.items() if below == 1 << x)
 
     def is_totally_ordered(self) -> bool:
-        """Whether the largest element's down-set is the whole set and a chain."""
-        n = len(self.elements)
-        return not n or (self._down[-1] == (1 << n) - 1 and self._chain[-1])
+        """Whether each element lies below the next one in ascending order."""
+        return all(self._down[b] >> a & 1 for a, b in zip(self.elements, self.elements[1:]))
 
     def u_set(self) -> tuple[int, ...]:
         """Elements whose down-set is a chain, ascending; keeps the same minimals."""
-        return tuple(x for x, chain in zip(self.elements, self._chain) if chain)
+        return tuple(x for x in self.elements if self._chains >> x & 1)
 
     def hasse(self) -> "HasseDiagram":
         """Cover graph: each b's lower covers are the maximal elements below it."""
         covers = []
-        for j, b in enumerate(self.elements):
-            strict = self._down[j] ^ 1 << j
-            below = 0
-            for i in _bits(strict):
-                below |= self._down[i] ^ 1 << i
-            covers.extend((self.elements[i], b) for i in _bits(strict & ~below))
-        return HasseDiagram(self.elements, tuple(sorted(covers)), all(self._chain))
+        for b, below in self._down.items():
+            strict = below ^ 1 << b
+            under = 0
+            for a in _bits(strict):
+                under |= self._down[a] ^ 1 << a
+            covers.extend((a, b) for a in _bits(strict & ~under))
+        return HasseDiagram(self.elements, tuple(sorted(covers)), self._chains == self._members)
 
 
 def _bits(mask: int) -> list[int]:

@@ -6,8 +6,8 @@ S minus one minimal generator exceeding the Frobenius number. Every semigroup
 of genus g appears exactly once at depth g. A child's Frobenius number is its
 removed generator, so the path of removed generators from the root to a node
 is exactly its gap tuple, ascending. A child is built from its parent's
-membership table (:meth:`~nsg.semigroup.NumericalSemigroup.remove_generator`),
-at O(g + e) rather than a fresh closure of its generators.
+mask by one shift (:meth:`~nsg.semigroup.NumericalSemigroup.remove_generator`),
+not by a fresh closure of its generators.
 
 One preorder walk on an explicit stack serves every family, and one rule,
 :func:`children`, gives its entries (g, S minus g, mask at g), pushed in
@@ -66,7 +66,7 @@ def children(S: NumericalSemigroup, limit: int | None = None, mask: int = 0) -> 
     g runs over the minimal generators above the Frobenius number, up to
     ``limit`` (no cap when None), and each child comes from
     :meth:`NumericalSemigroup.remove_generator`, which derives it from S's
-    own table. Bit n of ``mask`` is set iff n <= limit lies in the monoid
+    own membership. Bit n of ``mask`` is set iff n <= limit lies in the monoid
     spanned by S's generators below its Frobenius number; the mask at g is
     the monoid spanned by those below g, which is the child's own mask, and
     the next one is this one closed under g up to the limit. Bit ``limit``

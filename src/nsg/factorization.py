@@ -11,13 +11,12 @@ s - n_i - n_j in S. The number of R-classes nc(s) is the number of connected
 components of ∇_s (Rosales & García-Sánchez, *Numerical Semigroups*,
 Springer 2009, ch. 7). The support of a factorization is a clique of ∇_s, so
 each R-class is the set of factorizations supported in one component.
-One graph search (:func:`_components`) finds the components, reading
-membership off one padded copy of the table,
-:meth:`~nsg.semigroup.NumericalSemigroup.membership`, and both
-:func:`betti_elements` and :func:`factorization_graph` read their classes
-from it; the tests hold it to the definition above. The catalog searches
-only the elements w + n_i, w in the Apéry set of the multiplicity, which
-hold every Betti element, in ascending order. It counts isolated
+One graph search over bitmasks (:func:`_components`) finds the components
+in S's window at s (:meth:`~nsg.semigroup.NumericalSemigroup.window`), and
+both :func:`betti_elements` and :func:`factorization_graph` read their
+classes from it; the tests hold it to the definition above. The catalog
+searches only the elements w + n_i, w in the Apéry set of the multiplicity,
+which hold every Betti element, in ascending order. It counts isolated
 factorizations without listing any, by two facts (the proofs are in
 :func:`betti_elements`): the class of a component C of ∇_s is a singleton
 iff s - c has one factorization for every c in C, and x has one
@@ -95,24 +94,23 @@ class FactorizationGraph(NamedTuple):
         return [self.vertices[cls[0]] for cls in self.r_classes if len(cls) == 1]
 
 
-def _components(generators, member: list[bool], s: int) -> list[list[int]]:
-    """The connected components of ∇_s as ascending lists of generators.
+def _components(window: int, generators: int) -> list[int]:
+    """The connected components of ∇_s as masks, bit n_i set for each vertex n_i.
 
-    A breadth-first search over the vertices n_i with s - n_i in S, joining
-    n_i and n_j when s - n_i - n_j in S, read off ``member`` (membership of
-    0..s). Components come ordered by their smallest generator; s not in S
-    (and s = 0) gives none.
+    In S's window at s (bit k iff s - k in S), the vertices are the bits of
+    ``generators`` (each n_i) that are set, and n_i's neighbours h the set
+    bits of ``window >> n_i``. Components come ordered by their smallest
+    generator; s not in S (and s = 0) gives none.
     """
-    unseen = [g for g in generators if g <= s and member[s - g]]
-    components = []
+    unseen, components = window & generators, []
     while unseen:
-        component = [unseen.pop(0)]
-        for g in component:  # the list grows while it is read
-            rest, left = s - g, []
-            for h in unseen:
-                (component if h <= rest and member[rest - h] else left).append(h)
-            unseen = left
-        components.append(sorted(component))
+        component = todo = unseen & -unseen
+        while todo:  # drop g, add the vertices it reaches outside the component
+            g = todo.bit_length() - 1
+            todo ^= 1 << g | (window >> g & unseen & ~component)
+            component |= todo
+        unseen ^= component
+        components.append(component)
     return components
 
 
@@ -131,11 +129,12 @@ def factorization_graph(S: NumericalSemigroup, s: int) -> FactorizationGraph:
     if s not in S:
         raise NotAMemberError(f"{s} is not in the semigroup")
     vertices = tuple(factorizations(S, s))
-    components = _components(S.generators, S.membership(s), s)
-    component_of = {g: c for c, part in enumerate(components) for g in part}
+    gens = S.generators
+    components = _components(S.window(s), sum(1 << g for g in gens))
+    component_of = {g: c for c, part in enumerate(components) for g in gens if part >> g & 1}
     classes: dict[int, list[int]] = {}
     for index, vector in enumerate(vertices):
-        support = next((g for g, e in zip(S.generators, vector) if e), None)
+        support = next((g for g, e in zip(gens, vector) if e), None)
         classes.setdefault(component_of.get(support), []).append(index)
     # indices ascend, so the classes appear ordered by their smallest index
     return FactorizationGraph(vertices, tuple(map(tuple, classes.values())))
@@ -162,10 +161,11 @@ def betti_elements(S: NumericalSemigroup) -> dict[int, BettiData]:
     is not a vertex of ∇_s, then s - m is not in S, so neither is
     s - n_j - m for any vertex n_j. Otherwise ∇_s has a second component,
     and its vertices n_j are not adjacent to m: s - n_j - m is not in S.
-    Either way s - n_j lies in Ap(S, m). Each candidate's classes are the
-    components of ∇_s found by :func:`_components`, so no factorization is
-    listed. The class R_C of a component C is a singleton exactly when no
-    vertex c of C leaves s - c above a Betti element of the catalog so far:
+    Either way s - n_j lies in Ap(S, m). In S's window over 0..bound, Ap(S, m)
+    is the members whose bit m higher is clear, and :func:`_components` reads
+    ∇_s off the window shifted down to s, so no factorization is listed. The
+    class R_C of a component C is a singleton exactly when no vertex c of C
+    leaves s - c above a Betti element of the catalog so far:
 
     - |R_C| = 1 iff each s - c, c in C, has one factorization: two of s - c,
       plus e_c, are two in R_C; R_C is connected by shared support, so two
@@ -175,20 +175,23 @@ def betti_elements(S: NumericalSemigroup) -> dict[int, BettiData]:
       x - y in S, minimal in the order, has no two sharing a generator c
       (y - c would have two), so it is a Betti element.
 
-    Each such b <= s - c < s is a candidate, so it is scanned before s.
+    Each such b <= s - c < s is a candidate, so it is scanned before s, and
+    the mask ``two`` of the x above a catalogued b marks every such s - c.
     """
     catalog: dict[int, BettiData] = {}
     bound, gens = S.default_bound - 1, S.generators
-    member = S.membership(bound)
-    apery = S.apery_set(S.multiplicity)[1:]  # w = 0 gives the generators
-    for s in sorted({w + g for w in apery for g in gens[1:] if w + g <= bound}):
-        components = _components(gens, member, s)
+    window, vertices, two, candidates = S.window(bound), sum(1 << g for g in gens), 0, 0
+    apery = (window & ~(window >> gens[0])) ^ 1 << bound  # w = 0 gives the generators
+    for g in gens[1:]:
+        candidates |= apery >> g
+    while candidates:  # s = bound - j ascending
+        j = candidates.bit_length() - 1
+        candidates ^= 1 << j
+        components = _components(window >> j, vertices)
         if len(components) >= 2:
-            isolated = sum(
-                not any(b <= s - c and member[s - c - b] for c in part for b in catalog)
-                for part in components
-            )
-            catalog[s] = BettiData(nc=len(components), isolated_count=isolated)
+            isolated = sum(not two >> j & part for part in components)
+            catalog[bound - j] = BettiData(len(components), isolated)
+            two |= window >> (bound - j)
     return catalog
 
 

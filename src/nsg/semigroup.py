@@ -4,11 +4,11 @@ A numerical semigroup is an additively closed subset of the non-negative
 integers containing 0 whose complement (the set of *gaps*) is finite. It is
 determined by its unique minimal generating system, or by which n <= F, the
 Frobenius number, belong to it: every n > F does. A :class:`NumericalSemigroup`
-stores exactly that, a membership table over 0..F, read off a bitmask closed
-under each generator by :func:`close_under` (or, for a child in the semigroup
-tree, derived from its parent's table). Its generators, Frobenius number,
-genus and multiplicity are precomputed; the gaps and every padded copy of the
-table (:meth:`~NumericalSemigroup.membership`) are read off the table.
+stores exactly that, one int whose bit j is set iff F - j is a member, read off
+a bitmask closed under each generator by :func:`close_under` (or, for a child
+in the semigroup tree, derived from its parent's by one shift). Its generators,
+Frobenius number, genus and multiplicity are precomputed; the gaps, Apery sets
+and windows (:meth:`~NumericalSemigroup.window`) are read off the mask.
 Instances are immutable.
 """
 
@@ -31,7 +31,7 @@ class NumericalSemigroup:
     (11, 6)
     """
 
-    __slots__ = ("generators", "frobenius", "genus", "multiplicity", "_table")
+    __slots__ = ("generators", "frobenius", "genus", "multiplicity", "_mask")
 
     def __init__(self, *raw):
         if len(raw) == 1 and not isinstance(raw[0], int):
@@ -49,10 +49,10 @@ class NumericalSemigroup:
                 f"gcd of generators is {g}; the complement would be infinite"
             )
 
-        table = _membership_sieve(values)
-        generators = []  # every n - a read is at most max(values)
-        _append_minimal(generators, values, table + [True] * (values[-1] + 1 - len(table)))
-        _set_slots(self, tuple(generators), len(table) - 1, table)
+        frobenius, mask = _membership_sieve(values)
+        generators = []
+        _append_minimal(generators, values, mask, frobenius)
+        _set_slots(self, tuple(generators), frobenius, frobenius + 1 - mask.bit_count(), mask)
 
     def __setattr__(self, name, value):
         raise AttributeError("NumericalSemigroup is immutable")
@@ -106,8 +106,8 @@ class NumericalSemigroup:
 
         This is a child in the semigroup tree. Every slot is derived from
         this semigroup, closing no mask: the child's Frobenius number is g,
-        and its membership table over 0..g is ours, then members up to
-        g - 1, then the gap g. Removing g keeps the other minimal generators
+        its genus ours + 1, and its mask ours shifted up by g - F over the
+        new members and the gap g. Removing g keeps the other minimal generators
         minimal, and every new one is g + a for a minimal generator a (2g
         included) or 3g: a new generator h is g + s for some non-zero s, and
         unless s is a generator or 2g, h splits further inside the child. Only
@@ -115,8 +115,8 @@ class NumericalSemigroup:
         (ours, or g + 1 when g is ours): a larger c is (c - m) + m, and
         c - m > g is a member. That leaves g + m, or 2g and 2g + 1, or at
         the root 2 and 3, tested as :meth:`__init__` tests its values
-        (:func:`_append_minimal`). So the cost is the O(g) table copy plus
-        O(e) lookups. :meth:`from_gaps` builds the same semigroup
+        (:func:`_append_minimal`). So the cost is one shift of a g-bit int
+        plus O(e) lookups. :meth:`from_gaps` builds the same semigroup
         independently and serves as the test oracle.
         """
         if g <= self.frobenius or g not in self.generators:
@@ -126,39 +126,38 @@ class NumericalSemigroup:
         m = self.multiplicity if g != self.multiplicity else g + 1
         # ascending, as 2g <= m (which lets 3g in) holds only at the root, g = 1
         candidates = [g + a for a in (*self.generators, 2 * g) if a <= m]
-        # every c - a read below is at most g
-        table = self._table + [True] * (g - 1 - self.frobenius) + [False]
+        shift = g - self.frobenius
+        mask = self._mask << shift | ((1 << shift) - 2)
         generators = list(self.generators)
         generators.remove(g)
-        _append_minimal(generators, candidates, table)
+        _append_minimal(generators, candidates, mask, g)
         generators.sort()
         child = object.__new__(NumericalSemigroup)
-        _set_slots(child, tuple(generators), g, table)
+        _set_slots(child, tuple(generators), g, self.genus + 1, mask)
         return child
 
     # -- membership and basic invariants --------------------------------------
 
     def __contains__(self, n: int) -> bool:
-        if n < 0:
-            return False
-        if n < len(self._table):
-            return self._table[n]
-        return True
+        if n > self.frobenius:
+            return True
+        return n >= 0 and bool(self._mask >> (self.frobenius - n) & 1)
 
-    def membership(self, n: int) -> list[bool]:
-        """Membership of 0, 1, ..., n as a new list, ``[]`` for n < 0.
+    def window(self, top: int) -> int:
+        """Membership of 0..top as one int, bit j set iff top - j is in S; 0 for top < 0.
 
-        For loops that test many k in 0..n without a :meth:`__contains__`
-        call each; past the Frobenius number every entry is True.
+        So ``window >> (top - s)`` is the window at s, bit k set iff s - k is
+        a member: loops over many s - k read bits, with no call each.
         """
-        if n < 0:
-            return []
-        return self._table[: n + 1] + [True] * (n - self.frobenius)
+        pad = top - self.frobenius
+        if pad < 0:
+            return self._mask >> -pad
+        return self._mask << pad | ((1 << pad) - 1)
 
     @property
     def gaps(self) -> tuple[int, ...]:
         """The gaps, ascending: the n <= frobenius outside S."""
-        return tuple(n for n, member in enumerate(self._table) if not member)
+        return tuple(n for n in range(self.frobenius + 1) if n not in self)
 
     @property
     def embedding_dimension(self) -> int:
@@ -186,9 +185,9 @@ class NumericalSemigroup:
         """
         if m < 1 or m not in self:
             raise NotAMemberError(f"{m} must be a positive element of the semigroup")
-        # each element is at most frobenius + m
-        member = self.membership(self.frobenius + m)
-        return [n for n, k in enumerate(member) if k and (n < m or not member[n - m])]
+        # over 0..F + m, the bit of w - m is m above w's: the window >> m is the mask
+        apery = self.window(self.frobenius + m) & ~self._mask
+        return [w for w, bit in enumerate(format(apery, "b")) if bit == "1"]
 
     def is_symmetric(self) -> bool:
         """Whether exactly one of n, frobenius - n belongs to S for all n.
@@ -221,14 +220,14 @@ class NumericalSemigroup:
         return (NumericalSemigroup, self.generators)
 
 
-def _set_slots(S: NumericalSemigroup, generators: tuple, frobenius: int, table: list) -> None:
-    """Fill every slot of a new S from its table over 0..F; genus and multiplicity follow."""
+def _set_slots(S, generators: tuple, frobenius: int, genus: int, mask: int) -> None:
+    """Fill every slot of a new S, whose mask has bit j set iff F - j is in S."""
     set_slot = object.__setattr__  # the class's own __setattr__ refuses
     set_slot(S, "generators", generators)
     set_slot(S, "frobenius", frobenius)
-    set_slot(S, "genus", table.count(False))
+    set_slot(S, "genus", genus)
     set_slot(S, "multiplicity", generators[0])
-    set_slot(S, "_table", table)
+    set_slot(S, "_mask", mask)
 
 
 def close_under(mask: int, g: int, limit: int) -> int:
@@ -245,8 +244,8 @@ def close_under(mask: int, g: int, limit: int) -> int:
     return mask & ((2 << limit) - 1)
 
 
-def _membership_sieve(values: list[int]) -> list[bool]:
-    """Membership of 0..F in the monoid an ascending generating set spans.
+def _membership_sieve(values: list[int]) -> tuple[int, int]:
+    """(F, mask) of the monoid an ascending generating set spans; bit j is F - j.
 
     The mask of {0} is closed under every generator up to a bound, doubled
     from 2*max + 2 until its top multiplicity-many bits are all members, so
@@ -259,20 +258,20 @@ def _membership_sieve(values: list[int]) -> list[bool]:
         for v in values:
             mask = close_under(mask, v, bound)
     frobenius = (~mask & ((2 << bound) - 1)).bit_length() - 1
-    return [bit == "1" for bit in format(mask, "b")[::-1][: frobenius + 1]]
+    return frobenius, int("0" + format(mask, "b")[::-1][: frobenius + 1], 2)
 
 
-def _append_minimal(generators: list[int], candidates, table: list[bool]) -> None:
+def _append_minimal(generators: list[int], candidates, mask: int, frobenius: int) -> None:
     """Append each of the ascending ``candidates`` that is a minimal generator.
 
     c is one iff c - a is no member for each smaller generator a (a split
     x + y of c has a generator a <= x, and c - a = (x - a) + y), so
-    ``generators`` must hold every one below the first candidate, and
-    ``table`` every c - a.
+    ``generators`` must hold every one below the first candidate. ``mask``
+    and ``frobenius`` are the semigroup's, as stored.
     """
     for c in candidates:
         for a in generators:
-            if a < c and table[c - a]:
+            if a < c and (c - a > frobenius or mask >> (frobenius - c + a) & 1):
                 break
         else:
             generators.append(c)

@@ -135,7 +135,7 @@ class ExponentSweep:
         """The sweep of S's polynomial P = (1 - x) * A / (1 - x^m), from its Apery numerator.
 
         A has a 1 at each element of Ap(S, m), m the multiplicity: m terms,
-        degree frobenius + m. It reads S's membership table only.
+        degree frobenius + m. It reads S's membership bits only.
         """
         m = S.multiplicity
         numerator = [0] * (S.frobenius + m + 1)

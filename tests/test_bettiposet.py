@@ -11,6 +11,7 @@ from nsg import (
     BoundTooSmallError,
     NumericalSemigroup,
     betti_elements,
+    ci_with_frobenius,
     classify,
     denumerant_series,
     enumerate_by_frobenius,
@@ -139,6 +140,30 @@ class TestDefinitions:
             assert_matches_definitions(analysis.betti_order)
             assert_matches_definitions(analysis.support_order)
             assert_matches_definitions(analysis.prefix_support_order)
+
+    @pytest.mark.parametrize(
+        "family, sides",
+        [
+            (lambda: (S for F in range(1, 82, 2) for S in ci_with_frobenius(F)), {-1, 1}),
+            pytest.param(lambda: enumerate_by_genus(12), {1}, marks=pytest.mark.stretch),
+            pytest.param(lambda: enumerate_by_frobenius(21), {1}, marks=pytest.mark.stretch),
+        ],
+        ids=["ci-up-to-81", "genus-12", "frobenius-21"],
+    )
+    def test_analysis_orders_of_families(self, family, sides):
+        # each order reads S's window over 0..its largest element, which is
+        # S's mask shifted down when that top is below F and up when above
+        seen = set()
+        for S in family():
+            analysis = SemigroupAnalysis(S)
+            for subset in (
+                analysis.betti_order, analysis.support_order, analysis.prefix_support_order
+            ):
+                assert_matches_definitions(subset)
+                if subset.elements:
+                    top = subset.elements[-1]
+                    seen.add((top > S.frobenius) - (top < S.frobenius))
+        assert seen == sides
 
     @settings(deadline=None, max_examples=60)
     @given(

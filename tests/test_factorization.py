@@ -193,12 +193,12 @@ class TestCatalogShortcuts:
         # the factorizations of s over {n_i} alone, for {n_i} a component of ∇_s
         for S in enumerate_by_genus(8):
             bound = S.default_bound - 1
-            member = S.membership(bound)
+            window, vertices = S.window(bound), sum(1 << g for g in S.generators)
             for s in range(bound + 1):
                 vectors = factorizations(S, s)
-                for part in _components(S.generators, member, s):
-                    if len(part) == 1:
-                        i = S.generators.index(part[0])
+                for part in _components(window >> (bound - s), vertices):
+                    if part & (part - 1) == 0:  # one vertex
+                        i = S.generators.index(part.bit_length() - 1)
                         over_part = [v for v in vectors if sum(v) == v[i]]
                         assert len(over_part) == 1, (S.generators, s)
 
@@ -223,11 +223,12 @@ class TestCatalogShortcuts:
         # R_C is a singleton iff s - c has one factorization for every c in C
         for S in enumerate_by_genus(8):
             bound = S.default_bound - 1
-            member = S.membership(bound)
+            window, vertices = S.window(bound), sum(1 << g for g in S.generators)
             counts = denumerant_series(S, bound)
             for s in range(bound + 1):
                 vectors = factorizations(S, s)
-                for part in _components(S.generators, member, s):
+                for mask in _components(window >> (bound - s), vertices):
+                    part = [c for c in S.generators if mask >> c & 1]
                     indices = [S.generators.index(c) for c in part]
                     in_class = [v for v in vectors if any(v[i] for i in indices)]
                     unique_below = all(counts[s - c] == 1 for c in part)

@@ -102,8 +102,11 @@ class TestConstruction:
 def assert_built_as_reachability_finds(values) -> None:
     S = NumericalSemigroup(values)
     table, frobenius, generators = monoid_by_reachability(values)
-    assert (S._table, S.frobenius, S.generators) == (table, frobenius, generators), values
-    assert S.genus == table.count(False), values
+    assert (S.frobenius, S.generators) == (frobenius, generators), values
+    # bit j of the mask is F - j: exactly the members in 0..F, none above F
+    members = sum(1 << (frobenius - n) for n, member in enumerate(table) if member)
+    assert S._mask == members, values
+    assert S.genus == table.count(False) == frobenius + 1 - S._mask.bit_count(), values
 
 
 class TestAgainstReachability:
@@ -161,24 +164,34 @@ class TestMembership:
     def test_membership_agrees_with_contains(self, s357, s469, five_gen, naturals):
         for S in (s357, s469, five_gen, naturals):
             for n in (-3, -1, 0, S.frobenius - 1, S.frobenius, S.default_bound + 5):
-                member = S.membership(n)
-                assert len(member) == max(n + 1, 0), (S, n)
-                assert all(member[k] == (k in S) for k in range(len(member))), (S, n)
+                window = S.window(n)
+                # bit j is n - j: nothing past n, and 0 for n < 0
+                assert window >> max(n + 1, 0) == 0, (S, n)
+                member = [bool(window >> (n - k) & 1) for k in range(n + 1)]
+                assert member == [k in S for k in range(n + 1)], (S, n)
 
     def test_table_covers_zero_to_frobenius(self):
-        # __init__ and remove_generator both store membership of 0..frobenius only
+        # __init__ and remove_generator both store membership of 0..frobenius
+        # only, bit j for F - j: the top bit F is the member 0, and the genus
+        # counts the clear bits
         family = [*enumerate_by_genus(12), NumericalSemigroup(100, 101)]
         family += [S for f in range(1, 20) for S in enumerate_by_frobenius(f)]
         assert family[0].is_trivial
         for S in family:
-            assert len(S._table) == S.frobenius + 1, S
+            F = S.frobenius
+            assert S._mask.bit_length() == F + 1, S
+            assert S.genus == F + 1 - S._mask.bit_count(), S
+            # a tree node's shifted mask against a fresh sieve of its generators
+            assert S._mask == NumericalSemigroup(S.generators)._mask, S
 
     def test_membership_returns_a_copy(self, s469):
+        # a window is an int: flipping its bits leaves S and later windows as they were
         S, twin = s469, NumericalSemigroup(4, 6, 9)
         gaps, apery, digest = S.gaps, S.apery_set(4), hash(S)
         for n in (S.frobenius, S.default_bound):
-            member = S.membership(n)
-            member[:] = [not k for k in member]
+            window = S.window(n)
+            window ^= (2 << n) - 1
+            assert S.window(n) == twin.window(n) == window ^ ((2 << n) - 1)
         assert 11 not in S and 12 in S and 1 not in S and 0 in S
         assert S.gaps == gaps and S.apery_set(4) == apery
         assert hash(S) == digest == hash(twin) and S == twin
@@ -302,4 +315,4 @@ class TestSerialization:
         for clone in (pickle.loads(pickle.dumps(s469)), copy.copy(s469), copy.deepcopy(s469)):
             assert clone == s469
             assert clone.gaps == s469.gaps
-            assert clone.membership(s469.default_bound) == s469.membership(s469.default_bound)
+            assert clone.window(s469.default_bound) == s469.window(s469.default_bound)

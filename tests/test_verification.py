@@ -1,5 +1,6 @@
 import json
 import subprocess
+from collections import Counter
 import sys
 from pathlib import Path
 
@@ -99,6 +100,20 @@ class TestSharedAnalysis:
         assert reaches[0] == reaches[1]
         swept_family = [S for S in enumerate_job(job) if not S.is_trivial]
         assert set(reaches[0]) == {tuple(semigroup_polynomial(S)) for S in swept_family}
+
+    def test_one_apery_set_per_semigroup(self, monkeypatch):
+        # the sweep and the catalog both read Ap(S, m), the one copy the analysis holds
+        calls = Counter()
+        apery_set = NumericalSemigroup.apery_set
+
+        def counted(S, m):
+            calls[S.generators] += 1
+            return apery_set(S, m)
+
+        monkeypatch.setattr(NumericalSemigroup, "apery_set", counted)
+        summary = run_verification(EnumerationJob("by-genus", 9), tuple(CHECKS))
+        assert summary.total == 274 and summary.counterexamples == []
+        assert len(calls) == 274 and set(calls.values()) == {1}
 
     def test_thm1_alone_builds_no_betti_catalog(self, catalog_builds):
         summary = run_verification(EnumerationJob("by-genus", 8), ("thm1",))
