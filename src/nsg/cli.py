@@ -64,14 +64,13 @@ def _probe(_, path) -> None:
 
 def _family_job(options, resume_token=None) -> EnumerationJob:
     """The job for exactly one of --genus-max, --frobenius; bad input is a usage error."""
-    genus_max, frobenius = options.genus_max, options.frobenius
-    if (genus_max is None) == (frobenius is None):
+    limits = {"by-genus": options.genus_max, "by-frobenius": options.frobenius}
+    given = [mode for mode, limit in limits.items() if limit is not None]
+    if len(given) != 1:
         raise UsageError("pass exactly one of --genus-max, --frobenius")
     filter_names = tuple(name for name in options.filters.split(",") if name)
     try:
-        if genus_max is not None:
-            return EnumerationJob("by-genus", genus_max, filter_names, resume_token)
-        return EnumerationJob("by-frobenius", frobenius, filter_names, resume_token)
+        return EnumerationJob(given[0], limits[given[0]], filter_names, resume_token)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -184,8 +183,8 @@ def verify(options) -> int:
     except ValueError as exc:
         raise UsageError(f"--checks: {exc}") from exc
 
-    def progress(done: int, token: str | None) -> None:
-        print(f"checked {done}" + ("" if token is None else f" (token {token})"), file=sys.stderr)
+    def progress(done: int, token: str) -> None:
+        print(f"checked {done} (token {token})", file=sys.stderr)
 
     summary = run_verification(job, check_names, progress=progress)
     for name in check_names:

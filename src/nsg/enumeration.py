@@ -13,11 +13,10 @@ One preorder walk on an explicit stack serves every family, and one rule,
 :func:`children`, gives its entries (g, S minus g, mask at g), pushed in
 reverse so the walk visits them ascending in g, hence in ascending order of
 the gap tuples. A walk by genus carries mask 0, which prunes nothing: it
-yields every node up to the cap and resumes after any node from the later
-siblings along its path. A walk to a Frobenius number F yields the nodes at
-F and builds only the nodes with a descendant at F, themselves included.
-S minus g has one iff g <= F and F is not in the monoid spanned by S's
-generators below g:
+yields every node up to the cap. A walk to a Frobenius number F yields the
+nodes at F and builds only the nodes with a descendant at F, themselves
+included. S minus g has one iff g <= F and F is not in the monoid spanned
+by S's generators below g:
 
 - every descendant of S minus g removes only elements above g, so it keeps
   S's elements below g and the monoid they span, and F with it if it is in;
@@ -29,6 +28,8 @@ generators below g:
 That monoid only grows with g, so once it reaches F every later generator is
 dead too. The walk carries it as a bitmask over 0..F, one int per stack
 entry, closed by :func:`~nsg.semigroup.close_under` (see :func:`children`).
+Either walk resumes after any node it reaches, named by its gap tuple, from
+the node's children and the later siblings along its path (:func:`_resumed`).
 
 Complete intersections are enumerated separately, bottom-up by Frobenius
 number through gluings, which reaches Frobenius values far beyond what the
@@ -112,33 +113,38 @@ def _walk(stack: list, g_max, frobenius: int | None) -> Iterator[NumericalSemigr
             stack.extend(reversed(children(S, frobenius, mask)))
 
 
-def enumerate_by_genus(g_max, resume: Path | None = None) -> Iterator[NumericalSemigroup]:
-    """Every numerical semigroup of genus <= g_max, exactly once, in preorder.
+def _resumed(path: Path | None, g_max, frobenius: int | None, mask: int):
+    """The walk from the root, or strictly after the node at gap tuple ``path``.
 
-    With ``resume``, a node's path (its gap tuple), the walk yields the
-    suffix strictly after that node: the stack is seeded with the node's
-    children and the later siblings along its path, the triples of
-    :func:`children` as the walk holds them just after the node, so earlier
-    subtrees are never walked. A path that names no node of the tree is a
-    ValueError at the call, at any depth.
+    The one descent of both walks takes the entries of :func:`children` as
+    the walk does, live ones only on a walk to a target, and seeds the stack
+    as the walk holds it after the node, so no earlier subtree is built. A
+    path naming no node of the walk is a ValueError at the call.
     """
-    if resume is None:
-        return _walk([(None, NumericalSemigroup(1), 0)] if g_max >= 0 else [], g_max, None)
     node, stack = NumericalSemigroup(1), []
-    for g in resume:
-        kids = children(node)
+    if path is None:
+        return _walk([(None, node, mask)] if g_max >= 0 else [], g_max, frobenius)
+    for depth, g in enumerate(path, 1):
+        kids = children(node, frobenius, mask)
         at = [h for h, _, _ in kids]
         if g not in at:
+            if g > node.frobenius and g in node.generators:  # capped or pruned
+                raise ValueError(f"the node {path[:depth]} has no descendant at F = {frobenius}")
             raise ValueError(
                 f"{g} is not a minimal generator above the Frobenius number {node.frobenius}"
             )
         i = at.index(g)
         if node.genus + 1 <= g_max:
             stack.extend(reversed(kids[i + 1 :]))
-        node = kids[i][1]
+        _, node, mask = kids[i]
     if node.genus + 1 <= g_max:
-        stack.extend(reversed(children(node)))
-    return _walk(stack, g_max, None)
+        stack.extend(reversed(children(node, frobenius, mask)))
+    return _walk(stack, g_max, frobenius)
+
+
+def enumerate_by_genus(g_max, resume: Path | None = None) -> Iterator[NumericalSemigroup]:
+    """Every numerical semigroup of genus <= g_max, once, in preorder; after ``resume`` if given."""
+    return _resumed(resume, g_max, None, 0)
 
 
 def _require_int(frobenius) -> None:
@@ -147,19 +153,20 @@ def _require_int(frobenius) -> None:
         raise ValueError(f"frobenius must be an int, got {frobenius!r}")
 
 
-def enumerate_by_frobenius(frobenius: int) -> Iterator[NumericalSemigroup]:
+def enumerate_by_frobenius(frobenius, resume: Path | None = None) -> Iterator[NumericalSemigroup]:
     """Every numerical semigroup with the given Frobenius number, exactly once.
 
     Same tree, pruned to the live nodes: S minus g is built only when g <= F
     and F is not in the monoid spanned by S's generators below g, exactly
     the nodes with a descendant at F (module docstring), and a node at the
-    target has no children to build. The root's mask holds 0 alone. The
-    target is checked at the call, not at the first ``next``.
+    target has no children to build. The root's mask holds 0 alone. With
+    ``resume``, a member's gap tuple, only the members after it. The target
+    and the path are checked at the call, not at the first ``next``.
     """
     _require_int(frobenius)
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1")
-    return _walk([(None, NumericalSemigroup(1), 1)], frobenius, frobenius)
+    return _resumed(resume, frobenius, frobenius, 1)
 
 
 # A target F recurses into at most -1 and the odd numbers below it, so 512

@@ -7,13 +7,13 @@ check and counterexample report reads, so each invariant of a semigroup is
 computed at most once. The analysis is dropped after its semigroup: caches
 are scoped to one evaluation and memory stays flat over a family.
 
-Every job, resumed or filtered, by genus or by Frobenius number, takes the
-one serial preorder walk of :mod:`nsg.enumeration` (complete intersections
-by Frobenius number take the gluing enumerator instead). Outcomes accumulate
-in one :class:`VerificationSummary` in walk order, so exports are
-byte-stable. A node's tree path is its gap tuple, so the resume token of a
-by-genus run is formatted from the last semigroup checked, which the summary
-keeps, and only when a progress callback or a reader of the summary asks.
+Every job, resumed or filtered, streams one row of :data:`FAMILIES`: the
+serial preorder walk of :mod:`nsg.enumeration`, by genus or by Frobenius
+number, or the gluing enumerator. Outcomes accumulate in one
+:class:`VerificationSummary` in the family's order, so exports are
+byte-stable. Every family resumes after the member a token names by its
+gap tuple, which is its tree path too, so a run's token is formatted from
+the last semigroup checked, and only when a progress callback or a reader asks.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .analysis import SemigroupAnalysis
 from .enumeration import (
+    Path,
     ci_with_frobenius,
     enumerate_by_frobenius,
     enumerate_by_genus,
@@ -51,12 +52,29 @@ def _validate_names(kind: str, names, known) -> None:
             raise ValueError(f"{kind} {name!r} named twice")
 
 
+def _glued(frobenius: int, path: Path | None) -> tuple[NumericalSemigroup, ...]:
+    """The complete intersections with Frobenius number F after the one at ``path``."""
+    family = ci_with_frobenius(frobenius)
+    return family if path is None else family[[S.gaps for S in family].index(path) + 1 :]
+
+
+# (mode, filter its enumerator applies itself) -> (least limit, enumerator).
+# enumerator(limit, path) streams the family in one fixed order, strictly after
+# the member whose gap tuple is path (None: all), and checks the path at the
+# call. _glued looks ci_with_frobenius up at each call, so a rebound name is seen.
+FAMILIES: dict[tuple[str, str | None], tuple[int, Callable]] = {
+    ("by-genus", None): (0, enumerate_by_genus),
+    ("by-frobenius", None): (1, enumerate_by_frobenius),
+    ("by-frobenius", "ci"): (1, _glued),
+}
+
+
 class EnumerationJob(FrozenRecord):
     """What to enumerate: mode, bound, optional filters and resume point.
 
-    ``mode`` is by-genus or by-frobenius (filtered on "ci": the gluing
-    enumerator). A resume token must name a node of the semigroup tree, at
-    any depth.
+    ``family`` keys its row of :data:`FAMILIES` (by-frobenius filtered on
+    "ci": the gluing enumerator). A resume token is a member's gap tuple, or
+    on the tree walks that of any node they descend through.
     """
 
     __slots__ = ("mode", "limit", "filters", "resume_token")
@@ -69,45 +87,42 @@ class EnumerationJob(FrozenRecord):
         resume_token: str | None = None,
     ):
         self._init(mode, limit, filters, resume_token)
-        if self.mode not in ("by-genus", "by-frobenius"):
+        if (self.mode, None) not in FAMILIES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not isinstance(self.limit, int) or isinstance(self.limit, bool):
             raise ValueError(f"limit must be an int, got {self.limit!r}")
-        least = 0 if self.mode == "by-genus" else 1
+        least, members = FAMILIES[self.family]
         if self.limit < least:
             raise ValueError(f"limit must be >= {least} in {self.mode} mode")
         _validate_names("filter", self.filters, FILTERS)
         if self.resume_token is not None:
-            if self.mode != "by-genus":
-                raise ValueError("resume tokens apply to by-genus jobs only")
             path = parse_token(self.resume_token)
             try:
-                enumerate_by_genus(self.limit, path)  # descends to the node at the call
+                members(self.limit, path)  # the tree walks descend at the call
             except ValueError as exc:
                 raise ValueError(
-                    f"resume token {self.resume_token!r} names no node of the tree: {exc}"
+                    f"resume token {self.resume_token!r} names no node of this walk: {exc}"
                 ) from exc
+
+    @property
+    def family(self) -> tuple[str, str | None]:
+        """The job's key in :data:`FAMILIES`: its mode, and its filter that has a row."""
+        return self.mode, next((f for f in self.filters if (self.mode, f) in FAMILIES), None)
 
 
 def _stream(job: EnumerationJob) -> Iterator[SemigroupAnalysis]:
-    """The analyses of the job's family in walk order, filters applied.
+    """The analyses of the job's family in its order, filters applied.
 
-    A by-genus job resumes after the node its token names. A by-frobenius
-    job filtered on "ci" is the one route to the gluing enumerator, which
-    reaches Frobenius numbers the full tree cannot. Every glued semigroup is
-    re-verified by the presentation-size test of its analysis, whose Betti
-    catalog the filters and checks then share.
+    A row's own filter is re-verified on each member by its analysis, whose
+    Betti catalog the filters and checks then share.
     """
-    glued = job.mode == "by-frobenius" and "ci" in job.filters
-    if job.mode == "by-genus":
-        resume = None if job.resume_token is None else parse_token(job.resume_token)
-        family = enumerate_by_genus(job.limit, resume)
-    else:
-        family = (ci_with_frobenius if glued else enumerate_by_frobenius)(job.limit)
+    own = job.family[1]
+    members = FAMILIES[job.mode, own][1]
+    resume = None if job.resume_token is None else parse_token(job.resume_token)
     predicates = [FILTERS[name] for name in job.filters]
-    for S in family:
+    for S in members(job.limit, resume):
         analysis = SemigroupAnalysis(S)
-        if glued and not analysis.complete_intersection:
+        if own is not None and not FILTERS[own](analysis):
             raise RuntimeError(f"gluing yielded {S.generators}, not a complete intersection")
         if all(predicate(analysis) for predicate in predicates):
             yield analysis
@@ -202,7 +217,7 @@ class VerificationSummary:
     """The tally of a run: pass counts, counterexamples and the resume point.
 
     :func:`run_verification` tallies semigroups one at a time, in the order
-    the walk visits them, and keeps the last one as ``last``.
+    the family streams them, and keeps the last one as ``last``.
     """
 
     __slots__ = ("job", "checks", "total", "pass_counts", "counterexamples", "last")
@@ -217,9 +232,8 @@ class VerificationSummary:
 
     @property
     def last_token(self) -> str | None:
-        """The resume token of the last semigroup checked; by-genus jobs only."""
-        by_genus = self.job.mode == "by-genus"
-        return format_token(self.last.gaps) if by_genus and self.last is not None else None
+        """The resume token of the last semigroup checked, None before the first."""
+        return None if self.last is None else format_token(self.last.gaps)
 
     @property
     def all_pass(self) -> bool:
@@ -254,7 +268,7 @@ _PROGRESS_EVERY = 500
 def run_verification(
     job: EnumerationJob,
     checks,
-    progress: Callable[[int, str | None], None] | None = None,
+    progress: Callable[[int, str], None] | None = None,
 ) -> VerificationSummary:
     """Run the named checks over a job's family and aggregate the outcome.
 
@@ -262,7 +276,7 @@ def run_verification(
     Counterexamples are collected as full report records (sorted by
     generators in the summary). A progress callback receives (count, token)
     each time the count reaches a multiple of 500, and the final summary
-    carries the last token (by-genus jobs only), so interrupted runs resume.
+    carries the last token, so an interrupted run of any family resumes.
     """
     checks = validate_checks(checks)
     summary = VerificationSummary(job, checks)

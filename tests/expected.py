@@ -476,7 +476,8 @@ GLUING_TREES = {
 
 # sha256 of the file `nsg verify ... --json PATH` writes, for the families of
 # the three benchmark workloads, each check list in CHECKS order; captured
-# when the walk formatted the resume token of every by-genus node it checked
+# when only by-genus runs wrote a resume token, so the two by-Frobenius
+# digests are of the file with its last_token set to null
 VERIFY_JSON = {
     ("--genus-max", "9", "--checks", "ci-cyclotomic,thm1,thm2,thm5.2,conj-msg,conj-betti"):
         "b1dbdf5df4a56cf37697c518c77a1ef4f218756220ae4b779c1795e8ceb699c6",
@@ -485,3 +486,17 @@ VERIFY_JSON = {
     ("--frobenius", "81", "--filter", "ci", "--checks", "ci-cyclotomic,conj-msg,conj-betti"):
         "a8007e37c1ae2804f5a1ecb19a4ca518f1dada0271fbb52e1cba7c231ea1158a",
 }
+
+# The last_token of each summary above: the last member's gap tuple.
+VERIFY_LAST_TOKEN = dict(
+    zip(
+        VERIFY_JSON,
+        [
+            "1.3.5.7.9.11.13.15.17",
+            "1.3.5.7.9.11.13.15.17.19.21.23",
+            "1.2.3.4.5.6.7.8.9.10.11.12.13.14.15.17.18.19.20.21.25.26.27.29.30.31.33.34.35.36"
+            ".37.41.42.43.49.53.57.58.59.65.81",
+        ],
+        strict=True,
+    )
+)

@@ -73,9 +73,13 @@ class TestVerifyExitCodes:
         assert result.exit_code == 0, result.output
         assert "thm1: 4/4 pass" in result.output
 
-    def test_resume_outside_by_genus_is_named(self, cli):
-        result = cli("verify", "--frobenius", "7", "--resume", "2.3", "--checks", "conj-msg")
-        assert "by-genus" in result.output
+    def test_resume_naming_no_glued_member_exits_2(self, cli):
+        # <46, 47, ..., 91>, the first tree semigroup with F = 45, is no complete intersection
+        token = ".".join(map(str, range(1, 46)))
+        args = ("--frobenius", "45", "--filter", "ci", "--resume", token, "--checks", "conj-msg")
+        result = cli("verify", *args)
+        assert result.exit_code == 2 and result.stdout == ""
+        assert "names no node of this walk" in result.stderr
 
 
 class TestVerifyTokens:
@@ -84,8 +88,11 @@ class TestVerifyTokens:
         [
             (("--genus-max", "0"), "root"),
             (("--genus-max", "4"), "1.3.5.7"),
-            (("--frobenius", "7"), None),
-            (("--frobenius", "45", "--filter", "ci"), None),
+            (("--frobenius", "7"), "1.3.5.7"),
+            (
+                ("--frobenius", "45", "--filter", "ci"),
+                "1.2.3.4.5.6.7.8.9.11.13.14.15.16.17.21.23.25.26.27.33.35.45",
+            ),
         ],
     )
     def test_summary_token(self, cli, tmp_path, family, token):
@@ -98,9 +105,13 @@ class TestVerifyTokens:
         result = cli("verify", "--genus-max", "11", "--checks", "conj-msg")
         assert result.stderr == "checked 500 (token 1.2.3.4.5.7.8.9.11.13.14)\n"
 
-    def test_progress_line_by_frobenius_has_no_token(self, cli):
+    def test_progress_line_by_frobenius_names_the_token(self, cli):
         result = cli("verify", "--frobenius", "21", "--checks", "conj-msg")
-        assert result.stderr == "checked 500\nchecked 1000\nchecked 1500\n"
+        assert result.stderr.splitlines() == [
+            "checked 500 (token 1.2.3.4.5.6.7.8.9.10.11.17.18.21)",
+            "checked 1000 (token 1.2.3.4.5.6.7.8.9.10.16.17.21)",
+            "checked 1500 (token 1.2.3.4.5.6.7.8.11.12.15.21)",
+        ]
 
 
 class TestEnumerate:

@@ -220,6 +220,50 @@ class TestResume:
         assert len(built) > descent and set(built[descent:]) <= set(suffix)
 
 
+class TestFrobeniusResume:
+    @pytest.mark.parametrize("frobenius", range(1, 16))
+    def test_every_member_resumes_to_its_suffix(self, frobenius):
+        walk = [S.gaps for S in enumerate_by_frobenius(frobenius)]
+        for i, path in enumerate(walk):
+            suffix = [S.gaps for S in enumerate_by_frobenius(frobenius, resume=path)]
+            assert suffix == walk[i + 1:], path
+
+    def test_resume_builds_no_node_before_the_token(self, monkeypatch):
+        built, original = [], NumericalSemigroup.remove_generator
+
+        def counted(S, g):
+            child = original(S, g)
+            built.append(child.gaps)
+            return child
+
+        monkeypatch.setattr(NumericalSemigroup, "remove_generator", counted)
+        path = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16, 17, 21)
+        walk = enumerate_by_frobenius(21, resume=path)
+        # at the call: the live children of the path's nodes, nothing more
+        descent = len(built)
+        assert set(built) >= {path[:i] for i in range(1, len(path) + 1)}
+        assert all(gaps[:-1] == path[: len(gaps) - 1] for gaps in built)
+        # after it: only nodes after the token in walk order, the suffix among them
+        suffix = [S.gaps for S in walk]
+        assert len(suffix) == 828 and all(gaps > path for gaps in built[descent:])
+        assert set(suffix) <= set(built) and len(built) == len(set(built))
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            # <3, 4, 5> minus 5 is <3, 4>: a tree node, but none of its descendants has F = 7
+            ((1, 2, 5), r"the node \(1, 2, 5\) has no descendant at F = 7"),
+            ((1, 2, 3, 4, 9), "has no descendant at F = 7"),  # 9 > F: capped
+            ((1, 2, 3, 4, 5, 6, 7, 8), "has no descendant at F = 7"),  # past a node at F
+            ((2,), "2 is not a minimal generator above the Frobenius number -1"),
+            ((1, 2, 6), "6 is not a minimal generator above the Frobenius number 2"),
+        ],
+    )
+    def test_path_naming_no_live_node_rejected_at_the_call(self, path, message):
+        with pytest.raises(ValueError, match=message):
+            enumerate_by_frobenius(7, resume=path)
+
+
 class TestCounts:
     def test_genus_counts_match_a007323(self):
         counts = [0] * 13

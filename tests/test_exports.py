@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from nsg.export import dumps_json
+
 from expected import (
     ENUMERATE_FROBENIUS_9,
     ENUMERATE_GENUS_4,
@@ -12,6 +14,7 @@ from expected import (
     EXPORTS,
     REPORTS,
     VERIFY_JSON,
+    VERIFY_LAST_TOKEN,
 )
 
 
@@ -73,4 +76,10 @@ def test_enumerate_frobenius_9(run):
 def test_verify_json_of_the_benchmark_families(run, tmp_path, args):
     json_path = tmp_path / "v.json"
     run("verify", *args, "--json", str(json_path))
-    assert hashlib.sha256(json_path.read_bytes()).hexdigest() == VERIFY_JSON[args]
+    text = json_path.read_text()
+    summary = json.loads(text)
+    assert dumps_json(summary) == text
+    assert summary["last_token"] == VERIFY_LAST_TOKEN[args]
+    if "--frobenius" in args:  # pinned when by-Frobenius runs wrote no token
+        summary["last_token"] = None
+    assert hashlib.sha256(dumps_json(summary).encode()).hexdigest() == VERIFY_JSON[args]

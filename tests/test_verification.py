@@ -9,7 +9,7 @@ import pytest
 from nsg import NumericalSemigroup, SemigroupAnalysis, classify, enumerate_by_genus
 from nsg import analysis as analysis_module
 from nsg import witt as witt_module
-from nsg.enumeration import format_token
+from nsg.enumeration import ci_with_frobenius, enumerate_by_frobenius, format_token
 from nsg.errors import BoundTooSmallError
 from nsg.verification import (
     CHECKS,
@@ -200,10 +200,9 @@ class TestGluedRouteRechecks:
 
 
 class TestEnumerationJob:
-    @pytest.mark.parametrize("mode", ["by-frobenius"])
-    def test_resume_outside_by_genus_rejected(self, mode):
-        with pytest.raises(ValueError, match="by-genus"):
-            EnumerationJob(mode, 7, resume_token="2.3")
+    def test_resume_by_frobenius_checked_at_the_job(self):
+        with pytest.raises(ValueError, match=r"names no node of this walk: the node \(1, 2, 5\)"):
+            EnumerationJob("by-frobenius", 7, resume_token="1.2.5")
 
     @pytest.mark.parametrize("mode", ["by-frobenius"])
     def test_frobenius_below_1_rejected(self, mode):
@@ -249,6 +248,37 @@ class TestEnumerationJob:
             if resumed.total:
                 assert resumed.last_token == full.last_token
 
+    def test_by_frobenius_resumes_from_a_progress_token(self):
+        calls = []
+        full = run_verification(
+            EnumerationJob("by-frobenius", 21), ("conj-msg",), lambda n, t: calls.append(t)
+        )
+        token = calls[1]
+        assert token == "1.2.3.4.5.6.7.8.9.10.16.17.21"
+        job = EnumerationJob("by-frobenius", 21, resume_token=token)
+        resumed = run_verification(job, ("conj-msg",))
+        assert resumed.total == 828 == full.total - 1000
+        assert resumed.last_token == full.last_token
+
+
+class TestGluedResume:
+    @pytest.mark.parametrize("frobenius, size", [(45, 21), (81, 80)])
+    def test_every_member_resumes_to_its_suffix(self, frobenius, size):
+        family = ci_with_frobenius(frobenius)
+        assert len(family) == size
+        for i, S in enumerate(family):
+            job = EnumerationJob("by-frobenius", frobenius, ("ci",), format_token(S.gaps))
+            resumed = run_verification(job, ("conj-msg",))
+            assert resumed.total == size - i - 1
+            assert resumed.last_token == (format_token(family[-1].gaps) if resumed.total else None)
+
+    def test_token_naming_no_member_rejected(self):
+        # the first tree semigroup with F = 45 is no complete intersection
+        S = next(enumerate_by_frobenius(45))
+        assert S not in ci_with_frobenius(45)
+        with pytest.raises(ValueError, match="names no node"):
+            EnumerationJob("by-frobenius", 45, ("ci",), format_token(S.gaps))
+
 
 class TestValidateChecks:
     def test_known_names_kept_in_order(self):
@@ -277,13 +307,14 @@ class TestProgress:
     def test_every_500_semigroups(self):
         calls, summary = self._calls(EnumerationJob("by-frobenius", 21))
         assert summary.total == 1828
-        # a by-Frobenius walk cannot resume, so it reports no token
-        assert calls == [(500, None), (1000, None), (1500, None)]
-        assert summary.last_token is None
+        walk = [format_token(S.gaps) for S in enumerate_by_frobenius(21)]
+        assert calls == [(n, walk[n - 1]) for n in (500, 1000, 1500)]
+        assert summary.last_token == walk[-1]
 
-    def test_glued_stream_has_no_token(self):
+    def test_glued_stream_token_is_its_last_member(self):
         summary = run_verification(EnumerationJob("by-frobenius", 45, ("ci",)), ("conj-msg",))
-        assert summary.total and summary.last_token is None
+        assert summary.total == 21
+        assert summary.last_token == format_token(ci_with_frobenius(45)[-1].gaps)
 
     def test_genus_0_ends_at_the_root(self):
         summary = run_verification(EnumerationJob("by-genus", 0), ("conj-msg",))
