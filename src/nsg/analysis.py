@@ -62,12 +62,11 @@ class SemigroupAnalysis:
     """
 
     def __init__(self, S: NumericalSemigroup, bound: int | None = None):
+        least = S.default_bound
         if bound is None:
-            bound = S.default_bound
-        if bound < S.default_bound:
-            raise BoundTooSmallError(
-                f"bound {bound} is below the default truncation {S.default_bound}"
-            )
+            bound = least
+        elif bound < least:
+            raise BoundTooSmallError(f"bound {bound} is below the default truncation {least}")
         self.semigroup = S
         self.bound = bound
 

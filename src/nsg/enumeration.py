@@ -38,6 +38,7 @@ full tree can cover.
 
 from __future__ import annotations
 
+from bisect import bisect
 from functools import lru_cache
 from math import gcd
 from typing import Iterator
@@ -64,8 +65,8 @@ def parse_token(token: str) -> Path:
 def children(S: NumericalSemigroup, limit: int | None = None, mask: int = 0) -> list[tuple]:
     """The tree children (g, S minus g, mask at g), ascending in g.
 
-    g runs over the minimal generators above the Frobenius number, up to
-    ``limit`` (no cap when None), and each child comes from
+    g runs over the minimal generators above the Frobenius number (found by
+    bisection), up to ``limit`` (no cap when None), and each child comes from
     :meth:`NumericalSemigroup.remove_generator`, which derives it from S's
     own membership. Bit n of ``mask`` is set iff n <= limit lies in the monoid
     spanned by S's generators below its Frobenius number; the mask at g is
@@ -78,11 +79,10 @@ def children(S: NumericalSemigroup, limit: int | None = None, mask: int = 0) -> 
     0, the default, stays 0 under closure and prunes nothing: the children
     are only capped, and each carries mask 0.
     """
-    limit = S.generators[-1] if limit is None else limit
+    generators = S.generators
+    limit = generators[-1] if limit is None else limit
     kids = []
-    for g in S.generators:
-        if g <= S.frobenius:
-            continue
+    for g in generators[bisect(generators, S.frobenius) :]:
         if g > limit or mask >> limit & 1:
             break
         kids.append((g, S.remove_generator(g), mask))

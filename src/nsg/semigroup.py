@@ -50,8 +50,15 @@ class NumericalSemigroup:
             )
 
         frobenius, mask = _membership_sieve(values)
+        # v is minimal iff v - a is no member for each smaller generator a: a split
+        # x + y of v has a generator a <= x, and v - a = (x - a) + y
         generators = []
-        _append_minimal(generators, values, mask, frobenius)
+        for v in values:
+            for a in generators:
+                if v - a > frobenius or mask >> (frobenius - v + a) & 1:
+                    break
+            else:
+                generators.append(v)
         _set_slots(self, tuple(generators), frobenius, frobenius + 1 - mask.bit_count(), mask)
 
     def __setattr__(self, name, value):
@@ -73,10 +80,10 @@ class NumericalSemigroup:
         """Build the semigroup whose gap set is exactly ``gaps``.
 
         The complement of a valid gap set is closed under addition; this is
-        checked and a ValueError raised otherwise. No walk in the package
-        calls it: it stays as the independent oracle the tests hold
-        :meth:`remove_generator` to, and ``perfbench/trace.py`` wraps it by
-        name.
+        checked and a ValueError raised otherwise. No tree walk calls it: it
+        is the independent oracle the tests hold :meth:`remove_generator` to,
+        and a resumed gluing row finds its member by it. ``perfbench/trace.py``
+        wraps it by name.
         """
         gap_set = frozenset(gaps)
         if not gap_set:
@@ -89,17 +96,9 @@ class NumericalSemigroup:
             for a in range(1, g // 2 + 1):
                 if member[a] and member[g - a]:
                     raise ValueError(f"complement not closed: {a} + {g - a} = {g} is a gap")
-        multiplicity = next(i for i in range(1, frobenius + 2) if i > frobenius or member[i])
-        generators = []
-        for n in range(multiplicity, frobenius + multiplicity + 1):
-            if n <= frobenius and not member[n]:
-                continue
-            if not any(
-                (a > frobenius or member[a]) and (n - a > frobenius or member[n - a])
-                for a in range(1, n // 2 + 1)
-            ):
-                generators.append(n)
-        return cls(generators)
+        # past F + m every member is a sum ending in m, so the members up to
+        # 2F + 1 generate the complement; the constructor keeps the minimal ones
+        return cls([n for n in range(1, 2 * frobenius + 2) if n > frobenius or member[n]])
 
     def remove_generator(self, g: int) -> "NumericalSemigroup":
         """S minus g, for a minimal generator g above the Frobenius number.
@@ -113,27 +112,35 @@ class NumericalSemigroup:
         unless s is a generator or 2g, h splits further inside the child. Only
         candidates up to g + m can be new, for m the child's multiplicity
         (ours, or g + 1 when g is ours): a larger c is (c - m) + m, and
-        c - m > g is a member. That leaves g + m, or 2g and 2g + 1, or at
-        the root 2 and 3, tested as :meth:`__init__` tests its values
-        (:func:`_append_minimal`). So the cost is one shift of a g-bit int
-        plus O(e) lookups. :meth:`from_gaps` builds the same semigroup
-        independently and serves as the test oracle.
+        c - m > g is a member. A minimal generator n of S has n <= F + m <
+        g + m, so the new ones follow the rest in order: the tuple is spliced,
+        not sorted. When g is our multiplicity, S is 0 and all n >= g, the
+        child 0 and all n > g, and the new ones 2g and 2g + 1 (at the root, 2
+        and 3). Otherwise g + m alone is a candidate, new iff bit a - m of the
+        child's mask (g + m - a) is clear for each other generator a. So the
+        cost is one shift of a g-bit int, one splice and at most e bit tests.
+        :meth:`from_gaps` builds the same semigroup independently (test oracle).
         """
-        if g <= self.frobenius or g not in self.generators:
+        generators, m = self.generators, self.multiplicity
+        if g <= self.frobenius or g not in generators:
             raise ValueError(
                 f"{g} is not a minimal generator above the Frobenius number {self.frobenius}"
             )
-        m = self.multiplicity if g != self.multiplicity else g + 1
-        # ascending, as 2g <= m (which lets 3g in) holds only at the root, g = 1
-        candidates = [g + a for a in (*self.generators, 2 * g) if a <= m]
         shift = g - self.frobenius
         mask = self._mask << shift | ((1 << shift) - 2)
-        generators = list(self.generators)
-        generators.remove(g)
-        _append_minimal(generators, candidates, mask, g)
-        generators.sort()
+        i = generators.index(g)
+        generators = generators[:i] + generators[i + 1 :]
+        # no sort, as every new generator exceeds the rest; one candidate unless g = m
+        if g == m:
+            generators += (2 * g, 2 * g + 1)
+        else:
+            for a in generators:
+                if mask >> (a - m) & 1:
+                    break
+            else:
+                generators += (g + m,)
         child = object.__new__(NumericalSemigroup)
-        _set_slots(child, tuple(generators), g, self.genus + 1, mask)
+        _set_slots(child, generators, g, self.genus + 1, mask)
         return child
 
     # -- membership and basic invariants --------------------------------------
@@ -157,7 +164,8 @@ class NumericalSemigroup:
     @property
     def gaps(self) -> tuple[int, ...]:
         """The gaps, ascending: the n <= frobenius outside S."""
-        return tuple(n for n in range(self.frobenius + 1) if n not in self)
+        bits = format(self._mask, "b")[: self.frobenius + 1]  # digit n is n, as 0 is in S
+        return tuple(n for n, bit in enumerate(bits) if bit == "0")
 
     @property
     def embedding_dimension(self) -> int:
@@ -222,12 +230,17 @@ class NumericalSemigroup:
 
 def _set_slots(S, generators: tuple, frobenius: int, genus: int, mask: int) -> None:
     """Fill every slot of a new S, whose mask has bit j set iff F - j is in S."""
-    set_slot = object.__setattr__  # the class's own __setattr__ refuses
-    set_slot(S, "generators", generators)
-    set_slot(S, "frobenius", frobenius)
-    set_slot(S, "genus", genus)
-    set_slot(S, "multiplicity", generators[0])
-    set_slot(S, "_mask", mask)
+    _set_generators(S, generators)
+    _set_frobenius(S, frobenius)
+    _set_genus(S, genus)
+    _set_multiplicity(S, generators[0])
+    _set_mask(S, mask)
+
+
+# the slot descriptors' setters, which pass the refusing __setattr__
+_set_generators, _set_frobenius, _set_genus, _set_multiplicity, _set_mask = (
+    NumericalSemigroup.__dict__[name].__set__ for name in NumericalSemigroup.__slots__
+)
 
 
 def close_under(mask: int, g: int, limit: int) -> int:
@@ -259,19 +272,3 @@ def _membership_sieve(values: list[int]) -> tuple[int, int]:
             mask = close_under(mask, v, bound)
     frobenius = (~mask & ((2 << bound) - 1)).bit_length() - 1
     return frobenius, int("0" + format(mask, "b")[::-1][: frobenius + 1], 2)
-
-
-def _append_minimal(generators: list[int], candidates, mask: int, frobenius: int) -> None:
-    """Append each of the ascending ``candidates`` that is a minimal generator.
-
-    c is one iff c - a is no member for each smaller generator a (a split
-    x + y of c has a generator a <= x, and c - a = (x - a) + y), so
-    ``generators`` must hold every one below the first candidate. ``mask``
-    and ``frobenius`` are the semigroup's, as stored.
-    """
-    for c in candidates:
-        for a in generators:
-            if a < c and (c - a > frobenius or mask >> (frobenius - c + a) & 1):
-                break
-        else:
-            generators.append(c)

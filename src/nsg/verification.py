@@ -55,7 +55,9 @@ def _validate_names(kind: str, names, known) -> None:
 def _glued(frobenius: int, path: Path | None) -> tuple[NumericalSemigroup, ...]:
     """The complete intersections with Frobenius number F after the one at ``path``."""
     family = ci_with_frobenius(frobenius)
-    return family if path is None else family[[S.gaps for S in family].index(path) + 1 :]
+    # found by generators, reading no member's gaps; a non-closed gap set is a ValueError
+    at = -1 if path is None else family.index(NumericalSemigroup.from_gaps(path))
+    return family[at + 1 :]
 
 
 # (mode, filter its enumerator applies itself) -> (least limit, enumerator).
@@ -124,7 +126,7 @@ def _stream(job: EnumerationJob) -> Iterator[SemigroupAnalysis]:
         analysis = SemigroupAnalysis(S)
         if own is not None and not FILTERS[own](analysis):
             raise RuntimeError(f"gluing yielded {S.generators}, not a complete intersection")
-        if all(predicate(analysis) for predicate in predicates):
+        if not predicates or all(predicate(analysis) for predicate in predicates):
             yield analysis
 
 
@@ -280,15 +282,17 @@ def run_verification(
     """
     checks = validate_checks(checks)
     summary = VerificationSummary(job, checks)
+    tests = [CHECKS[name] for name in checks]  # looked up once, tallied by position
+    fails = [0] * len(tests)
     for analysis in _stream(job):
-        verdicts = {name: CHECKS[name](analysis) for name in checks}
+        verdicts = [test(analysis) for test in tests]
         summary.total += 1
-        for name, ok in verdicts.items():
-            summary.pass_counts[name] += ok
-        if not all(verdicts.values()):
-            summary.counterexamples.append(build_report(analysis, verdicts))
         summary.last = analysis.semigroup
+        if not all(verdicts):
+            fails = [failed + (not ok) for failed, ok in zip(fails, verdicts)]
+            summary.counterexamples.append(build_report(analysis, dict(zip(checks, verdicts))))
         if progress is not None and summary.total % _PROGRESS_EVERY == 0:
             progress(summary.total, summary.last_token)
+    summary.pass_counts = {name: summary.total - failed for name, failed in zip(checks, fails)}
     summary.counterexamples.sort(key=lambda r: r.generators)
     return summary

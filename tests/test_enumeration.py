@@ -60,6 +60,11 @@ class TestRemoveGenerator:
                 oracle = NumericalSemigroup.from_gaps(S.gaps + (g,))
                 for slot in NumericalSemigroup.__slots__:
                     assert getattr(child, slot) == getattr(oracle, slot), (S, g, slot)
+                # the splice: the parent's generators without g, then the new ones,
+                # each above every generator of the parent
+                kept = tuple(a for a in S.generators if a != g)
+                assert child.generators[: len(kept)] == kept, (S, g)
+                assert all(n > S.generators[-1] for n in child.generators[len(kept) :]), (S, g)
                 checked += 1
                 max_dimension = max(max_dimension, child.embedding_dimension)
                 stack.append(child)

@@ -279,6 +279,19 @@ class TestGluedResume:
         with pytest.raises(ValueError, match="names no node"):
             EnumerationJob("by-frobenius", 45, ("ci",), format_token(S.gaps))
 
+    @pytest.mark.parametrize("token", ["2", "0", "root"])
+    def test_token_naming_no_semigroup_rejected(self, token):
+        # {2} is no gap set (1 + 1 = 2), 0 is no gap, and <1> has F = -1
+        with pytest.raises(ValueError, match="names no node"):
+            EnumerationJob("by-frobenius", 45, ("ci",), token)
+
+    def test_resume_reads_no_members_gaps(self, monkeypatch):
+        family = ci_with_frobenius(81)
+        token = format_token(family[-2].gaps)
+        monkeypatch.setattr(NumericalSemigroup, "gaps", property(lambda S: pytest.fail("gaps")))
+        job = EnumerationJob("by-frobenius", 81, ("ci",), token)
+        assert list(enumerate_job(job)) == [family[-1]]
+
 
 class TestValidateChecks:
     def test_known_names_kept_in_order(self):
@@ -296,6 +309,31 @@ class TestValidateChecks:
         monkeypatch.setattr(verification_module, "_stream", lambda job: pytest.fail("walked"))
         with pytest.raises(ValueError, match="twice"):
             run_verification(EnumerationJob("by-genus", 3), ("thm1", "thm1"))
+
+
+class TestTally:
+    def test_counts_and_counterexamples_match_a_check_by_check_reference(self, monkeypatch):
+        # thm1 fails on odd genus and conj-msg on multiplicity 3, on overlapping members
+        monkeypatch.setitem(CHECKS, "thm1", lambda a: a.semigroup.genus % 2 == 0)
+        monkeypatch.setitem(CHECKS, "conj-msg", lambda a: a.semigroup.multiplicity != 3)
+        names = ("conj-msg", "conj-betti", "thm1")
+        passes, records, last = dict.fromkeys(names, 0), [], None
+        for S in enumerate_by_genus(6):
+            analysis = SemigroupAnalysis(S)
+            verdicts = {name: CHECKS[name](analysis) for name in names}
+            for name in names:
+                passes[name] += verdicts[name]
+            if not all(verdicts.values()):
+                records.append(build_report(analysis, verdicts))
+            last = S
+        summary = run_verification(EnumerationJob("by-genus", 6), names)
+        assert summary.total == sum(SEMIGROUPS_PER_GENUS[:7])
+        assert summary.pass_counts == passes
+        assert 0 < passes["thm1"] < summary.total and 0 < passes["conj-msg"] < summary.total
+        assert summary.counterexamples == sorted(records, key=lambda r: r.generators)
+        assert any(r.verdicts == {"conj-msg": False, "conj-betti": True, "thm1": False}
+                   for r in records)
+        assert summary.last_token == format_token(last.gaps)
 
 
 class TestProgress:
