@@ -8,12 +8,12 @@ gluing trees, exhaustive enumeration drivers, and batch verification of the
 paper's claims over those families.
 """
 
-from .analysis import SemigroupAnalysis
 from .bettiposet import (
     Classification,
     ExponentSupport,
     HasseDiagram,
     OrderedSubset,
+    SemigroupAnalysis,
     TheoremReport,
     classify,
     exponent_support,

@@ -8,7 +8,7 @@ integers, and equivalently again its membership series is the quotient of
 ``prod_i (1 - x^(n_i))`` over generators.
 
 :func:`is_complete_intersection` decides by the presentation size, read from
-the Betti catalog of a :class:`~nsg.analysis.SemigroupAnalysis` behind its
+the Betti catalog of a :class:`~nsg.bettiposet.SemigroupAnalysis` behind its
 symmetry gate (every complete intersection is symmetric). The gluing tree is
 the witness ``nsg analyze`` prints. The product identities, at the root and
 at every gluing, are oracles in the test suite, which checks all routes agree.
@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .analysis import SemigroupAnalysis
+from .bettiposet import SemigroupAnalysis
 from .records import FrozenRecord
 from .semigroup import NumericalSemigroup
 
@@ -73,7 +73,7 @@ def is_complete_intersection(S: NumericalSemigroup) -> bool:
 
     Non-symmetric semigroups are rejected without factorizations; otherwise
     the size is summed over the Betti catalog (see
-    :attr:`~nsg.analysis.SemigroupAnalysis.complete_intersection`).
+    :attr:`~nsg.bettiposet.SemigroupAnalysis.complete_intersection`).
     """
     return SemigroupAnalysis(S).complete_intersection
 

@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 
-from .analysis import SemigroupAnalysis
+from .bettiposet import SemigroupAnalysis
 from .ci import gluing_decompose
 from .export import dumps_json, write_csv, write_dot, write_json
 from .semigroup import NumericalSemigroup

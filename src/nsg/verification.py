@@ -2,7 +2,7 @@
 
 A job names an enumeration mode plus a bound and a list of named checks;
 the driver streams the family and builds one
-:class:`~nsg.analysis.SemigroupAnalysis` per semigroup, which every filter,
+:class:`~nsg.bettiposet.SemigroupAnalysis` per semigroup, which every filter,
 check and counterexample report reads, so each invariant of a semigroup is
 computed at most once. The analysis is dropped after its semigroup: caches
 are scoped to one evaluation and memory stays flat over a family.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, NamedTuple
 
-from .analysis import SemigroupAnalysis
+from .bettiposet import SemigroupAnalysis
 from .enumeration import (
     Path,
     ci_with_frobenius,
@@ -55,9 +55,13 @@ def _validate_names(kind: str, names, known) -> None:
 def _glued(frobenius: int, path: Path | None) -> tuple[NumericalSemigroup, ...]:
     """The complete intersections with Frobenius number F after the one at ``path``."""
     family = ci_with_frobenius(frobenius)
-    # found by generators, reading no member's gaps; a non-closed gap set is a ValueError
-    at = -1 if path is None else family.index(NumericalSemigroup.from_gaps(path))
-    return family[at + 1 :]
+    if path is None:
+        return family
+    S = NumericalSemigroup.from_gaps(path)  # a non-closed gap set is a ValueError
+    if S not in family:  # found by generators, reading no member's gaps
+        raise ValueError(f"the semigroup with gaps {path} is not a complete intersection "
+                         f"with Frobenius number {frobenius}")
+    return family[family.index(S) + 1 :]
 
 
 # (mode, filter its enumerator applies itself) -> (least limit, enumerator).

@@ -21,8 +21,7 @@ from nsg import (
     leq,
     verify_theorems,
 )
-from nsg.analysis import SemigroupAnalysis
-from nsg.bettiposet import OrderedSubset
+from nsg.bettiposet import OrderedSubset, SemigroupAnalysis
 from nsg.witt import ExponentSequence
 
 from expected import ORDER_DIGEST_FROBENIUS_21, ORDER_DIGEST_GENUS_10, THEOREM_DIGESTS_GENUS_8

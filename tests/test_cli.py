@@ -79,7 +79,11 @@ class TestVerifyExitCodes:
         args = ("--frobenius", "45", "--filter", "ci", "--resume", token, "--checks", "conj-msg")
         result = cli("verify", *args)
         assert result.exit_code == 2 and result.stdout == ""
-        assert "names no node of this walk" in result.stderr
+        assert result.stderr.endswith(
+            f"names no node of this walk: the semigroup with gaps {tuple(range(1, 46))} "
+            "is not a complete intersection with Frobenius number 45\n"
+        )
+        assert "tuple.index" not in result.stderr
 
 
 class TestVerifyTokens:

@@ -1,13 +1,11 @@
 """The import edges of ``src/nsg`` follow the package's layered stack.
 
-Each module imports only from layers below its own, so a module can be read
-and tested with what sits under it. The one exception is listed: three
-functions of ``bettiposet`` import the analysis layer when called, to read
-an already built analysis. Nothing in the package imports the test oracles.
+Each module imports only from layers below its own, at module level or
+inside a function, so a module can be read and tested with what sits under
+it. Nothing in the package imports the test oracles.
 """
 
 import ast
-from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -19,28 +17,22 @@ LAYERS = (
     ("semigroup",),
     ("witt", "factorization"),
     ("bettiposet",),
-    ("analysis",),
     ("ci", "enumeration"),
     ("verification",),
     ("cli",),
 )
 RANK = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
-# (importer, imported) -> how many function-local imports go up the stack
-UPWARD = Counter({("bettiposet", "analysis"): 3})
 
 
 def _nsg_modules():
     return sorted(path for path in (SRC / "nsg").glob("*.py") if path.stem != "__init__")
 
 
-def _edges(tree):
-    """(imported module, whether at module level) per ``from .x import`` or ``from . import x``."""
-    top = set(map(id, tree.body))
+def _imports(tree):
+    """The module each ``from .x import`` or ``from . import x`` names, anywhere in the tree."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
-            targets = [node.module] if node.module else [alias.name for alias in node.names]
-            for target in targets:
-                yield target, id(node) in top
+            yield from [node.module] if node.module else [alias.name for alias in node.names]
 
 
 def test_every_module_has_a_layer():
@@ -48,15 +40,10 @@ def test_every_module_has_a_layer():
 
 
 def test_imports_go_down_the_stack():
-    upward = Counter()
     for path in _nsg_modules():
-        for target, at_module_level in _edges(ast.parse(path.read_text())):
+        for target in _imports(ast.parse(path.read_text())):
             assert target in RANK, (path.stem, target)
-            if RANK[target] < RANK[path.stem]:
-                continue
-            assert not at_module_level, f"{path.stem} imports {target} at module level"
-            upward[path.stem, target] += 1
-    assert upward == UPWARD
+            assert RANK[target] < RANK[path.stem], f"{path.stem} imports {target}"
 
 
 def test_package_does_not_import_the_tests():

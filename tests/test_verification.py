@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from nsg import NumericalSemigroup, SemigroupAnalysis, classify, enumerate_by_genus
-from nsg import analysis as analysis_module
+from nsg import bettiposet as bettiposet_module
 from nsg import witt as witt_module
 from nsg.enumeration import ci_with_frobenius, enumerate_by_frobenius, format_token
 from nsg.errors import BoundTooSmallError
@@ -47,7 +47,7 @@ class TestFrozenExports:
 
 
 class TestSharedAnalysis:
-    def _count_calls(self, monkeypatch, name, module=analysis_module, key=lambda x, *_: x):
+    def _count_calls(self, monkeypatch, name, module=bettiposet_module, key=lambda x, *_: x):
         """Record key(arguments) of each call of ``module.name``."""
         calls = []
         original = getattr(module, name)
@@ -282,8 +282,15 @@ class TestGluedResume:
     @pytest.mark.parametrize("token", ["2", "0", "root"])
     def test_token_naming_no_semigroup_rejected(self, token):
         # {2} is no gap set (1 + 1 = 2), 0 is no gap, and <1> has F = -1
-        with pytest.raises(ValueError, match="names no node"):
+        reason = {
+            "2": "complement not closed: 1 + 1 = 2 is a gap",
+            "0": "gaps must be positive",
+            "root": "the semigroup with gaps () is not a complete intersection "
+            "with Frobenius number 45",
+        }[token]
+        with pytest.raises(ValueError) as error:
             EnumerationJob("by-frobenius", 45, ("ci",), token)
+        assert str(error.value).endswith(f"names no node of this walk: {reason}")
 
     def test_resume_reads_no_members_gaps(self, monkeypatch):
         family = ci_with_frobenius(81)
