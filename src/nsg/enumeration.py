@@ -10,7 +10,7 @@ mask by one shift (:meth:`~nsg.semigroup.NumericalSemigroup.remove_generator`),
 not by a fresh closure of its generators.
 
 One preorder walk on an explicit stack serves every family, and one rule,
-:func:`children`, gives its entries (g, S minus g, mask at g), pushed in
+:func:`children`, gives its entries (S minus g, mask at g), pushed in
 reverse so the walk visits them ascending in g, hence in ascending order of
 the gap tuples. A walk by genus carries mask 0, which prunes nothing: it
 yields every node up to the cap. A walk to a Frobenius number F yields the
@@ -26,8 +26,8 @@ by S's generators below g:
   holds every integer above F >= g, so it is a descendant of S minus g.
 
 That monoid only grows with g, so once it reaches F every later generator is
-dead too. The walk carries it as a bitmask over 0..F, one int per stack
-entry, closed by :func:`~nsg.semigroup.close_under` (see :func:`children`).
+dead too. The walk carries it as a bitmask over 0..F beside each node it
+stacks, closed by :func:`~nsg.semigroup.close_under` for a later sibling.
 Either walk resumes after any node it reaches, named by its gap tuple, from
 the node's children and the later siblings along its path (:func:`_resumed`).
 
@@ -63,47 +63,47 @@ def parse_token(token: str) -> Path:
 
 
 def children(S: NumericalSemigroup, limit: int | None = None, mask: int = 0) -> list[tuple]:
-    """The tree children (g, S minus g, mask at g), ascending in g.
+    """The tree children (S minus g, mask at g), ascending in g.
 
-    g runs over the minimal generators above the Frobenius number (found by
-    bisection), up to ``limit`` (no cap when None), and each child comes from
-    :meth:`NumericalSemigroup.remove_generator`, which derives it from S's
-    own membership. Bit n of ``mask`` is set iff n <= limit lies in the monoid
-    spanned by S's generators below its Frobenius number; the mask at g is
-    the monoid spanned by those below g, which is the child's own mask, and
-    the next one is this one closed under g up to the limit. Bit ``limit``
+    g, the child's Frobenius number, runs over the minimal generators above S's
+    Frobenius number and up to ``limit`` (no cap when None), and
+    :meth:`NumericalSemigroup.remove_generator` derives each child from S's own
+    membership. Bit n of ``mask`` is set iff n <= limit lies in the monoid
+    spanned by S's generators below its Frobenius number; the mask at g is the
+    monoid spanned by those below g, the child's own mask, and when a next g
+    follows, its mask is this one closed under g up to the limit. Bit ``limit``
     of the mask at g is clear iff S minus g has a descendant with Frobenius
-    number ``limit`` (module docstring), and once set it stays set, so the
-    scan stops at the first dead g. A walk to a Frobenius target passes it
-    as the limit with the node's mask, so only live children are built. Mask
-    0, the default, stays 0 under closure and prunes nothing: the children
-    are only capped, and each carries mask 0.
+    number ``limit`` (module docstring), and once set it stays set, so the scan
+    stops at the first dead g. A walk to a Frobenius target passes it as the
+    limit with the node's mask, so only live children are built. Mask 0, the
+    default, prunes nothing and is never closed, as it closes to 0.
     """
     generators = S.generators
     limit = generators[-1] if limit is None else limit
+    candidates = generators[bisect(generators, S.frobenius) : bisect(generators, limit)]
     kids = []
-    for g in generators[bisect(generators, S.frobenius) :]:
-        if g > limit or mask >> limit & 1:
+    for g in candidates:
+        if mask >> limit & 1:
             break
-        kids.append((g, S.remove_generator(g), mask))
-        mask = close_under(mask, g, limit)
+        kids.append((S.remove_generator(g), mask))
+        if mask and g < candidates[-1]:
+            mask = close_under(mask, g, limit)
     return kids
 
 
 def _walk(stack: list, g_max, frobenius: int | None) -> Iterator[NumericalSemigroup]:
-    """Preorder from ``stack`` of (g, S, mask) entries, whose top is visited first.
+    """Preorder from ``stack`` of (S, mask) entries, whose top is visited first.
 
     A node at the Frobenius target is yielded and never expanded; with no
     target every node is yielded. A node is expanded when its children have
     genus <= g_max, through :func:`children` with the target and the node's
     mask, so a walk to a target pushes only live children, each with its own
     mask, and every node it pops lies on a path to the target. A walk to a
-    target F passes g_max = F, which never stops it: the gaps of a node
-    below F lie in 1..F - 1. The entries are as :func:`children` returns
-    them; g is not read, and with no target the mask is 0.
+    target F passes g_max = F, which never stops it: the gaps of a node below
+    F lie in 1..F - 1. With no target every entry's mask is 0.
     """
     while stack:
-        _, S, mask = stack.pop()
+        S, mask = stack.pop()
         if S.frobenius == frobenius:
             yield S
             continue
@@ -117,16 +117,17 @@ def _resumed(path: Path | None, g_max, frobenius: int | None, mask: int):
     """The walk from the root, or strictly after the node at gap tuple ``path``.
 
     The one descent of both walks takes the entries of :func:`children` as
-    the walk does, live ones only on a walk to a target, and seeds the stack
-    as the walk holds it after the node, so no earlier subtree is built. A
-    path naming no node of the walk is a ValueError at the call.
+    the walk does, live ones only on a walk to a target, steps to the child
+    whose Frobenius number is the path's next gap and seeds the stack as the
+    walk holds it after the node, so no earlier subtree is built. A path
+    naming no node of the walk is a ValueError at the call.
     """
     node, stack = NumericalSemigroup(1), []
     if path is None:
-        return _walk([(None, node, mask)] if g_max >= 0 else [], g_max, frobenius)
+        return _walk([(node, mask)] if g_max >= 0 else [], g_max, frobenius)
     for depth, g in enumerate(path, 1):
         kids = children(node, frobenius, mask)
-        at = [h for h, _, _ in kids]
+        at = [child.frobenius for child, _ in kids]
         if g not in at:
             if g > node.frobenius and g in node.generators:  # capped or pruned
                 raise ValueError(f"the node {path[:depth]} has no descendant at F = {frobenius}")
@@ -136,7 +137,7 @@ def _resumed(path: Path | None, g_max, frobenius: int | None, mask: int):
         i = at.index(g)
         if node.genus + 1 <= g_max:
             stack.extend(reversed(kids[i + 1 :]))
-        _, node, mask = kids[i]
+        node, mask = kids[i]
     if node.genus + 1 <= g_max:
         stack.extend(reversed(children(node, frobenius, mask)))
     return _walk(stack, g_max, frobenius)

@@ -39,6 +39,8 @@ class NumericalSemigroup:
         if not raw:
             raise EmptyGeneratorsError("need at least one generator")
         values = sorted(set(raw))
+        if isinstance(values[0], bool):  # a bool sorts first unless a value below 1 does
+            raise ValueError(f"generators must be ints, got {values[0]!r}")
         if values[0] < 1:
             raise ValueError(f"generators must be positive, got {values[0]}")
         g = 0

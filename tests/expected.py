@@ -172,6 +172,14 @@ FROBENIUS_WALK_ORDER = {
 # target built 5343 / 7256 / 11352 / 14930 / 23203.
 FROBENIUS_WALK_BUILT = {21: 3746, 22: 3943, 23: 8421, 24: 7241, 25: 16829}
 
+# close_under calls by enumerate_by_frobenius(F) for F = 21..25, and by
+# enumerate_by_genus(g_max) for g_max = 9 and 12. A mask is closed only when
+# a later sibling reads it, and the genus walk's mask 0 never is. Closing
+# after every built child, as the walk once did, made FROBENIUS_WALK_BUILT
+# closures.
+FROBENIUS_WALK_CLOSURES = {21: 1903, 22: 2021, 23: 4288, 24: 3658, 25: 8522}
+GENUS_WALK_CLOSURES = {9: 0, 12: 0}
+
 # The walk order of enumerate_by_genus(10): the count and the first 16 hex
 # digits of sha256(repr(generator tuples)) in the order the walk yields them,
 # unsorted, captured from the recursive walk that carried each node's path

@@ -17,7 +17,9 @@ from expected import (
     CI_FAMILIES,
     FROBENIUS_FAMILIES,
     FROBENIUS_WALK_BUILT,
+    FROBENIUS_WALK_CLOSURES,
     FROBENIUS_WALK_ORDER,
+    GENUS_WALK_CLOSURES,
     GENUS_WALK_ORDER,
     SEMIGROUPS_PER_GENUS,
 )
@@ -56,7 +58,8 @@ class TestRemoveGenerator:
         stack = [NumericalSemigroup(1)]
         while stack:
             S = stack.pop()
-            for g, child, _ in children(S, 19):
+            removed = [g for g in S.generators if S.frobenius < g <= 19]
+            for g, (child, _) in zip(removed, children(S, 19), strict=True):
                 oracle = NumericalSemigroup.from_gaps(S.gaps + (g,))
                 for slot in NumericalSemigroup.__slots__:
                     assert getattr(child, slot) == getattr(oracle, slot), (S, g, slot)
@@ -99,11 +102,11 @@ class TestChildren:
         for S in enumerate_by_genus(9):
             full = children(S)
             for limit in range(S.frobenius + S.generators[-1] + 1):
-                assert children(S, limit) == [kid for kid in full if kid[0] <= limit]
+                assert children(S, limit) == [kid for kid in full if kid[0].frobenius <= limit]
 
     def test_ascending_in_the_removed_generator(self, s357, s469):
-        assert [g for g, _, _ in children(s357)] == [5, 7]
-        assert [g for g, _, _ in children(s357, 6)] == [5]
+        assert [child.frobenius for child, _ in children(s357)] == [5, 7]
+        assert [child.frobenius for child, _ in children(s357, 6)] == [5]
         assert children(s357, 4) == []
         assert children(s469) == []  # every generator lies below F = 11
 
@@ -145,9 +148,9 @@ class TestLiveNodes:
         stack = [(NumericalSemigroup(1), 1)]
         while stack:
             S, mask = stack.pop()
-            for g, child, child_mask in children(S, frobenius, mask):
-                below = [a for a in child.generators if a < g]
-                assert child_mask == _monoid_mask(below, frobenius), (child, g)
+            for child, child_mask in children(S, frobenius, mask):
+                below = [a for a in child.generators if a < child.frobenius]
+                assert child_mask == _monoid_mask(below, frobenius), child
                 stack.append((child, child_mask))
                 checked += 1
         assert checked == len(
@@ -161,15 +164,34 @@ class TestLiveNodes:
         stack = [(NumericalSemigroup(1), 1)]
         while stack:
             S, mask = stack.pop()
-            capped = [kid[:2] for kid in children(S, frobenius)]
+            capped = [child for child, _ in children(S, frobenius)]
             dead = [
-                g for g, _ in capped
-                if _monoid_mask([a for a in S.generators if a < g], frobenius) >> frobenius & 1
+                child for child in capped
+                if _monoid_mask([a for a in S.generators if a < child.frobenius], frobenius)
+                >> frobenius & 1
             ]
             live = children(S, frobenius, mask)
-            cut = [g for g, _ in capped].index(dead[0]) if dead else len(capped)
-            assert [kid[:2] for kid in live] == capped[:cut], S
-            stack.extend((child, child_mask) for _, child, child_mask in live)
+            cut = capped.index(dead[0]) if dead else len(capped)
+            assert [child for child, _ in live] == capped[:cut], S
+            stack.extend(live)
+
+    @pytest.mark.parametrize(
+        "walk, limit, closures",
+        [(enumerate_by_frobenius, *item) for item in FROBENIUS_WALK_CLOSURES.items()]
+        + [(enumerate_by_genus, *item) for item in GENUS_WALK_CLOSURES.items()],
+    )
+    def test_closures_frozen(self, monkeypatch, walk, limit, closures):
+        # a mask is closed only for a later sibling, and mask 0 never
+        closed, original = [], enumeration.close_under
+
+        def counted(mask, g, cap):
+            closed.append(g)
+            return original(mask, g, cap)
+
+        monkeypatch.setattr(enumeration, "close_under", counted)
+        for _ in walk(limit):
+            pass
+        assert len(closed) == closures
 
     def test_without_a_target_the_mask_is_passed_through(self):
         # mask 0, the default, closes to 0: each child carries it, capped or not
@@ -177,7 +199,7 @@ class TestLiveNodes:
             for limit in (None, S.frobenius + S.multiplicity):
                 kids = children(S, limit)
                 assert children(S, limit, 0) == kids
-                assert all(kid[2] == 0 for kid in kids)
+                assert all(kid[1] == 0 for kid in kids)
 
 
 class TestGenusCap:
@@ -210,7 +232,7 @@ class TestResume:
 
         def counted(S, *args):
             kids = original(S, *args)
-            built.extend(kid[1] for kid in kids)
+            built.extend(kid[0] for kid in kids)
             return kids
 
         monkeypatch.setattr(enumeration, "children", counted)

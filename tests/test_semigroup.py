@@ -69,8 +69,14 @@ class TestConstruction:
             NumericalSemigroup(2, 4)
 
     def test_nonpositive_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="generators must be positive, got 0"):
             NumericalSemigroup(0, 3)
+
+    @pytest.mark.parametrize("raw", [(True, 2), (3, True), ([True, 5],)])
+    def test_bool_generator_raises(self, raw):
+        # True == 1 would otherwise build <1> with generators (True,)
+        with pytest.raises(ValueError, match="generators must be ints, got True"):
+            NumericalSemigroup(*raw)
 
     def test_parse(self):
         assert NumericalSemigroup.parse("4,6,9").generators == (4, 6, 9)
