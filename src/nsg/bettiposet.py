@@ -79,7 +79,7 @@ class OrderedSubset:
         return x in self._down
 
     def leq(self, a: int, b: int) -> bool:
-        return bool(self._down[b] >> a & 1)
+        return bool(self._down.get(b, 0) >> a & 1)
 
     def minimals(self) -> tuple[int, ...]:
         return tuple(x for x, below in self._down.items() if below == 1 << x)

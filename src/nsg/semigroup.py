@@ -79,28 +79,27 @@ class NumericalSemigroup:
 
     @classmethod
     def from_gaps(cls, gaps) -> "NumericalSemigroup":
-        """Build the semigroup whose gap set is exactly ``gaps``.
+        """Build the semigroup whose gap set is exactly ``gaps``, along its tree path.
 
-        The complement of a valid gap set is closed under addition; this is
-        checked and a ValueError raised otherwise. No tree walk calls it: it
-        is the independent oracle the tests hold :meth:`remove_generator` to,
-        and a resumed gluing row finds its member by it. ``perfbench/trace.py``
-        wraps it by name.
+        From <1>, each gap g, ascending, is removed by :meth:`remove_generator`;
+        the complement is closed iff each g is a minimal generator of the node
+        the gaps below it leave, else the ValueError names g's least split
+        a + (g - a) into members. A resumed gluing row finds its member by it.
+        The tests hold it to a closure oracle, ``oracles.semigroup_from_gaps``.
         """
-        gap_set = frozenset(gaps)
-        if not gap_set:
-            return cls(1)
-        if min(gap_set) < 1:
-            raise ValueError("gaps must be positive")
-        frobenius = max(gap_set)
-        member = [i not in gap_set for i in range(frobenius + 1)]
-        for g in sorted(gap_set):
-            for a in range(1, g // 2 + 1):
-                if member[a] and member[g - a]:
-                    raise ValueError(f"complement not closed: {a} + {g - a} = {g} is a gap")
-        # past F + m every member is a sum ending in m, so the members up to
-        # 2F + 1 generate the complement; the constructor keeps the minimal ones
-        return cls([n for n in range(1, 2 * frobenius + 2) if n > frobenius or member[n]])
+        S = cls(1)
+        for g in sorted(gaps):  # not a set, which would let True stand for 1
+            if not isinstance(g, int) or isinstance(g, bool):
+                raise ValueError(f"gaps must be ints, got {g!r}")
+            if g < 1:
+                raise ValueError("gaps must be positive")
+            if g == S.frobenius:  # a repeated gap
+                continue
+            if g not in S.generators:
+                a = next(a for a in range(1, g) if a in S and g - a in S)
+                raise ValueError(f"complement not closed: {a} + {g - a} = {g} is a gap")
+            S = S.remove_generator(g)
+        return S
 
     def remove_generator(self, g: int) -> "NumericalSemigroup":
         """S minus g, for a minimal generator g above the Frobenius number.
@@ -121,7 +120,7 @@ class NumericalSemigroup:
         and 3). Otherwise g + m alone is a candidate, new iff bit a - m of the
         child's mask (g + m - a) is clear for each other generator a. So the
         cost is one shift of a g-bit int, one splice and at most e bit tests.
-        :meth:`from_gaps` builds the same semigroup independently (test oracle).
+        :meth:`from_gaps` walks by it; the tests hold it to ``oracles.semigroup_from_gaps``.
         """
         generators, m = self.generators, self.multiplicity
         if g <= self.frobenius or g not in generators:

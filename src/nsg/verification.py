@@ -92,7 +92,7 @@ class EnumerationJob(FrozenRecord):
         filters: tuple[str, ...] = (),
         resume_token: str | None = None,
     ):
-        self._init(mode, limit, filters, resume_token)
+        self._init(mode, limit, tuple(filters), resume_token)
         if (self.mode, None) not in FAMILIES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not isinstance(self.limit, int) or isinstance(self.limit, bool):

@@ -176,7 +176,9 @@ class ExponentSweep:
                 break
 
     def prefix(self, bound: int) -> ExponentSequence:
-        """e_1..e_bound."""
+        """e_1..e_bound, for an int bound >= 0."""
+        if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
+            raise ValueError(f"bound must be an int >= 0, got {bound!r}")
         self.extend(bound)
         return ExponentSequence(tuple(self.entries[1 : bound + 1]), bound)
 

@@ -132,9 +132,10 @@ GENUS_7_ALL_CHECKS = {'mode': 'by-genus',
  'all_pass': True,
  'last_token': '1.3.5.7.9.11.13'}
 
-# enumerate_by_frobenius(F) for F <= 25, captured from the tree walk that
-# built every child with from_gaps: the count (OEIS A124506) and the first 16
-# hex digits of sha256(repr(sorted generator tuples))
+# enumerate_by_frobenius(F) for F <= 25, captured from an earlier tree walk
+# that built every child by closing its gap set's complement (the builder
+# kept as oracles.semigroup_from_gaps): the count (OEIS A124506) and the first
+# 16 hex digits of sha256(repr(sorted generator tuples))
 FROBENIUS_FAMILIES = {
     1: (1, "506e77c7db3cda13"), 2: (1, "188b3e654c38a3bc"),
     3: (2, "da7b4f44443628c6"), 4: (2, "5636767bdca4a7ec"),

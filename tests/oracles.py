@@ -1,10 +1,12 @@
 """Membership, polynomial, series and factorization oracles shared by several test files.
 
 None of these is on a route ``nsg`` takes to a verdict: they rebuild series
-from exponents and state properties in their textbook form, so the tests can
-check the package's one route against them. A polynomial or series prefix is
-a ``list[int]`` indexed by degree, as in :mod:`nsg.intpoly`; a series prefix
-has the fixed length ``bound + 1``.
+from exponents, build semigroups by closure and state properties in their
+textbook form, so the tests can check the package's one route against them.
+:func:`semigroup_from_gaps` closes a gap set's complement: the oracle for the
+tree path that ``NumericalSemigroup.from_gaps`` walks by ``remove_generator``.
+A polynomial or series prefix is a ``list[int]`` indexed by degree, as in
+:mod:`nsg.intpoly`; a series prefix has the fixed length ``bound + 1``.
 
 The factorization listings at the end (minimal presentations, restricted
 factorizations) are no second route to anything the package computes: they
@@ -15,6 +17,7 @@ lemmas (Rosales & García-Sánchez, *Numerical Semigroups*, 2009, ch. 7).
 
 from math import gcd
 
+from nsg import NumericalSemigroup
 from nsg.arith import prime_factors
 from nsg.factorization import betti_elements, denumerant_series, factorization_graph, factorizations
 from nsg.intpoly import divexact, trim
@@ -57,6 +60,31 @@ def monoid_by_reachability(values) -> tuple[list[bool], int, tuple[int, ...]]:
         v for v in values if not any(a in members and v - a in members for a in range(1, v))
     )
     return [n in members for n in range(frobenius + 1)], frobenius, generators
+
+
+def semigroup_from_gaps(gaps) -> NumericalSemigroup:
+    """The semigroup whose gap set is exactly ``gaps``, by closure of its complement.
+
+    Each gap g is tested against every split a + (g - a), ascending in g and
+    then in a, and the first split into two members is a ValueError; the
+    members up to 2F + 1 then go to the constructor. It shares no step with
+    the tree path that ``NumericalSemigroup.from_gaps`` walks.
+    """
+    gap_set = frozenset(gaps)
+    if not gap_set:
+        return NumericalSemigroup(1)
+    if min(gap_set) < 1:
+        raise ValueError("gaps must be positive")
+    frobenius = max(gap_set)
+    member = [i not in gap_set for i in range(frobenius + 1)]
+    for g in sorted(gap_set):
+        for a in range(1, g // 2 + 1):
+            if member[a] and member[g - a]:
+                raise ValueError(f"complement not closed: {a} + {g - a} = {g} is a gap")
+    # past F + m every member is a sum ending in m, so the members up to
+    # 2F + 1 generate the complement; the constructor keeps the minimal ones
+    members = [n for n in range(1, 2 * frobenius + 2) if n > frobenius or member[n]]
+    return NumericalSemigroup(members)
 
 
 def degree(poly: list[int]) -> int:

@@ -131,6 +131,13 @@ class TestOrder:
                     if subset.leq(a, b) and subset.leq(b, c):
                         assert subset.leq(a, c)
 
+    def test_leq_with_a_non_element_is_false(self):
+        # 30 - 12 = 18 is a member, but only elements are ordered
+        subset = OrderedSubset(NumericalSemigroup(4, 6, 9), [12, 18])
+        assert leq(subset.S, 12, 30)
+        assert not subset.leq(12, 30)
+        assert not subset.leq(30, 12)
+
 
 class TestDefinitions:
     def test_analysis_orders_up_to_genus_9(self):

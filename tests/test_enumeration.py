@@ -1,4 +1,4 @@
-"""The semigroup tree: cheap children against from_gaps, counts and oracles."""
+"""The semigroup tree: cheap children against a closure oracle, counts and oracles."""
 
 import hashlib
 from itertools import combinations, islice
@@ -23,6 +23,7 @@ from expected import (
     GENUS_WALK_ORDER,
     SEMIGROUPS_PER_GENUS,
 )
+from oracles import semigroup_from_gaps
 
 
 def _hex16(value) -> str:
@@ -45,7 +46,7 @@ class TestRemoveGenerator:
                 if g <= S.frobenius:
                     continue
                 child = S.remove_generator(g)
-                oracle = NumericalSemigroup.from_gaps(S.gaps + (g,))
+                oracle = semigroup_from_gaps(S.gaps + (g,))
                 for slot in NumericalSemigroup.__slots__:
                     assert getattr(child, slot) == getattr(oracle, slot), (S, g, slot)
                 checked += 1
@@ -60,7 +61,7 @@ class TestRemoveGenerator:
             S = stack.pop()
             removed = [g for g in S.generators if S.frobenius < g <= 19]
             for g, (child, _) in zip(removed, children(S, 19), strict=True):
-                oracle = NumericalSemigroup.from_gaps(S.gaps + (g,))
+                oracle = semigroup_from_gaps(S.gaps + (g,))
                 for slot in NumericalSemigroup.__slots__:
                     assert getattr(child, slot) == getattr(oracle, slot), (S, g, slot)
                 # the splice: the parent's generators without g, then the new ones,
@@ -423,7 +424,7 @@ def gap_subset_oracle(
 
 def _try_from_gaps(gaps) -> NumericalSemigroup | None:
     try:
-        return NumericalSemigroup.from_gaps(gaps)
+        return semigroup_from_gaps(gaps)
     except ValueError:
         return None
 

@@ -51,3 +51,9 @@ def test_jobs_compare_by_value():
     assert hash(job) == hash(EnumerationJob("by-genus", 3, ("ci",)))
     assert job != EnumerationJob("by-genus", 4, ("ci",))
     assert repr(job) == "EnumerationJob(mode='by-genus', limit=3, filters=('ci',), resume_token=None)"
+
+
+def test_job_filters_given_as_a_list_are_stored_as_a_tuple():
+    job = EnumerationJob("by-genus", 3, ["ci"])
+    assert job.filters == ("ci",)
+    assert hash(job) == hash(EnumerationJob("by-genus", 3, ("ci",)))

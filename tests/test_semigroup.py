@@ -1,5 +1,6 @@
 import copy
 import pickle
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -23,6 +24,7 @@ from oracles import (
     is_self_reciprocal,
     monoid_by_reachability,
     mul_one_minus_xk_pow,
+    semigroup_from_gaps,
     semigroup_polynomial,
 )
 
@@ -100,9 +102,45 @@ class TestConstruction:
         assert NumericalSemigroup.from_gaps(s469.gaps) == s469
         assert NumericalSemigroup.from_gaps(()) == NumericalSemigroup(1)
 
+    def test_from_gaps_reads_a_repeated_gap_once(self, s469):
+        assert NumericalSemigroup.from_gaps([11, 1, 2, 1, 5, 3, 7, 11]) == s469
+
     def test_from_gaps_rejects_unclosed_complement(self):
         with pytest.raises(ValueError):
             NumericalSemigroup.from_gaps({3})  # 1 + 2 = 3 would leave S
+
+    @pytest.mark.parametrize("gaps", [[True], [2, True], [1, True], [True, 1], [2.0]])
+    def test_from_gaps_rejects_a_non_int_gap(self, gaps):
+        # True == 1 would otherwise be the gap 1, and the Frobenius number a bool
+        bad = next(g for g in gaps if type(g) is not int)
+        with pytest.raises(ValueError, match=f"gaps must be ints, got {bad!r}"):
+            NumericalSemigroup.from_gaps(gaps)
+
+
+def _built_or_refused(build, gaps):
+    """Every slot of ``build(gaps)``, or the text of the ValueError it raises."""
+    try:
+        S = build(gaps)
+    except ValueError as exc:
+        return str(exc)
+    return tuple(getattr(S, slot) for slot in NumericalSemigroup.__slots__)
+
+
+@pytest.mark.parametrize("top", [12, pytest.param(16, marks=pytest.mark.stretch)])
+def test_from_gaps_walks_to_what_closure_builds(top):
+    """Every gap set with max <= top: the path walk against the closure oracle.
+
+    Same slots, or the same error text, which names the least split of the
+    first gap the complement does not close.
+    """
+    refused = 0
+    for size in range(1, top + 1):
+        for gaps in combinations(range(1, top + 1), size):
+            walked = _built_or_refused(NumericalSemigroup.from_gaps, gaps)
+            assert walked == _built_or_refused(semigroup_from_gaps, gaps), gaps
+            refused += isinstance(walked, str)
+    # the sets built are the gap sets of the semigroups with 1 <= F <= top
+    assert 2**top - 1 - refused == sum(FROBENIUS_FAMILIES[f][0] for f in range(1, top + 1))
 
 
 def assert_built_as_reachability_finds(values) -> None:

@@ -278,6 +278,14 @@ class TestExponentSequence:
         sequence = exponent_sequence(s357)
         assert sequence.bound == s357.frobenius + 2 * 7 + 1
 
+    def test_empty_prefix(self, s357):
+        assert exponent_sequence(s357, 0) == ExponentSequence((), 0)
+
+    @pytest.mark.parametrize("bound", [-2, -1, True, False, 2.0])
+    def test_bad_bound_raises(self, s357, bound):
+        with pytest.raises(ValueError, match=f"bound must be an int >= 0, got {bound!r}"):
+            exponent_sequence(s357, bound)
+
     def test_indexing_and_json(self, s357):
         sequence = exponent_sequence(s357, 10)
         assert sequence[1] == 1 and sequence[10] == 1
