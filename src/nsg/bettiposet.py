@@ -20,13 +20,29 @@ analysis.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import BoundTooSmallError
 from .factorization import BettiData, betti_elements, denumerant_series
 from .semigroup import NumericalSemigroup
 from .witt import ExponentSequence, ExponentSweep
+
+
+class cached_property:
+    """:func:`functools.cached_property` without the lock CPython 3.11 takes on each first read.
+
+    A non-data descriptor: the first read stores the value in the instance
+    ``__dict__``, which later reads (and writes) reach without calling it.
+    """
+
+    def __init__(self, compute):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
 
 
 def leq(S: NumericalSemigroup, a: int, b: int) -> bool:
@@ -79,7 +95,7 @@ class OrderedSubset:
         return x in self._down
 
     def leq(self, a: int, b: int) -> bool:
-        return bool(self._down.get(b, 0) >> a & 1)
+        return a >= 0 and bool(self._down.get(b, 0) >> a & 1)
 
     def minimals(self) -> tuple[int, ...]:
         return tuple(x for x, below in self._down.items() if below == 1 << x)

@@ -10,12 +10,18 @@ any work. ``verify`` walks its family serially, in this process.
 
 Every command is a fresh interpreter, so the parser is the standard
 library's ``argparse``, and nothing on this module's import path pulls in a
-command-line framework or ``dataclasses``.
+command-line framework or ``dataclasses``. For the same reason a run that
+owns the process (the console script or ``python -m nsg.cli``) calls
+:func:`gc.freeze` before it exits. The interpreter's exit-time collections
+then skip every object the command loaded (the standard library, argparse,
+nsg): collecting them would only free memory the system takes back with the
+process. In-process callers keep their collector as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -256,6 +262,12 @@ def main(args: list[str] | None = None, prog_name: str = "nsg"):
     program in usage lines. Every outcome raises SystemExit, with the
     status the module docstring lists, so the console script,
     ``python -m nsg.cli`` and an in-process caller see the same code.
+
+    When ``args`` is None the run owns the process: once the command returns
+    its status, it calls :func:`gc.freeze`, so the exit-time collections skip
+    every object already loaded. Module teardown, file closing and atexit
+    handlers run as before. A caller that passes ``args`` owns its heap, and
+    nothing in it is frozen.
     """
     parser = _parser(prog_name)
     options = parser.parse_args(args)
@@ -278,6 +290,8 @@ def main(args: list[str] | None = None, prog_name: str = "nsg"):
     except KeyboardInterrupt:
         print("\nAborted!", file=sys.stderr)
         sys.exit(1)
+    if args is None:
+        gc.freeze()
     sys.exit(status)
 
 

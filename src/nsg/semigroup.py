@@ -38,9 +38,10 @@ class NumericalSemigroup:
             raw = tuple(raw[0])
         if not raw:
             raise EmptyGeneratorsError("need at least one generator")
+        for v in raw:  # before the set, which would merge True into 1
+            if isinstance(v, bool):
+                raise ValueError(f"generators must be ints, got {v!r}")
         values = sorted(set(raw))
-        if isinstance(values[0], bool):  # a bool sorts first unless a value below 1 does
-            raise ValueError(f"generators must be ints, got {values[0]!r}")
         if values[0] < 1:
             raise ValueError(f"generators must be positive, got {values[0]}")
         g = 0

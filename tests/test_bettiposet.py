@@ -137,6 +137,10 @@ class TestOrder:
         assert leq(subset.S, 12, 30)
         assert not subset.leq(12, 30)
         assert not subset.leq(30, 12)
+        # so is 12 - (-6), and a negative a is no element either
+        assert leq(subset.S, -6, 12)
+        assert not subset.leq(-6, 12)
+        assert not subset.leq(-1, 12)
 
 
 class TestDefinitions:
@@ -394,6 +398,14 @@ class TestClassify:
             if support.exact:
                 subset = OrderedSubset(S, support.members)
                 assert flags.betti_sorted == subset.is_totally_ordered()
+
+
+def test_an_analysis_field_is_computed_once_and_kept_on_the_instance(s469, catalog_builds):
+    analysis = SemigroupAnalysis(s469)
+    assert analysis.betti is analysis.betti
+    assert catalog_builds[s469.generators] == 1
+    assert analysis.__dict__["betti"] is analysis.betti
+    assert SemigroupAnalysis.sequence.__doc__.startswith("e_1..e_bound")
 
 
 class TestVerifyTheorems:

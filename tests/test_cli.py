@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -9,9 +11,10 @@ import pytest
 from nsg import NumericalSemigroup, exponent_sequence
 from nsg import cli as cli_module
 from nsg.cli import main
+from nsg.export import dumps_json
 from nsg.verification import CHECKS
 
-from expected import REPORTS
+from expected import REPORTS, VERIFY_JSON
 from oracles import semigroup_polynomial
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -228,7 +231,7 @@ class TestUnwritableExport:
 
 
 class TestFreshInterpreter:
-    """What only a new process shows: the import path, exit codes and closed pipes."""
+    """What only a new process shows: the import path, exit codes, closed pipes and the exit-time freeze."""
 
     def test_import_loads_no_cli_framework_or_dataclasses(self):
         # -S: no site hooks, so only nsg's own imports count
@@ -265,6 +268,39 @@ class TestFreshInterpreter:
             proc.kill()
             proc.stderr.close()
         assert stderr == b""
+
+    @pytest.mark.parametrize("args", list(VERIFY_JSON))
+    def test_verify_matches_the_in_process_run(self, cli, tmp_path, args):
+        # the process-owning path freezes the heap at exit; its output must not move
+        in_process = cli("verify", *args, "--json", str(tmp_path / "in.json"))
+        out = tmp_path / "fresh.json"
+        fresh = subprocess.run(
+            [*NSG, "verify", *args, "--json", str(out)],
+            env=ENV, capture_output=True, text=True, timeout=120,
+        )
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == in_process
+        assert out.read_bytes() == (tmp_path / "in.json").read_bytes()
+        summary = json.loads(out.read_text())
+        if "--frobenius" in args:  # pinned when by-Frobenius runs wrote no token
+            summary["last_token"] = None
+        assert hashlib.sha256(dumps_json(summary).encode()).hexdigest() == VERIFY_JSON[args]
+
+    def test_a_caller_passing_args_keeps_its_collector(self, cli):
+        frozen = gc.get_freeze_count()
+        assert cli("verify", "--genus-max", "3", "--checks", "thm1").exit_code == 0
+        assert cli("verify", "--genus-max", "3", "--checks", "thm9").exit_code == 2
+        assert gc.get_freeze_count() == frozen
+
+    def test_a_run_owning_the_process_has_frozen_by_atexit(self):
+        code = (
+            f"import atexit, gc, sys; sys.path.insert(0, {str(SRC)!r}); from nsg.cli import main; "
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+            "sys.argv = ['nsg', 'verify', '--genus-max', '3', '--checks', 'thm1']; "
+            "print('before', gc.get_freeze_count()); main()"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "before 0\nthm1: 8/8 pass\nno counterexamples\nfrozen True\n"
 
 
 def test_interrupt_exits_1(cli, monkeypatch):

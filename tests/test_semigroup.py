@@ -74,9 +74,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="generators must be positive, got 0"):
             NumericalSemigroup(0, 3)
 
-    @pytest.mark.parametrize("raw", [(True, 2), (3, True), ([True, 5],)])
+    @pytest.mark.parametrize("raw", [(True, 2), (3, True), ([True, 5],), (1, True), (2, 3, True)])
     def test_bool_generator_raises(self, raw):
-        # True == 1 would otherwise build <1> with generators (True,)
+        # True == 1 would otherwise build <1> with generators (True,); a set
+        # would merge True into an earlier 1, so each value is tested first
         with pytest.raises(ValueError, match="generators must be ints, got True"):
             NumericalSemigroup(*raw)
 
