@@ -257,7 +257,11 @@ class SemigroupAnalysis:
     ``bound`` defaults to ``S.default_bound``, which covers every Betti
     element; a smaller bound raises :class:`BoundTooSmallError`. :attr:`sequence`,
     :attr:`full_exponents` and ``nsg analyze --bound`` each extend the one
-    ``sweep`` only as far as they read.
+    ``sweep`` only as far as they read. The one symmetry gate is at
+    construction: a non-symmetric semigroup gets ``full_exponents`` None (a
+    cyclotomic product is self-reciprocal) and ``complete_intersection``
+    False (complete intersections are symmetric, Herzog 1970), read off no
+    sweep or catalog.
     """
 
     def __init__(self, S: NumericalSemigroup, bound: int | None = None):
@@ -268,6 +272,8 @@ class SemigroupAnalysis:
             raise BoundTooSmallError(f"bound {bound} is below the default truncation {least}")
         self.semigroup = S
         self.bound = bound
+        if not S.is_symmetric():
+            self.full_exponents, self.complete_intersection = None, False
 
     @cached_property
     def sweep(self) -> ExponentSweep:
@@ -291,22 +297,15 @@ class SemigroupAnalysis:
     def complete_intersection(self) -> bool:
         """Whether a minimal presentation has embedding dimension - 1 relations.
 
-        Complete intersections are symmetric (Herzog 1970), so the Betti
-        catalog is read only behind the symmetry gate. The trivial semigroup
-        is symmetric with an empty catalog and embedding dimension 1, so it
-        is a complete intersection by the same sum.
+        The trivial semigroup is symmetric with an empty catalog and embedding
+        dimension 1, so it is a complete intersection by the same sum.
         """
-        S = self.semigroup
-        if not S.is_symmetric():
-            return False
         size = sum(data.nc - 1 for data in self.betti.values())
-        return size == S.embedding_dimension - 1
+        return size == self.semigroup.embedding_dimension - 1
 
     @cached_property
     def full_exponents(self) -> dict[int, int] | None:
         """The whole (finite) exponent support when the polynomial is cyclotomic, else None."""
-        if not self.semigroup.is_symmetric():  # a cyclotomic product is self-reciprocal
-            return None
         factorization = self.sweep.cyclotomic_factors()
         return factorization.exponents if factorization.complete else None
 

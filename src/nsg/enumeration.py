@@ -5,18 +5,19 @@ whole of the non-negative integers and the children of S are the semigroups
 S minus one minimal generator exceeding the Frobenius number. Every semigroup
 of genus g appears exactly once at depth g. A child's Frobenius number is its
 removed generator, so the path of removed generators from the root to a node
-is exactly its gap tuple, ascending. A child is built from its parent's
-mask by one shift (:meth:`~nsg.semigroup.NumericalSemigroup.remove_generator`),
-not by a fresh closure of its generators.
+is exactly its gap tuple, ascending. A child's fields come from its
+parent's by one shift (:func:`~nsg.semigroup._child`), not by a fresh closure.
 
-One preorder walk on an explicit stack serves every family, and one rule,
-:func:`children`, gives its entries (S minus g, mask at g), pushed in
-reverse so the walk visits them ascending in g, hence in ascending order of
-the gap tuples. A walk by genus carries mask 0, which prunes nothing: it
-yields every node up to the cap. A walk to a Frobenius number F yields the
-nodes at F and builds only the nodes with a descendant at F, themselves
-included. S minus g has one iff g <= F and F is not in the monoid spanned
-by S's generators below g:
+One preorder walk on an explicit stack serves every family. It holds each
+node as a raw entry (generators, Frobenius number, genus, membership mask,
+live mask), and one rule, :func:`children`, lists the entries of a node's
+children, pushed in reverse so the walk visits them ascending in g, hence
+in ascending order of the gap tuples. Only a node the walk yields becomes a
+:class:`~nsg.semigroup.NumericalSemigroup`; the others stay entries. A walk
+by genus carries live mask 0, which prunes nothing: it yields every node up
+to the cap. A walk to a Frobenius number F yields the nodes at F and lists
+only the nodes with a descendant at F, themselves included. S minus g has
+one iff g <= F and F is not in the monoid spanned by S's generators below g:
 
 - every descendant of S minus g removes only elements above g, so it keeps
   S's elements below g and the monoid they span, and F with it if it is in;
@@ -26,8 +27,8 @@ by S's generators below g:
   holds every integer above F >= g, so it is a descendant of S minus g.
 
 That monoid only grows with g, so once it reaches F every later generator is
-dead too. The walk carries it as a bitmask over 0..F beside each node it
-stacks, closed by :func:`~nsg.semigroup.close_under` for a later sibling.
+dead too. The walk carries it as the live mask, over 0..F, in each entry
+it stacks, closed by :func:`~nsg.semigroup.close_under` for a later sibling.
 Either walk resumes after any node it reaches, named by its gap tuple, from
 the node's children and the later siblings along its path (:func:`_resumed`).
 
@@ -43,7 +44,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterator
 
-from .semigroup import NumericalSemigroup, close_under
+from .semigroup import NumericalSemigroup, _child, _set_slots, close_under
 
 Path = tuple[int, ...]
 
@@ -54,92 +55,93 @@ def format_token(path: Path) -> str:
 
 
 def parse_token(token: str) -> Path:
-    if token == "root":
-        return ()
+    """The path a token names, spelt as :func:`format_token` writes it (``int`` takes more)."""
     try:
-        return tuple(int(part) for part in token.split("."))
-    except ValueError as exc:
-        raise ValueError(f"malformed resume token {token!r}") from exc
+        path = () if token == "root" else tuple(map(int, token.split(".")))
+    except ValueError:
+        path = None
+    if path is None or format_token(path) != token:
+        raise ValueError(f"malformed resume token {token!r}")
+    return path
 
 
-def children(S: NumericalSemigroup, limit: int | None = None, mask: int = 0) -> list[tuple]:
-    """The tree children (S minus g, mask at g), ascending in g.
+def children(entry: tuple, limit: int | None = None) -> list[tuple]:
+    """The entries of the tree children of an entry's node, ascending in g.
 
-    g, the child's Frobenius number, runs over the minimal generators above S's
-    Frobenius number and up to ``limit`` (no cap when None), and
-    :meth:`NumericalSemigroup.remove_generator` derives each child from S's own
-    membership. Bit n of ``mask`` is set iff n <= limit lies in the monoid
-    spanned by S's generators below its Frobenius number; the mask at g is the
-    monoid spanned by those below g, the child's own mask, and when a next g
-    follows, its mask is this one closed under g up to the limit. Bit ``limit``
-    of the mask at g is clear iff S minus g has a descendant with Frobenius
-    number ``limit`` (module docstring), and once set it stays set, so the scan
-    stops at the first dead g. A walk to a Frobenius target passes it as the
-    limit with the node's mask, so only live children are built. Mask 0, the
-    default, prunes nothing and is never closed, as it closes to 0.
+    g, the child's Frobenius number, runs over the node's minimal generators
+    above its Frobenius number and up to ``limit`` (no cap when None), and
+    :func:`~nsg.semigroup._child` derives each child's fields from the node's.
+    Bit n of the live mask is set iff n <= limit lies in the monoid spanned by
+    the node's generators below its Frobenius number. The child at g carries
+    the one spanned by those below g, closed under g for the next g. Its bit
+    ``limit`` is clear iff S minus g has a descendant with Frobenius number
+    ``limit`` (module docstring); once set it stays set, so the scan stops at
+    the first dead g. A live mask of 0 prunes nothing and, as it closes to 0,
+    is never closed.
     """
-    generators = S.generators
+    generators, frobenius, genus, mask, live = entry
     limit = generators[-1] if limit is None else limit
-    candidates = generators[bisect(generators, S.frobenius) : bisect(generators, limit)]
+    last, genus = bisect(generators, limit) - 1, genus + 1
     kids = []
-    for g in candidates:
-        if mask >> limit & 1:
+    for i in range(bisect(generators, frobenius), last + 1):
+        if live >> limit & 1:
             break
-        kids.append((S.remove_generator(g), mask))
-        if mask and g < candidates[-1]:
-            mask = close_under(mask, g, limit)
+        kid_generators, kid_mask = _child(generators, frobenius, mask, i)
+        g = generators[i]
+        kids.append((kid_generators, g, genus, kid_mask, live))
+        if live and i < last:
+            live = close_under(live, g, limit)
     return kids
 
 
 def _walk(stack: list, g_max, frobenius: int | None) -> Iterator[NumericalSemigroup]:
-    """Preorder from ``stack`` of (S, mask) entries, whose top is visited first.
+    """Preorder from ``stack`` of entries, whose top is visited first.
 
     A node at the Frobenius target is yielded and never expanded; with no
-    target every node is yielded. A node is expanded when its children have
-    genus <= g_max, through :func:`children` with the target and the node's
-    mask, so a walk to a target pushes only live children, each with its own
-    mask, and every node it pops lies on a path to the target. A walk to a
-    target F passes g_max = F, which never stops it: the gaps of a node below
-    F lie in 1..F - 1. With no target every entry's mask is 0.
+    target every node is yielded. Only a yielded node becomes an object. A
+    node is expanded when its children have genus <= g_max, by one call of
+    :func:`children` with the target, looked up as a module global each time,
+    so a walk to a target pushes only live children and every node it pops
+    lies on a path to the target. A walk to a target F passes g_max = F,
+    which never stops it: the gaps of a node below F lie in 1..F - 1.
     """
+    every = frobenius is None
+    pop, push, new = stack.pop, stack.extend, object.__new__
     while stack:
-        S, mask = stack.pop()
-        if S.frobenius == frobenius:
-            yield S
-            continue
-        if frobenius is None:
-            yield S
-        if S.genus + 1 <= g_max:
-            stack.extend(reversed(children(S, frobenius, mask)))
+        entry = pop()
+        generators, f, genus, mask, _ = entry
+        if every or f == frobenius:
+            yield _set_slots(new(NumericalSemigroup), generators, f, genus, mask)
+        if f != frobenius and genus + 1 <= g_max:
+            push(reversed(children(entry, frobenius)))
 
 
-def _resumed(path: Path | None, g_max, frobenius: int | None, mask: int):
+def _resumed(path: Path | None, g_max, frobenius: int | None, live: int):
     """The walk from the root, or strictly after the node at gap tuple ``path``.
 
     The one descent of both walks takes the entries of :func:`children` as
     the walk does, live ones only on a walk to a target, steps to the child
     whose Frobenius number is the path's next gap and seeds the stack as the
-    walk holds it after the node, so no earlier subtree is built. A path
-    naming no node of the walk is a ValueError at the call.
+    walk holds it after the node, so no earlier subtree is listed and no node
+    becomes an object. A path naming no node of the walk is a ValueError at the call.
     """
-    node, stack = NumericalSemigroup(1), []
+    entry, stack = ((1,), -1, 0, 0, live), []  # <1>, whose mask over 0..F = -1 is 0
     if path is None:
-        return _walk([(node, mask)] if g_max >= 0 else [], g_max, frobenius)
+        return _walk([entry] if g_max >= 0 else [], g_max, frobenius)
     for depth, g in enumerate(path, 1):
-        kids = children(node, frobenius, mask)
-        at = [child.frobenius for child, _ in kids]
+        generators, f, genus, _, _ = entry
+        kids = children(entry, frobenius)
+        at = [kid[1] for kid in kids]
         if g not in at:
-            if g > node.frobenius and g in node.generators:  # capped or pruned
+            if g > f and g in generators:  # capped or pruned
                 raise ValueError(f"the node {path[:depth]} has no descendant at F = {frobenius}")
-            raise ValueError(
-                f"{g} is not a minimal generator above the Frobenius number {node.frobenius}"
-            )
+            raise ValueError(f"{g} is not a minimal generator above the Frobenius number {f}")
         i = at.index(g)
-        if node.genus + 1 <= g_max:
+        if genus + 1 <= g_max:
             stack.extend(reversed(kids[i + 1 :]))
-        node, mask = kids[i]
-    if node.genus + 1 <= g_max:
-        stack.extend(reversed(children(node, frobenius, mask)))
+        entry = kids[i]
+    if entry[2] + 1 <= g_max:
+        stack.extend(reversed(children(entry, frobenius)))
     return _walk(stack, g_max, frobenius)
 
 

@@ -6,10 +6,10 @@ determined by its unique minimal generating system, or by which n <= F, the
 Frobenius number, belong to it: every n > F does. A :class:`NumericalSemigroup`
 stores exactly that, one int whose bit j is set iff F - j is a member, read off
 a bitmask closed under each generator by :func:`close_under` (or, for a child
-in the semigroup tree, derived from its parent's by one shift). Its generators,
-Frobenius number, genus and multiplicity are precomputed; the gaps, Apery sets
-and windows (:meth:`~NumericalSemigroup.window`) are read off the mask.
-Instances are immutable.
+in the semigroup tree, derived from its parent's by one shift: :func:`_child`).
+Its generators, Frobenius number, genus and multiplicity are precomputed; the
+gaps, Apery sets and windows (:meth:`~NumericalSemigroup.window`) are read off
+the mask. Instances are immutable.
 """
 
 from __future__ import annotations
@@ -105,45 +105,20 @@ class NumericalSemigroup:
     def remove_generator(self, g: int) -> "NumericalSemigroup":
         """S minus g, for a minimal generator g above the Frobenius number.
 
-        This is a child in the semigroup tree. Every slot is derived from
-        this semigroup, closing no mask: the child's Frobenius number is g,
-        its genus ours + 1, and its mask ours shifted up by g - F over the
-        new members and the gap g. Removing g keeps the other minimal generators
-        minimal, and every new one is g + a for a minimal generator a (2g
-        included) or 3g: a new generator h is g + s for some non-zero s, and
-        unless s is a generator or 2g, h splits further inside the child. Only
-        candidates up to g + m can be new, for m the child's multiplicity
-        (ours, or g + 1 when g is ours): a larger c is (c - m) + m, and
-        c - m > g is a member. A minimal generator n of S has n <= F + m <
-        g + m, so the new ones follow the rest in order: the tuple is spliced,
-        not sorted. When g is our multiplicity, S is 0 and all n >= g, the
-        child 0 and all n > g, and the new ones 2g and 2g + 1 (at the root, 2
-        and 3). Otherwise g + m alone is a candidate, new iff bit a - m of the
-        child's mask (g + m - a) is clear for each other generator a. So the
-        cost is one shift of a g-bit int, one splice and at most e bit tests.
-        :meth:`from_gaps` walks by it; the tests hold it to ``oracles.semigroup_from_gaps``.
+        A child in the semigroup tree, by the rule :func:`_child` that the
+        walks of :mod:`nsg.enumeration` apply to raw entries: F is g, the genus
+        ours + 1. :meth:`from_gaps` walks by it; the tests hold it to
+        ``oracles.semigroup_from_gaps``.
         """
-        generators, m = self.generators, self.multiplicity
+        if not isinstance(g, int) or isinstance(g, bool):
+            raise ValueError(f"generator must be an int, got {g!r}")
+        generators = self.generators
         if g <= self.frobenius or g not in generators:
             raise ValueError(
                 f"{g} is not a minimal generator above the Frobenius number {self.frobenius}"
             )
-        shift = g - self.frobenius
-        mask = self._mask << shift | ((1 << shift) - 2)
-        i = generators.index(g)
-        generators = generators[:i] + generators[i + 1 :]
-        # no sort, as every new generator exceeds the rest; one candidate unless g = m
-        if g == m:
-            generators += (2 * g, 2 * g + 1)
-        else:
-            for a in generators:
-                if mask >> (a - m) & 1:
-                    break
-            else:
-                generators += (g + m,)
-        child = object.__new__(NumericalSemigroup)
-        _set_slots(child, generators, g, self.genus + 1, mask)
-        return child
+        generators, mask = _child(generators, self.frobenius, self._mask, generators.index(g))
+        return _set_slots(object.__new__(NumericalSemigroup), generators, g, self.genus + 1, mask)
 
     # -- membership and basic invariants --------------------------------------
 
@@ -230,19 +205,49 @@ class NumericalSemigroup:
         return (NumericalSemigroup, self.generators)
 
 
-def _set_slots(S, generators: tuple, frobenius: int, genus: int, mask: int) -> None:
-    """Fill every slot of a new S, whose mask has bit j set iff F - j is in S."""
+def _set_slots(S, generators: tuple, frobenius: int, genus: int, mask: int) -> NumericalSemigroup:
+    """Fill every slot of a new S and return it; bit j of the mask is set iff F - j is in S."""
     _set_generators(S, generators)
     _set_frobenius(S, frobenius)
     _set_genus(S, genus)
     _set_multiplicity(S, generators[0])
     _set_mask(S, mask)
+    return S
 
 
 # the slot descriptors' setters, which pass the refusing __setattr__
 _set_generators, _set_frobenius, _set_genus, _set_multiplicity, _set_mask = (
     NumericalSemigroup.__dict__[name].__set__ for name in NumericalSemigroup.__slots__
 )
+
+
+def _child(generators: tuple, frobenius: int, mask: int, i: int) -> tuple[tuple, int]:
+    """(generators, mask) of S minus g = generators[i] > F, from S's generators, F and mask.
+
+    No mask is closed: the child's is S's shifted up by g - F over the new
+    members and the gap g. Removing g keeps the other minimal generators
+    minimal, and every new one is g + a for a minimal generator a (2g included)
+    or 3g: a new generator h is g + s for some non-zero s, and unless s is a
+    generator or 2g, h splits further inside the child. Only candidates up to
+    g + m can be new, for m the child's multiplicity (S's, or g + 1 when g is
+    S's): a larger c is (c - m) + m, and c - m > g is a member. A minimal
+    generator n of S has n <= F + m < g + m, so the new ones follow the rest in
+    order: the tuple is spliced, not sorted. When g is S's multiplicity, S is 0
+    and all n >= g, the child 0 and all n > g, and the new ones 2g and 2g + 1
+    (at the root, 2 and 3). Otherwise g + m alone is a candidate, new iff the
+    child's mask has bit a - m (g + m - a) clear for each other generator a:
+    one shift, one splice, e bit tests.
+    """
+    g, m = generators[i], generators[0]
+    shift = g - frobenius
+    mask = mask << shift | ((1 << shift) - 2)
+    rest = generators[:i] + generators[i + 1 :]
+    if g == m:
+        return rest + (2 * g, 2 * g + 1), mask
+    for a in rest:
+        if mask >> (a - m) & 1:
+            return rest, mask
+    return rest + (g + m,), mask
 
 
 def close_under(mask: int, g: int, limit: int) -> int:

@@ -280,7 +280,8 @@ def run_verification(
 
     The names go through :func:`validate_checks` before the walk starts.
     Counterexamples are collected as full report records (sorted by
-    generators in the summary). A progress callback receives (count, token)
+    generators in the summary). Each check runs once per semigroup; a verdict
+    list is built only at a failure. A progress callback receives (count, token)
     each time the count reaches a multiple of 500, and the final summary
     carries the last token, so an interrupted run of any family resumes.
     """
@@ -289,12 +290,15 @@ def run_verification(
     tests = [CHECKS[name] for name in checks]  # looked up once, tallied by position
     fails = [0] * len(tests)
     for analysis in _stream(job):
-        verdicts = [test(analysis) for test in tests]
+        for test in tests:
+            if not test(analysis):
+                i = tests.index(test)
+                verdicts = [True] * i + [False] + [later(analysis) for later in tests[i + 1 :]]
+                fails = [failed + (not ok) for failed, ok in zip(fails, verdicts)]
+                summary.counterexamples.append(build_report(analysis, dict(zip(checks, verdicts))))
+                break
         summary.total += 1
         summary.last = analysis.semigroup
-        if not all(verdicts):
-            fails = [failed + (not ok) for failed, ok in zip(fails, verdicts)]
-            summary.counterexamples.append(build_report(analysis, dict(zip(checks, verdicts))))
         if progress is not None and summary.total % _PROGRESS_EVERY == 0:
             progress(summary.total, summary.last_token)
     summary.pass_counts = {name: summary.total - failed for name, failed in zip(checks, fails)}

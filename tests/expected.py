@@ -167,10 +167,10 @@ FROBENIUS_WALK_ORDER = {
     19: "9d113ba45b628c90", 20: "84c8c0bed1024503", 21: "abee01100ece586f",
 }
 
-# Nodes built (remove_generator calls) by enumerate_by_frobenius(F) for
-# F = 21..25: the distinct non-empty prefixes of the family's gap tuples,
-# counted from the families above. The walk that built every child up to the
-# target built 5343 / 7256 / 11352 / 14930 / 23203.
+# Entries listed by children in enumerate_by_frobenius(F), of which only the
+# members become objects, for F = 21..25: the distinct non-empty prefixes of
+# the family's gap tuples, counted from the families above. The walk that
+# listed every child up to the target listed 5343 / 7256 / 11352 / 14930 / 23203.
 FROBENIUS_WALK_BUILT = {21: 3746, 22: 3943, 23: 8421, 24: 7241, 25: 16829}
 
 # close_under calls by enumerate_by_frobenius(F) for F = 21..25, and by

@@ -1,11 +1,12 @@
 """The semigroup tree: cheap children against a closure oracle, counts and oracles."""
 
 import hashlib
+import re
 from itertools import combinations, islice
 
 import pytest
 
-from nsg import NumericalSemigroup, enumeration
+from nsg import NumericalSemigroup, enumeration, semigroup
 from nsg.enumeration import (
     children,
     ci_with_frobenius,
@@ -35,6 +36,16 @@ def _digest(family) -> tuple[int, str]:
     return len(generators), _hex16(generators)
 
 
+def _entry(S, live=0) -> tuple:
+    """S as the walk holds it: generators, Frobenius number, genus, membership and live masks."""
+    return S.generators, S.frobenius, S.genus, S._mask, live
+
+
+def _gaps(entry) -> tuple[int, ...]:
+    """The gap tuple of an entry's node, by a sieve on its generators."""
+    return NumericalSemigroup(entry[0]).gaps
+
+
 class TestRemoveGenerator:
     @pytest.mark.parametrize(
         "genus_max", [11, pytest.param(14, marks=pytest.mark.stretch)]
@@ -53,25 +64,29 @@ class TestRemoveGenerator:
         assert checked == sum(SEMIGROUPS_PER_GENUS[1 : genus_max + 2])
 
     def test_every_child_of_the_frobenius_walk_matches_from_gaps(self):
-        # children(S, 19) builds every child that a walk to any F <= 19 builds,
+        # children(entry, 19) lists every child that a walk to any F <= 19 lists,
         # up to embedding dimension 20 (the genus walk above stops at 12)
         checked = max_dimension = 0
-        stack = [NumericalSemigroup(1)]
+        stack = [(_entry(NumericalSemigroup(1)), ())]
         while stack:
-            S = stack.pop()
-            removed = [g for g in S.generators if S.frobenius < g <= 19]
-            for g, (child, _) in zip(removed, children(S, 19), strict=True):
-                oracle = semigroup_from_gaps(S.gaps + (g,))
+            entry, gaps = stack.pop()
+            generators, frobenius = entry[:2]
+            removed = [g for g in generators if frobenius < g <= 19]
+            for g, child in zip(removed, children(entry, 19), strict=True):
+                oracle = semigroup_from_gaps(gaps + (g,))
+                # each field is the slot the walk builds the node with
+                fields = dict(zip(("generators", "frobenius", "genus", "_mask"), child))
+                fields["multiplicity"] = child[0][0]
                 for slot in NumericalSemigroup.__slots__:
-                    assert getattr(child, slot) == getattr(oracle, slot), (S, g, slot)
+                    assert fields[slot] == getattr(oracle, slot), (generators, g, slot)
                 # the splice: the parent's generators without g, then the new ones,
                 # each above every generator of the parent
-                kept = tuple(a for a in S.generators if a != g)
-                assert child.generators[: len(kept)] == kept, (S, g)
-                assert all(n > S.generators[-1] for n in child.generators[len(kept) :]), (S, g)
+                kept = tuple(a for a in generators if a != g)
+                assert child[0][: len(kept)] == kept, (generators, g)
+                assert all(n > generators[-1] for n in child[0][len(kept) :]), (generators, g)
                 checked += 1
-                max_dimension = max(max_dimension, child.embedding_dimension)
-                stack.append(child)
+                max_dimension = max(max_dimension, len(child[0]))
+                stack.append((child, gaps + (g,)))
         assert checked == sum(FROBENIUS_FAMILIES[f][0] for f in range(1, 20))
         assert max_dimension == 20  # <20, 21, ..., 39>
 
@@ -96,20 +111,26 @@ class TestRemoveGenerator:
     def test_root(self, naturals):
         assert naturals.remove_generator(1).generators == (2, 3)
 
+    @pytest.mark.parametrize("raw, g", [((1,), True), ((2, 3), 3.0)])
+    def test_non_int_rejected(self, raw, g):
+        # True passed as 1, building <2, 3> with Frobenius number True; 3.0 reached a shift
+        with pytest.raises(ValueError, match=re.escape(f"generator must be an int, got {g!r}")):
+            NumericalSemigroup(*raw).remove_generator(g)
+
 
 class TestChildren:
     def test_limit_filters_the_full_list(self):
         # every cap from 0 to past the largest generator, on every node of genus <= 9
         for S in enumerate_by_genus(9):
-            full = children(S)
+            full = children(_entry(S))
             for limit in range(S.frobenius + S.generators[-1] + 1):
-                assert children(S, limit) == [kid for kid in full if kid[0].frobenius <= limit]
+                assert children(_entry(S), limit) == [kid for kid in full if kid[1] <= limit]
 
     def test_ascending_in_the_removed_generator(self, s357, s469):
-        assert [child.frobenius for child, _ in children(s357)] == [5, 7]
-        assert [child.frobenius for child, _ in children(s357, 6)] == [5]
-        assert children(s357, 4) == []
-        assert children(s469) == []  # every generator lies below F = 11
+        assert [kid[1] for kid in children(_entry(s357))] == [5, 7]
+        assert [kid[1] for kid in children(_entry(s357), 6)] == [5]
+        assert children(_entry(s357), 4) == []
+        assert children(_entry(s469)) == []  # every generator lies below F = 11
 
 
 def _monoid_mask(generators, bound: int) -> int:
@@ -127,15 +148,15 @@ class TestLiveNodes:
     )
     def test_walk_builds_exactly_the_prefixes_of_the_family(self, monkeypatch, frobenius):
         # a node has a descendant at F iff its gap tuple prefixes the gap tuple
-        # of a semigroup with Frobenius number F: no dead node built, none missed
-        built, original = [], NumericalSemigroup.remove_generator
+        # of a semigroup with Frobenius number F: no dead node listed, none missed
+        built, original = [], enumeration.children
 
-        def counted(S, g):
-            child = original(S, g)
-            built.append(child.gaps)
-            return child
+        def counted(entry, limit=None):
+            kids = original(entry, limit)
+            built.extend(map(_gaps, kids))
+            return kids
 
-        monkeypatch.setattr(NumericalSemigroup, "remove_generator", counted)
+        monkeypatch.setattr(enumeration, "children", counted)
         family = [S.gaps for S in enumerate_by_frobenius(frobenius)]
         prefixes = {gaps[:i] for gaps in family for i in range(1, len(gaps) + 1)}
         assert len(built) == len(set(built))
@@ -146,13 +167,12 @@ class TestLiveNodes:
     @pytest.mark.parametrize("frobenius", [16, 17])
     def test_each_mask_is_the_monoid_below_the_removed_generator(self, frobenius):
         checked = 0
-        stack = [(NumericalSemigroup(1), 1)]
+        stack = [_entry(NumericalSemigroup(1), 1)]
         while stack:
-            S, mask = stack.pop()
-            for child, child_mask in children(S, frobenius, mask):
-                below = [a for a in child.generators if a < child.frobenius]
-                assert child_mask == _monoid_mask(below, frobenius), child
-                stack.append((child, child_mask))
+            for child in children(stack.pop(), frobenius):
+                below = [a for a in child[0] if a < child[1]]
+                assert child[4] == _monoid_mask(below, frobenius), child
+                stack.append(child)
                 checked += 1
         assert checked == len(
             {S.gaps[:i] for S in enumerate_by_frobenius(frobenius) for i in range(1, S.genus + 1)}
@@ -162,18 +182,17 @@ class TestLiveNodes:
     def test_mask_cuts_the_capped_list_at_the_first_dead_generator(self, frobenius):
         # on every node of the walk: the live children are the capped ones
         # up to the first g whose monoid below it reaches the target
-        stack = [(NumericalSemigroup(1), 1)]
+        stack = [_entry(NumericalSemigroup(1), 1)]
         while stack:
-            S, mask = stack.pop()
-            capped = [child for child, _ in children(S, frobenius)]
+            entry = stack.pop()
+            capped = [kid[:4] for kid in children(entry[:4] + (0,), frobenius)]
             dead = [
-                child for child in capped
-                if _monoid_mask([a for a in S.generators if a < child.frobenius], frobenius)
-                >> frobenius & 1
+                kid for kid in capped
+                if _monoid_mask([a for a in entry[0] if a < kid[1]], frobenius) >> frobenius & 1
             ]
-            live = children(S, frobenius, mask)
+            live = children(entry, frobenius)
             cut = capped.index(dead[0]) if dead else len(capped)
-            assert [child for child, _ in live] == capped[:cut], S
+            assert [kid[:4] for kid in live] == capped[:cut], entry
             stack.extend(live)
 
     @pytest.mark.parametrize(
@@ -195,12 +214,38 @@ class TestLiveNodes:
         assert len(closed) == closures
 
     def test_without_a_target_the_mask_is_passed_through(self):
-        # mask 0, the default, closes to 0: each child carries it, capped or not
+        # live mask 0 prunes nothing and closes to 0: each child carries it, capped or not
         for S in enumerate_by_genus(9):
             for limit in (None, S.frobenius + S.multiplicity):
-                kids = children(S, limit)
-                assert children(S, limit, 0) == kids
-                assert all(kid[1] == 0 for kid in kids)
+                kids = children(_entry(S, 0), limit)
+                cap = S.generators[-1] if limit is None else limit
+                assert [kid[1] for kid in kids] == [
+                    g for g in S.generators if S.frobenius < g <= cap
+                ]
+                assert all(kid[4] == 0 for kid in kids)
+
+    @pytest.mark.parametrize("frobenius", sorted(FROBENIUS_WALK_BUILT))
+    def test_walk_builds_one_semigroup_per_member(self, monkeypatch, frobenius):
+        # children lists every live node's entry; only the members become objects.
+        # Every construction fills its slots through _set_slots, under either name.
+        entries, objects = [], []
+        listed, fill = enumeration.children, semigroup._set_slots
+
+        def counted(entry, limit=None):
+            kids = listed(entry, limit)
+            entries.extend(kids)
+            return kids
+
+        def filled(S, generators, *slots):
+            objects.append(generators)
+            return fill(S, generators, *slots)
+
+        monkeypatch.setattr(enumeration, "children", counted)
+        for module in (semigroup, enumeration):
+            monkeypatch.setattr(module, "_set_slots", filled)
+        family = [S.generators for S in enumerate_by_frobenius(frobenius)]
+        assert objects == family and len(family) == FROBENIUS_FAMILIES[frobenius][0]
+        assert len(entries) == FROBENIUS_WALK_BUILT[frobenius]
 
 
 class TestGenusCap:
@@ -231,8 +276,8 @@ class TestResume:
     def test_resume_builds_no_earlier_subtree(self, monkeypatch):
         built, original = [], enumeration.children
 
-        def counted(S, *args):
-            kids = original(S, *args)
+        def counted(entry, *args):
+            kids = original(entry, *args)
             built.extend(kid[0] for kid in kids)
             return kids
 
@@ -242,9 +287,9 @@ class TestResume:
         # at the call: the children of the path's nodes, nothing more
         ancestors = [NumericalSemigroup.from_gaps(path[:i]) for i in range(len(path))]
         descent = len(built)
-        assert descent == sum(len(original(S)) for S in ancestors)
+        assert descent == sum(len(original(_entry(S))) for S in ancestors)
         # after it: only what the walk yields
-        suffix = list(walk)
+        suffix = [S.generators for S in walk]
         assert len(built) > descent and set(built[descent:]) <= set(suffix)
 
 
@@ -257,14 +302,14 @@ class TestFrobeniusResume:
             assert suffix == walk[i + 1:], path
 
     def test_resume_builds_no_node_before_the_token(self, monkeypatch):
-        built, original = [], NumericalSemigroup.remove_generator
+        built, original = [], enumeration.children
 
-        def counted(S, g):
-            child = original(S, g)
-            built.append(child.gaps)
-            return child
+        def counted(entry, limit=None):
+            kids = original(entry, limit)
+            built.extend(map(_gaps, kids))
+            return kids
 
-        monkeypatch.setattr(NumericalSemigroup, "remove_generator", counted)
+        monkeypatch.setattr(enumeration, "children", counted)
         path = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16, 17, 21)
         walk = enumerate_by_frobenius(21, resume=path)
         # at the call: the live children of the path's nodes, nothing more

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 from collections import Counter
 import sys
@@ -134,6 +135,19 @@ class TestSharedAnalysis:
         assert summary.pass_counts == {name: 15 for name in CHECKS}
         assert summary.counterexamples == []
 
+    def test_no_non_symmetric_member_reaches_the_sweep(self, monkeypatch):
+        # the symmetry gate at construction settles both conjectures off the 36
+        reached, of_semigroup = [], witt_module.ExponentSweep.of_semigroup.__func__
+
+        def counted(cls, S):
+            reached.append(S)
+            return of_semigroup(cls, S)
+
+        monkeypatch.setattr(witt_module.ExponentSweep, "of_semigroup", classmethod(counted))
+        summary = run_verification(EnumerationJob("by-frobenius", 23), ("conj-msg", "conj-betti"))
+        assert summary.total == 4096 and summary.all_pass
+        assert len(reached) == 36 and all(S.is_symmetric() for S in reached)
+
     def test_bound_below_default_rejected(self, s357):
         with pytest.raises(BoundTooSmallError):
             SemigroupAnalysis(s357, s357.default_bound - 1)
@@ -229,6 +243,12 @@ class TestEnumerationJob:
     def test_malformed_resume_token_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
             EnumerationJob("by-genus", 4, resume_token="2.x")
+
+    @pytest.mark.parametrize("token", ["1_0", " 1. 2", "+1.2", "0001", "1.02", "-0", "1.2 "])
+    def test_token_format_token_never_writes_rejected(self, token):
+        # int() strips blanks, signs, underscores and zeros: each resumed at a node
+        with pytest.raises(ValueError, match=re.escape(f"malformed resume token {token!r}")):
+            EnumerationJob("by-genus", 4, resume_token=token)
 
     @pytest.mark.parametrize("token", ["-1", "1.2.2"])
     def test_token_naming_no_node_rejected(self, token):
@@ -333,7 +353,18 @@ class TestTally:
             if not all(verdicts.values()):
                 records.append(build_report(analysis, verdicts))
             last = S
+        runs = Counter()  # each check runs once per semigroup, failing or not
+
+        def counted(name, check):
+            def run(analysis):
+                runs[name, analysis.semigroup] += 1
+                return check(analysis)
+            return run
+
+        for name in names:
+            monkeypatch.setitem(CHECKS, name, counted(name, CHECKS[name]))
         summary = run_verification(EnumerationJob("by-genus", 6), names)
+        assert set(runs.values()) == {1} and len(runs) == len(names) * summary.total
         assert summary.total == sum(SEMIGROUPS_PER_GENUS[:7])
         assert summary.pass_counts == passes
         assert 0 < passes["thm1"] < summary.total and 0 < passes["conj-msg"] < summary.total
