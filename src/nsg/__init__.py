@@ -14,7 +14,6 @@ from .bettiposet import (
     HasseDiagram,
     OrderedSubset,
     SemigroupAnalysis,
-    TheoremReport,
     classify,
     exponent_support,
     leq,

@@ -6,14 +6,15 @@ matching order structure: their minimal elements agree, and so do the
 elements whose down-set is a chain. On those elements the exponent value is
 the number of R-classes minus one.
 
-A :class:`SemigroupAnalysis` re-checks this on one semigroup. It computes
-the exponent sequence, denumerants, Betti catalog and exponent support on
-first use, each by the function or sweep that owns it, and keeps them, so
-every check, filter and report on the semigroup shares one copy. One
+A :class:`SemigroupAnalysis` re-checks this on one semigroup, by one
+``*_witness`` method per statement. It computes the exponent sequence,
+denumerants, Betti catalog and exponent support on first use, each by the
+function or sweep that owns it, and keeps them, so every check, filter and
+report on the semigroup shares one copy. One
 :class:`~nsg.witt.ExponentSweep` serves the sequence and the cyclotomic
 test, each extending it only as far as it reads. Callers make one analysis
 per semigroup and drop it when done, so no cache outlives its semigroup.
-:func:`verify_theorems`, :func:`classify`, :func:`exponent_support` and
+:func:`classify`, :func:`exponent_support` and
 :func:`~nsg.ci.is_complete_intersection` are entry points onto a fresh
 analysis.
 """
@@ -192,82 +193,43 @@ def classify(S: NumericalSemigroup) -> Classification:
     return SemigroupAnalysis(S).classification
 
 
-class CheckResult(NamedTuple):
-    check_id: str
-    statement: str
-    passed: bool
-    witness: str | None = None
+def verify_theorems(S: NumericalSemigroup, bound: int | None = None) -> tuple[str | None, ...]:
+    """The witnesses of the four theorem checks on S: values, minimal, chain, support-below.
 
-    def to_json_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "statement_ref": self.statement,
-            "pass": self.passed,
-            "witness": self.witness,
-        }
-
-
-class TheoremReport(NamedTuple):
-    generators: tuple[int, ...]
-    bound: int
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "generators": list(self.generators),
-            "bound": self.bound,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
-
-
-def verify_theorems(S: NumericalSemigroup, bound: int | None = None) -> TheoremReport:
-    """Re-verify the exponent/Betti structure theorems on one semigroup.
-
-    Checks, in order: the exponent values at generators, gaps and
-    unique-factorization elements; the agreement of minimal Betti elements
-    with minimal support indices together with their exponent value; the
-    agreement of the chain-down-set parts together with e = nc - 1 there; and
-    that every element with two factorizations dominates a support index.
+    Kept only because ``perfbench/trace.py`` times it by name; it goes with
+    the next benchmark change. The checks themselves are the ``*_witness``
+    methods of :class:`SemigroupAnalysis`.
     """
-    return SemigroupAnalysis(S, bound).theorem_report
-
-
-def _theorem_check(check_id: str, statement: str):
-    """Report a method's witness (None when the statement holds) as a CheckResult.
-
-    Every check is vacuous on the trivial semigroup, whose exponents are all 0.
-    """
-    def decorate(find_witness):
-        def check(analysis: SemigroupAnalysis) -> CheckResult:
-            if analysis.semigroup.is_trivial:
-                return CheckResult(check_id, "vacuous for the trivial semigroup", True)
-            witness = find_witness(analysis)
-            return CheckResult(check_id, statement, witness is None, witness)
-        return check
-    return decorate
+    a = SemigroupAnalysis(S, bound)
+    return (a.exponent_values_witness(), a.minimal_betti_witness(),
+            a.chain_betti_witness(), a.support_below_witness())
 
 
 class SemigroupAnalysis:
     """Lazily cached invariants of one semigroup at one truncation bound.
 
     ``bound`` defaults to ``S.default_bound``, which covers every Betti
-    element; a smaller bound raises :class:`BoundTooSmallError`. :attr:`sequence`,
+    element; a smaller int raises :class:`BoundTooSmallError` and any other
+    type (bool included) a ValueError, both at construction. :attr:`sequence`,
     :attr:`full_exponents` and ``nsg analyze --bound`` each extend the one
     ``sweep`` only as far as they read. The one symmetry gate is at
     construction: a non-symmetric semigroup gets ``full_exponents`` None (a
     cyclotomic product is self-reciprocal) and ``complete_intersection``
     False (complete intersections are symmetric, Herzog 1970), read off no
     sweep or catalog.
+
+    The ``*_witness`` methods check the paper's statements at the bound. Each
+    returns the first counterexample it meets as text, or None when its
+    statement holds. Each is vacuous on the trivial semigroup, whose
+    exponents are all 0, and reads none of its invariants.
     """
 
     def __init__(self, S: NumericalSemigroup, bound: int | None = None):
         least = S.default_bound
         if bound is None:
             bound = least
+        elif not isinstance(bound, int) or isinstance(bound, bool):
+            raise ValueError(f"bound must be an int, got {bound!r}")
         elif bound < least:
             raise BoundTooSmallError(f"bound {bound} is below the default truncation {least}")
         self.semigroup = S
@@ -367,12 +329,11 @@ class SemigroupAnalysis:
             betti_sorted, betti_divisible, unique_betti, betti_forest, e_forest
         )
 
-    @_theorem_check(
-        "exponent-values-at-generators-and-gaps",
-        "e_1 = 1; e_j = 0 at gaps j >= 2; e_j = -1 at minimal generators; "
-        "e_j = 0 at non-generators with a unique factorization",
-    )
-    def exponent_values_check(self):
+    def exponent_values_witness(self) -> str | None:
+        """e_1 = 1, and e_j is 0 at gaps j >= 2, -1 at minimal generators and 0 at
+        other elements with a unique factorization."""
+        if self.semigroup.is_trivial:
+            return None
         S, sequence, counts, top = self.semigroup, self.sequence, self.denumerants, self.bound
         if sequence[1] != 1:
             return f"e_1 = {sequence[1]}"
@@ -388,12 +349,11 @@ class SemigroupAnalysis:
                 return f"unique-factorization element {j} has e = {e}"
         return None
 
-    @_theorem_check(
-        "minimal-betti-vs-minimal-support",
-        "minimal Betti elements = minimal support indices, "
-        "with e = denumerant - 1 = isolated count - 1 there",
-    )
-    def minimal_betti_check(self):
+    def minimal_betti_witness(self) -> str | None:
+        """Minimal Betti elements = minimal support indices, with e = denumerant - 1
+        = isolated count - 1 there."""
+        if self.semigroup.is_trivial:
+            return None
         sequence, counts, catalog = self.sequence, self.denumerants, self.betti
         betti_minimals = self.betti_order.minimals()
         support_minimals = self.prefix_support_order.minimals()
@@ -406,12 +366,11 @@ class SemigroupAnalysis:
                         f"{counts[alpha] - 1}, isolated - 1 = {isolated - 1}")
         return None
 
-    @_theorem_check(
-        "chain-betti-vs-chain-support",
-        "Betti elements with chain down-sets = support indices with chain "
-        "down-sets, with e = R-class count - 1 there",
-    )
-    def chain_betti_check(self):
+    def chain_betti_witness(self) -> str | None:
+        """Betti elements with chain down-sets = support indices with chain down-sets,
+        with e = R-class count - 1 there."""
+        if self.semigroup.is_trivial:
+            return None
         sequence, catalog = self.sequence, self.betti
         betti_u = self.betti_order.u_set()
         support_u = self.prefix_support_order.u_set()
@@ -422,12 +381,10 @@ class SemigroupAnalysis:
                 return f"at {b}: e = {sequence[b]}, classes - 1 = {catalog[b].nc - 1}"
         return None
 
-    @_theorem_check(
-        "support-below-every-multifactor-element",
-        "every element with at least two factorizations has a support "
-        "index below it",
-    )
-    def support_below_check(self):
+    def support_below_witness(self) -> str | None:
+        """Every element with at least two factorizations has a support index below it."""
+        if self.semigroup.is_trivial:
+            return None
         # anything above a support index lies above a minimal one below it
         S, counts = self.semigroup, self.denumerants
         support_minimals = self.prefix_support_order.minimals()
@@ -435,13 +392,6 @@ class SemigroupAnalysis:
             if counts[s] >= 2 and not any(leq(S, m, s) for m in support_minimals):
                 return f"{s} has {counts[s]} factorizations but no support index below"
         return None
-
-    @cached_property
-    def theorem_report(self) -> TheoremReport:
-        """What :func:`verify_theorems` reports at the bound."""
-        checks = self.exponent_values_check(), self.minimal_betti_check()
-        checks += self.chain_betti_check(), self.support_below_check()
-        return TheoremReport(self.semigroup.generators, self.bound, checks)
 
 
 def _totally_ordered_by_divisibility(values) -> bool:

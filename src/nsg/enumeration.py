@@ -123,12 +123,15 @@ def _resumed(path: Path | None, g_max, frobenius: int | None, live: int):
     the walk does, live ones only on a walk to a target, steps to the child
     whose Frobenius number is the path's next gap and seeds the stack as the
     walk holds it after the node, so no earlier subtree is listed and no node
-    becomes an object. A path naming no node of the walk is a ValueError at the call.
+    becomes an object. A path naming no node of the walk, or with a gap that is
+    no int (``from_gaps``'s guard), is a ValueError at the call.
     """
     entry, stack = ((1,), -1, 0, 0, live), []  # <1>, whose mask over 0..F = -1 is 0
     if path is None:
         return _walk([entry] if g_max >= 0 else [], g_max, frobenius)
     for depth, g in enumerate(path, 1):
+        if not isinstance(g, int) or isinstance(g, bool):  # True or 1.0 would match 1
+            raise ValueError(f"gaps must be ints, got {g!r}")
         generators, f, genus, _, _ = entry
         kids = children(entry, frobenius)
         at = [kid[1] for kid in kids]

@@ -193,18 +193,15 @@ def _check_betti_exponents(analysis: SemigroupAnalysis) -> bool:
     exponents = analysis.full_exponents
     if exponents is None:
         return True
-    catalog = analysis.betti
-    if not set(catalog) <= set(analysis.support.members):
-        return False
-    return all(exponents.get(b, 0) == data.nc - 1 for b, data in catalog.items())
+    return all(exponents.get(b, 0) == data.nc - 1 for b, data in analysis.betti.items())
 
 
 # Verdicts on the analysis of one semigroup.
 CHECKS: dict[str, Callable[[SemigroupAnalysis], bool]] = {
     "ci-cyclotomic": lambda a: a.complete_intersection == a.cyclotomic,
-    "thm1": lambda a: a.exponent_values_check().passed,
-    "thm2": lambda a: a.chain_betti_check().passed,
-    "thm5.2": lambda a: a.minimal_betti_check().passed,
+    "thm1": lambda a: a.exponent_values_witness() is None,
+    "thm2": lambda a: a.chain_betti_witness() is None,
+    "thm5.2": lambda a: a.minimal_betti_witness() is None,
     "conj-msg": _check_negative_support_is_generators,
     "conj-betti": _check_betti_exponents,
 }

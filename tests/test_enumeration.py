@@ -265,6 +265,19 @@ class TestResume:
         with pytest.raises(ValueError, match="not a minimal generator above"):
             enumerate_by_genus(g_max, resume=path)
 
+    @pytest.mark.parametrize(
+        "walk, path",
+        [
+            (lambda resume: enumerate_by_genus(2, resume), (True,)),
+            (lambda resume: enumerate_by_genus(2, resume), (1.0,)),
+            (lambda resume: enumerate_by_frobenius(5, resume), (1.0, 2.0)),
+        ],
+        ids=["genus-true", "genus-float", "frobenius-floats"],
+    )
+    def test_gap_that_is_no_int_rejected_at_the_call(self, walk, path):
+        with pytest.raises(ValueError, match=re.escape(f"gaps must be ints, got {path[0]!r}")):
+            walk(path)
+
     @pytest.mark.parametrize("g_max", [3, 5])
     def test_every_node_resumes_to_its_suffix(self, g_max):
         # nodes beyond the cap too: their suffix is the rest of the walk

@@ -21,6 +21,7 @@ from nsg.verification import (
     validate_checks,
 )
 from nsg import verification as verification_module
+from nsg.witt import ExponentSequence
 
 from expected import GENUS_7_ALL_CHECKS, REPORTS, SEMIGROUPS_PER_GENUS
 from oracles import semigroup_polynomial, sweep_polynomial
@@ -151,6 +152,11 @@ class TestSharedAnalysis:
     def test_bound_below_default_rejected(self, s357):
         with pytest.raises(BoundTooSmallError):
             SemigroupAnalysis(s357, s357.default_bound - 1)
+
+    @pytest.mark.parametrize("bound", [40.0, "x", True])
+    def test_bound_must_be_an_int_at_construction(self, s357, bound):
+        with pytest.raises(ValueError, match=re.escape(f"bound must be an int, got {bound!r}")):
+            SemigroupAnalysis(s357, bound)
 
     def test_larger_bound_extends_the_prefix(self, s357):
         analysis = SemigroupAnalysis(s357, 30)
@@ -318,6 +324,30 @@ class TestGluedResume:
         monkeypatch.setattr(NumericalSemigroup, "gaps", property(lambda S: pytest.fail("gaps")))
         job = EnumerationJob("by-frobenius", 81, ("ci",), token)
         assert list(enumerate_job(job)) == [family[-1]]
+
+
+class TestTheoremChecks:
+    WITNESS_OF = {
+        "thm1": "exponent_values_witness",
+        "thm5.2": "minimal_betti_witness",
+        "thm2": "chain_betti_witness",
+    }
+
+    @staticmethod
+    def _doctored():
+        """<3, 5, 7> with e_4 set to 2, on which all three witnesses name something."""
+        analysis = SemigroupAnalysis(NumericalSemigroup(3, 5, 7))
+        entries = list(analysis.sequence)
+        entries[3] = 2
+        analysis.__dict__["sequence"] = ExponentSequence(tuple(entries), analysis.bound)
+        return analysis
+
+    def test_verdict_is_the_witness_being_none(self):
+        analyses = [SemigroupAnalysis(S) for S in enumerate_by_genus(8)] + [self._doctored()]
+        for name, witness in self.WITNESS_OF.items():
+            verdicts = [CHECKS[name](a) for a in analyses]
+            assert verdicts == [getattr(a, witness)() is None for a in analyses], name
+            assert verdicts.count(False) == 1, name
 
 
 class TestValidateChecks:
