@@ -7,11 +7,12 @@ elements whose down-set is a chain. On those elements the exponent value is
 the number of R-classes minus one.
 
 A :class:`SemigroupAnalysis` re-checks this on one semigroup, by one
-``*_witness`` method per statement. It computes the exponent sequence,
-denumerants, Betti catalog and exponent support on first use, each by the
-function or sweep that owns it, and keeps them, so every check, filter and
-report on the semigroup shares one copy. One
-:class:`~nsg.witt.ExponentSweep` serves the sequence and the cyclotomic
+``*_witness`` method per statement, as it does the conjecture that
+cyclotomic means complete intersection (Ciolan, García-Sánchez and Moree).
+It computes the exponent sequence, denumerants, Betti catalog and exponent
+support on first use, each by the function or sweep that owns it, and keeps
+them, so every check, filter and report on the semigroup shares one copy.
+One :class:`~nsg.witt.ExponentSweep` serves the sequence and the cyclotomic
 test, each extending it only as far as it reads. Callers make one analysis
 per semigroup and drop it when done, so no cache outlives its semigroup.
 :func:`classify`, :func:`exponent_support` and
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import BoundTooSmallError
+from .errors import BoundTooSmallError, require_int
 from .factorization import BettiData, betti_elements, denumerant_series
 from .semigroup import NumericalSemigroup
 from .witt import ExponentSequence, ExponentSweep
@@ -75,16 +76,16 @@ class OrderedSubset:
         self.S = S
         self.elements = elements = tuple(sorted(set(elements)))
         top = elements[-1] if elements else 0
-        window, self._members = S.window(top), sum(1 << x for x in elements)
+        window, members = S.window(top), sum(1 << x for x in elements)
         # ascending in b: bit a of _down[b] is set when a <= b
-        self._down = down = {b: window >> (top - b) & self._members for b in elements}
+        self._down = down = {b: window >> (top - b) & members for b in elements}
         chains = 0  # bit b set when b's down-set is a chain
         for b, below in down.items():
             strict = below ^ 1 << b
             a = strict.bit_length() - 1
             if not strict or (down[a] == strict and chains >> a & 1):
                 chains |= 1 << b
-        self._chains = chains
+        self._chains, self.is_forest = chains, chains == members
 
     def __iter__(self):
         return iter(self.elements)
@@ -118,7 +119,7 @@ class OrderedSubset:
             for a in _bits(strict):
                 under |= self._down[a] ^ 1 << a
             covers.extend((a, b) for a in _bits(strict & ~under))
-        return HasseDiagram(self.elements, tuple(sorted(covers)), self._chains == self._members)
+        return HasseDiagram(self.elements, tuple(sorted(covers)), self.is_forest)
 
 
 def _bits(mask: int) -> list[int]:
@@ -197,8 +198,7 @@ def verify_theorems(S: NumericalSemigroup, bound: int | None = None) -> tuple[st
     """The witnesses of the four theorem checks on S: values, minimal, chain, support-below.
 
     Kept only because ``perfbench/trace.py`` times it by name; it goes with
-    the next benchmark change. The checks themselves are the ``*_witness``
-    methods of :class:`SemigroupAnalysis`.
+    the next benchmark change. The checks are :class:`SemigroupAnalysis`'s.
     """
     a = SemigroupAnalysis(S, bound)
     return (a.exponent_values_witness(), a.minimal_betti_witness(),
@@ -218,19 +218,17 @@ class SemigroupAnalysis:
     False (complete intersections are symmetric, Herzog 1970), read off no
     sweep or catalog.
 
-    The ``*_witness`` methods check the paper's statements at the bound. Each
-    returns the first counterexample it meets as text, or None when its
-    statement holds. Each is vacuous on the trivial semigroup, whose
-    exponents are all 0, and reads none of its invariants.
+    The ``*_witness`` methods are the checks: each returns None when its
+    statement holds, else its first counterexample as text. Those of the
+    theorems and of the negative exponents are vacuous on the trivial
+    semigroup (all exponents 0) and read none of its invariants.
     """
 
     def __init__(self, S: NumericalSemigroup, bound: int | None = None):
         least = S.default_bound
-        if bound is None:
-            bound = least
-        elif not isinstance(bound, int) or isinstance(bound, bool):
-            raise ValueError(f"bound must be an int, got {bound!r}")
-        elif bound < least:
+        bound = least if bound is None else bound
+        require_int(bound, "bound must be an int")
+        if bound < least:
             raise BoundTooSmallError(f"bound {bound} is below the default truncation {least}")
         self.semigroup = S
         self.bound = bound
@@ -311,22 +309,20 @@ class SemigroupAnalysis:
         betti_sorted = betti.is_totally_ordered()
         betti_divisible = _totally_ordered_by_divisibility(betti.elements)
         unique_betti = len(betti) == 1
-        betti_forest = len(betti.u_set()) == len(betti)  # every down-set a chain
 
         support = self.support
         support_set = self.support_order
         if not support_set.is_totally_ordered():
             assert not betti_sorted, "incomparable support pair on a sorted Betti set"
-        support_forest = len(support_set.u_set()) == len(support_set)
         if support.exact:
             assert betti_sorted == support_set.is_totally_ordered()
             assert betti_divisible == _totally_ordered_by_divisibility(support.members)
             assert unique_betti == (len(support.members) == 1)
-            e_forest = support_forest
+            e_forest = support_set.is_forest
         else:
-            e_forest = None if support_forest else False
+            e_forest = None if support_set.is_forest else False
         return Classification(
-            betti_sorted, betti_divisible, unique_betti, betti_forest, e_forest
+            betti_sorted, betti_divisible, unique_betti, betti.is_forest, e_forest
         )
 
     def exponent_values_witness(self) -> str | None:
@@ -391,6 +387,32 @@ class SemigroupAnalysis:
         for s in range(self.bound + 1):
             if counts[s] >= 2 and not any(leq(S, m, s) for m in support_minimals):
                 return f"{s} has {counts[s]} factorizations but no support index below"
+        return None
+
+    def ci_cyclotomic_witness(self) -> str | None:
+        """Cyclotomic exactly when a complete intersection (Ciolan, García-Sánchez, Moree)."""
+        ci, cyclotomic = self.complete_intersection, self.cyclotomic
+        return None if ci == cyclotomic else f"complete intersection {ci}, cyclotomic {cyclotomic}"
+
+    def negative_support_witness(self) -> str | None:
+        """On a finite support, the negative exponents are those at minimal generators."""
+        if self.semigroup.is_trivial or self.full_exponents is None:
+            return None
+        exponents, generators = self.full_exponents, self.semigroup.generators
+        for j in sorted(set(generators).union(exponents)):
+            e = exponents.get(j, 0)
+            if (e < 0) != (j in generators):
+                return f"{'non-' if e < 0 else ''}generator {j} has e = {e}"
+        return None
+
+    def betti_exponent_witness(self) -> str | None:
+        """On a finite support, e_b = R-class count - 1 at every Betti element b."""
+        exponents = self.full_exponents
+        if exponents is None:
+            return None
+        for b, data in self.betti.items():
+            if exponents.get(b, 0) != data.nc - 1:
+                return f"at {b}: e = {exponents.get(b, 0)}, classes - 1 = {data.nc - 1}"
         return None
 
 

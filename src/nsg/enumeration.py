@@ -44,6 +44,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterator
 
+from .errors import require_int
 from .semigroup import NumericalSemigroup, _child, _set_slots, close_under
 
 Path = tuple[int, ...]
@@ -130,8 +131,7 @@ def _resumed(path: Path | None, g_max, frobenius: int | None, live: int):
     if path is None:
         return _walk([entry] if g_max >= 0 else [], g_max, frobenius)
     for depth, g in enumerate(path, 1):
-        if not isinstance(g, int) or isinstance(g, bool):  # True or 1.0 would match 1
-            raise ValueError(f"gaps must be ints, got {g!r}")
+        require_int(g, "gaps must be ints")  # True or 1.0 would match 1
         generators, f, genus, _, _ = entry
         kids = children(entry, frobenius)
         at = [kid[1] for kid in kids]
@@ -153,12 +153,6 @@ def enumerate_by_genus(g_max, resume: Path | None = None) -> Iterator[NumericalS
     return _resumed(resume, g_max, None, 0)
 
 
-def _require_int(frobenius) -> None:
-    # a float or bool target would otherwise walk, or recurse, to a wrong answer
-    if not isinstance(frobenius, int) or isinstance(frobenius, bool):
-        raise ValueError(f"frobenius must be an int, got {frobenius!r}")
-
-
 def enumerate_by_frobenius(frobenius, resume: Path | None = None) -> Iterator[NumericalSemigroup]:
     """Every numerical semigroup with the given Frobenius number, exactly once.
 
@@ -169,7 +163,7 @@ def enumerate_by_frobenius(frobenius, resume: Path | None = None) -> Iterator[Nu
     ``resume``, a member's gap tuple, only the members after it. The target
     and the path are checked at the call, not at the first ``next``.
     """
-    _require_int(frobenius)
+    require_int(frobenius, "frobenius must be an int")  # a float or bool would walk astray
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1")
     return _resumed(resume, frobenius, frobenius, 1)
@@ -193,7 +187,7 @@ def ci_with_frobenius(frobenius: int) -> tuple[NumericalSemigroup, ...]:
     are the gluing's minimal generators: each semigroup is built once, keyed
     by them.
     """
-    _require_int(frobenius)
+    require_int(frobenius, "frobenius must be an int")
     if frobenius == -1:
         return (NumericalSemigroup(1),)
     if frobenius < 1 or frobenius % 2 == 0:

@@ -28,3 +28,8 @@ class IntegralityError(NsgError, ArithmeticError):
 class BoundTooSmallError(NsgError, ValueError):
     """The requested truncation bound is below the minimum this operation needs."""
 
+
+def require_int(value, what: str, least: float = float("-inf")) -> None:
+    """A ValueError ``"{what}, got {value!r}"`` unless value is an int >= least, and no bool."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{what}, got {value!r}")

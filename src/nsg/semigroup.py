@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import EmptyGeneratorsError, NonCoprimeGeneratorsError, NotAMemberError
+from .errors import EmptyGeneratorsError, NonCoprimeGeneratorsError, NotAMemberError, require_int
 
 
 class NumericalSemigroup:
@@ -39,8 +39,7 @@ class NumericalSemigroup:
         if not raw:
             raise EmptyGeneratorsError("need at least one generator")
         for v in raw:  # before the set, which would merge True into 1
-            if isinstance(v, bool):
-                raise ValueError(f"generators must be ints, got {v!r}")
+            require_int(v, "generators must be ints")
         values = sorted(set(raw))
         if values[0] < 1:
             raise ValueError(f"generators must be positive, got {values[0]}")
@@ -90,8 +89,7 @@ class NumericalSemigroup:
         """
         S = cls(1)
         for g in sorted(gaps):  # not a set, which would let True stand for 1
-            if not isinstance(g, int) or isinstance(g, bool):
-                raise ValueError(f"gaps must be ints, got {g!r}")
+            require_int(g, "gaps must be ints")
             if g < 1:
                 raise ValueError("gaps must be positive")
             if g == S.frobenius:  # a repeated gap
@@ -110,8 +108,7 @@ class NumericalSemigroup:
         ours + 1. :meth:`from_gaps` walks by it; the tests hold it to
         ``oracles.semigroup_from_gaps``.
         """
-        if not isinstance(g, int) or isinstance(g, bool):
-            raise ValueError(f"generator must be an int, got {g!r}")
+        require_int(g, "generator must be an int")
         generators = self.generators
         if g <= self.frobenius or g not in generators:
             raise ValueError(

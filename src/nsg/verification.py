@@ -1,11 +1,12 @@
 """Batch verification of structural claims over enumerated semigroup families.
 
-A job names an enumeration mode plus a bound and a list of named checks;
-the driver streams the family and builds one
-:class:`~nsg.bettiposet.SemigroupAnalysis` per semigroup, which every filter,
-check and counterexample report reads, so each invariant of a semigroup is
-computed at most once. The analysis is dropped after its semigroup: caches
-are scoped to one evaluation and memory stays flat over a family.
+A job names an enumeration mode plus a bound and a list of checks from
+:data:`CHECKS`, each a ``*_witness`` method of
+:class:`~nsg.bettiposet.SemigroupAnalysis`. The driver streams the family
+and builds one analysis per semigroup, which every filter, check and
+counterexample report reads, so each invariant of a semigroup is computed at
+most once. The analysis is dropped after its semigroup: caches are scoped to
+one evaluation and memory stays flat over a family.
 
 Every job, resumed or filtered, streams one row of :data:`FAMILIES`: the
 serial preorder walk of :mod:`nsg.enumeration`, by genus or by Frobenius
@@ -29,6 +30,7 @@ from .enumeration import (
     format_token,
     parse_token,
 )
+from .errors import require_int
 from .records import FrozenRecord
 from .semigroup import NumericalSemigroup
 
@@ -95,8 +97,7 @@ class EnumerationJob(FrozenRecord):
         self._init(mode, limit, tuple(filters), resume_token)
         if (self.mode, None) not in FAMILIES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not isinstance(self.limit, int) or isinstance(self.limit, bool):
-            raise ValueError(f"limit must be an int, got {self.limit!r}")
+        require_int(self.limit, "limit must be an int")
         least, members = FAMILIES[self.family]
         if self.limit < least:
             raise ValueError(f"limit must be >= {least} in {self.mode} mode")
@@ -179,31 +180,14 @@ def build_report(
     )
 
 
-def _check_negative_support_is_generators(analysis: SemigroupAnalysis) -> bool:
-    """Finite support only: indices with negative exponent = minimal generators."""
-    exponents = analysis.full_exponents
-    if exponents is None or analysis.semigroup.is_trivial:
-        return True  # vacuous off finite support, and on <1>, whose exponents are all 0
-    negative = {j for j, e in exponents.items() if e < 0}
-    return negative == set(analysis.semigroup.generators)
-
-
-def _check_betti_exponents(analysis: SemigroupAnalysis) -> bool:
-    """Finite support only: e_b = nc - 1 at every Betti element."""
-    exponents = analysis.full_exponents
-    if exponents is None:
-        return True
-    return all(exponents.get(b, 0) == data.nc - 1 for b, data in analysis.betti.items())
-
-
-# Verdicts on the analysis of one semigroup.
-CHECKS: dict[str, Callable[[SemigroupAnalysis], bool]] = {
-    "ci-cyclotomic": lambda a: a.complete_intersection == a.cyclotomic,
-    "thm1": lambda a: a.exponent_values_witness() is None,
-    "thm2": lambda a: a.chain_betti_witness() is None,
-    "thm5.2": lambda a: a.minimal_betti_witness() is None,
-    "conj-msg": _check_negative_support_is_generators,
-    "conj-betti": _check_betti_exponents,
+# The checks by name: each returns None when its statement holds, else a witness.
+CHECKS: dict[str, Callable[[SemigroupAnalysis], str | None]] = {
+    "ci-cyclotomic": SemigroupAnalysis.ci_cyclotomic_witness,
+    "thm1": SemigroupAnalysis.exponent_values_witness,
+    "thm2": SemigroupAnalysis.chain_betti_witness,
+    "thm5.2": SemigroupAnalysis.minimal_betti_witness,
+    "conj-msg": SemigroupAnalysis.negative_support_witness,
+    "conj-betti": SemigroupAnalysis.betti_exponent_witness,
 }
 
 
@@ -288,9 +272,9 @@ def run_verification(
     fails = [0] * len(tests)
     for analysis in _stream(job):
         for test in tests:
-            if not test(analysis):
+            if test(analysis) is not None:
                 i = tests.index(test)
-                verdicts = [True] * i + [False] + [later(analysis) for later in tests[i + 1 :]]
+                verdicts = [True] * i + [False] + [t(analysis) is None for t in tests[i + 1 :]]
                 fails = [failed + (not ok) for failed, ok in zip(fails, verdicts)]
                 summary.counterexamples.append(build_report(analysis, dict(zip(checks, verdicts))))
                 break

@@ -39,7 +39,7 @@ from typing import NamedTuple, Sequence
 
 from . import intpoly
 from .arith import divisors
-from .errors import BadConstantTermError, IntegralityError
+from .errors import BadConstantTermError, IntegralityError, require_int
 from .records import FrozenRecord
 from .semigroup import NumericalSemigroup
 
@@ -118,8 +118,7 @@ class ExponentSweep:
 
     def __init__(self, numerator: Sequence[int], period: int = 1):
         self.numerator = intpoly.trim(_check_constant_term(numerator))
-        if period < 1:
-            raise ValueError(f"period must be >= 1, got {period}")
+        require_int(period, "period must be >= 1", 1)
         # (1 - x^m) | (1 - x) a iff a vanishes at every m-th root of unity but 1,
         # iff a's coefficient sums over the m residue classes are equal
         if len({sum(self.numerator[r::period]) for r in range(period)}) != 1:
@@ -177,8 +176,7 @@ class ExponentSweep:
 
     def prefix(self, bound: int) -> ExponentSequence:
         """e_1..e_bound, for an int bound >= 0."""
-        if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
-            raise ValueError(f"bound must be an int >= 0, got {bound!r}")
+        require_int(bound, "bound must be an int >= 0", 0)
         self.extend(bound)
         return ExponentSequence(tuple(self.entries[1 : bound + 1]), bound)
 

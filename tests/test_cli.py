@@ -313,7 +313,7 @@ def test_interrupt_exits_1(cli, monkeypatch):
 
 
 def test_counterexample_exits_1_as_the_tracer_calls_main(monkeypatch, tmp_path, capsys):
-    monkeypatch.setitem(CHECKS, "thm1", lambda analysis: analysis.semigroup.genus != 2)
+    monkeypatch.setitem(CHECKS, "thm1", lambda a: "genus 2" if a.semigroup.genus == 2 else None)
     out = tmp_path / "summary.json"
     with pytest.raises(SystemExit) as stop:
         main(args=["verify", "--genus-max", "3", "--checks", "thm1", "--json", str(out)], prog_name="nsg")

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 from itertools import combinations
 from math import gcd
 
@@ -79,6 +80,13 @@ class TestConstruction:
         # True == 1 would otherwise build <1> with generators (True,); a set
         # would merge True into an earlier 1, so each value is tested first
         with pytest.raises(ValueError, match="generators must be ints, got True"):
+            NumericalSemigroup(*raw)
+
+    @pytest.mark.parametrize("raw", [(2.0, 3), ("3", 5), ([3, 5.0],), (3, 4, None)])
+    def test_non_int_generator_raises(self, raw):
+        # a float, str or None would otherwise reach gcd or the sort, a bare TypeError
+        bad = next(v for v in (raw[0] if len(raw) == 1 else raw) if type(v) is not int)
+        with pytest.raises(ValueError, match=re.escape(f"generators must be ints, got {bad!r}")):
             NumericalSemigroup(*raw)
 
     def test_parse(self):

@@ -345,9 +345,95 @@ class TestTheoremChecks:
     def test_verdict_is_the_witness_being_none(self):
         analyses = [SemigroupAnalysis(S) for S in enumerate_by_genus(8)] + [self._doctored()]
         for name, witness in self.WITNESS_OF.items():
-            verdicts = [CHECKS[name](a) for a in analyses]
-            assert verdicts == [getattr(a, witness)() is None for a in analyses], name
-            assert verdicts.count(False) == 1, name
+            witnesses = [CHECKS[name](a) for a in analyses]
+            assert witnesses == [getattr(a, witness)() for a in analyses], name
+            assert [w is None for w in witnesses].count(False) == 1, name
+
+
+class TestConjectureChecks:
+    """Doctored analyses on which exactly one conjecture witness fires.
+
+    Each case names a semigroup, the full_exponents its analysis is given,
+    the check that must fail and its witness. The doctored exponents of
+    <3, 4, 5> are negative at the generators and nc - 1 at the Betti
+    elements, so only the conjecture itself is broken there.
+    """
+
+    CASES = {
+        "ci-not-cyclotomic": (
+            (3, 5), lambda a: None,
+            "ci-cyclotomic", "complete intersection True, cyclotomic False",
+        ),
+        "cyclotomic-not-ci": (
+            (3, 4, 5),
+            lambda a: {1: 1, **dict.fromkeys(a.semigroup.generators, -1),
+                       **{b: data.nc - 1 for b, data in a.betti.items()}},
+            "ci-cyclotomic", "complete intersection False, cyclotomic True",
+        ),
+        "extra-negative": (
+            (3, 5), lambda a: {**a.full_exponents, 8: -1},
+            "conj-msg", "non-generator 8 has e = -1",
+        ),
+        "changed-e_b": (
+            (3, 5), lambda a: {**a.full_exponents, 15: 2},
+            "conj-betti", "at 15: e = 2, classes - 1 = 1",
+        ),
+    }
+
+    @staticmethod
+    def _doctored(generators, exponents):
+        """The analysis of ``generators``, its support read first, with full_exponents doctored."""
+        analysis = SemigroupAnalysis(NumericalSemigroup(generators))
+        analysis.support  # the theorem checks keep reading the true support
+        analysis.__dict__["full_exponents"] = exponents(analysis)
+        return analysis
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_the_witness_names_the_failure(self, case):
+        generators, exponents, name, witness = self.CASES[case]
+        analysis = self._doctored(generators, exponents)
+        assert {check: CHECKS[check](analysis) for check in CHECKS} == {
+            check: witness if check == name else None for check in CHECKS
+        }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_run_counts_exactly_that_failure(self, monkeypatch, case):
+        generators, exponents, name, _ = self.CASES[case]
+        target = NumericalSemigroup(generators)
+
+        def analyse(S):
+            return self._doctored(generators, exponents) if S == target else SemigroupAnalysis(S)
+
+        monkeypatch.setattr(verification_module, "SemigroupAnalysis", analyse)
+        summary = run_verification(EnumerationJob("by-genus", 4), tuple(CHECKS))
+        assert summary.total == 15
+        assert summary.pass_counts == {check: 15 - (check == name) for check in CHECKS}
+        [record] = summary.counterexamples
+        assert record.generators == generators
+        assert record.verdicts == {check: check != name for check in CHECKS}
+
+    def test_a_generator_without_a_negative_exponent_is_named(self):
+        analysis = SemigroupAnalysis(NumericalSemigroup(3, 5))
+        analysis.__dict__["full_exponents"] = {**analysis.full_exponents, 5: 0}
+        assert analysis.negative_support_witness() == "generator 5 has e = 0"
+
+
+class TestOneCheckShape:
+    """Every check is a witness method of the analysis, as the layering test pins the stack."""
+
+    def test_checks_are_the_analysis_witness_methods(self):
+        assert list(CHECKS) == ["ci-cyclotomic", "thm1", "thm2", "thm5.2", "conj-msg", "conj-betti"]
+        for name, check in CHECKS.items():
+            assert check.__name__.endswith("_witness"), name
+            assert getattr(SemigroupAnalysis, check.__name__) is check, name
+
+    def test_every_check_is_none_on_the_trivial_semigroup(self, naturals):
+        assert [check(SemigroupAnalysis(naturals)) for check in CHECKS.values()] == [None] * 6
+
+    def test_negative_support_is_vacuous_on_the_trivial_semigroup_without_a_sweep(self, naturals):
+        analysis = SemigroupAnalysis(naturals)
+        assert CHECKS["conj-msg"](analysis) is None
+        assert "sweep" not in analysis.__dict__ and "full_exponents" not in analysis.__dict__
 
 
 class TestValidateChecks:
@@ -371,13 +457,15 @@ class TestValidateChecks:
 class TestTally:
     def test_counts_and_counterexamples_match_a_check_by_check_reference(self, monkeypatch):
         # thm1 fails on odd genus and conj-msg on multiplicity 3, on overlapping members
-        monkeypatch.setitem(CHECKS, "thm1", lambda a: a.semigroup.genus % 2 == 0)
-        monkeypatch.setitem(CHECKS, "conj-msg", lambda a: a.semigroup.multiplicity != 3)
+        monkeypatch.setitem(CHECKS, "thm1", lambda a: "odd genus" if a.semigroup.genus % 2 else None)
+        monkeypatch.setitem(
+            CHECKS, "conj-msg", lambda a: "m = 3" if a.semigroup.multiplicity == 3 else None
+        )
         names = ("conj-msg", "conj-betti", "thm1")
         passes, records, last = dict.fromkeys(names, 0), [], None
         for S in enumerate_by_genus(6):
             analysis = SemigroupAnalysis(S)
-            verdicts = {name: CHECKS[name](analysis) for name in names}
+            verdicts = {name: CHECKS[name](analysis) is None for name in names}
             for name in names:
                 passes[name] += verdicts[name]
             if not all(verdicts.values()):
