@@ -1,43 +1,22 @@
-"""Small number-theoretic helpers: prime factors, divisors, Moebius mu.
+"""Prime factors, divisors and Moebius mu, all by trial division.
 
-All three are backed by a shared smallest-prime-factor sieve that grows on
-demand, so repeated queries stay cheap.
+No state is kept between calls, and a query n takes O(sqrt(n)) steps.
 """
-
-_spf: list[int] = [0, 1]  # smallest prime factor; _spf[1] = 1 by convention
-"""The sieve behind every helper here, bounded by the queries made.
-
-It grows only when a query n is past its end, to max(n + 1, twice its old
-length); since the old length is at most n, it never holds more than twice
-the largest query.
-"""
-
-
-def _ensure_sieve(n: int) -> None:
-    if n < len(_spf):
-        return
-    size = max(n + 1, 2 * len(_spf))
-    sieve = list(range(size))
-    for p in range(2, int(size**0.5) + 1):
-        if sieve[p] == p:  # p prime
-            for multiple in range(p * p, size, p):
-                if sieve[multiple] == multiple:
-                    sieve[multiple] = p
-    sieve[1] = 1
-    _spf.clear()
-    _spf.extend(sieve)
 
 
 def prime_factors(n: int) -> dict[int, int]:
     """Prime factorization as {prime: exponent}, n >= 1."""
     if n < 1:
         raise ValueError(f"prime_factors needs n >= 1, got {n}")
-    _ensure_sieve(n)
     factors: dict[int, int] = {}
-    while n > 1:
-        p = _spf[n]
-        factors[p] = factors.get(p, 0) + 1
-        n //= p
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:  # what is left has no factor up to its square root
+        factors[n] = 1
     return factors
 
 

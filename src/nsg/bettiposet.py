@@ -290,17 +290,12 @@ class SemigroupAnalysis:
 
     @cached_property
     def support_order(self) -> OrderedSubset:
-        """The order on the whole support when it is exact, else on its prefix."""
-        return OrderedSubset(self.semigroup, self.support.members)
+        """The order on the whole support when it is exact, else on its prefix.
 
-    @cached_property
-    def prefix_support_order(self) -> OrderedSubset:
-        """The order on the support indices up to the bound."""
-        members = self.support.members
-        prefix = [j for j in members if j <= self.bound]
-        if len(prefix) == len(members):
-            return self.support_order
-        return OrderedSubset(self.semigroup, prefix)
+        Every support-side check reads this order, so an exact support is
+        checked in full, past the bound too.
+        """
+        return OrderedSubset(self.semigroup, self.support.members)
 
     @cached_property
     def classification(self) -> Classification:
@@ -352,7 +347,7 @@ class SemigroupAnalysis:
             return None
         sequence, counts, catalog = self.sequence, self.denumerants, self.betti
         betti_minimals = self.betti_order.minimals()
-        support_minimals = self.prefix_support_order.minimals()
+        support_minimals = self.support_order.minimals()
         if set(betti_minimals) != set(support_minimals):
             return f"minimals differ: {betti_minimals} vs {support_minimals}"
         for alpha in betti_minimals:
@@ -369,7 +364,7 @@ class SemigroupAnalysis:
             return None
         sequence, catalog = self.sequence, self.betti
         betti_u = self.betti_order.u_set()
-        support_u = self.prefix_support_order.u_set()
+        support_u = self.support_order.u_set()
         if betti_u != support_u:
             return f"chain parts differ: {betti_u} vs {support_u}"
         for b in betti_u:
@@ -383,7 +378,7 @@ class SemigroupAnalysis:
             return None
         # anything above a support index lies above a minimal one below it
         S, counts = self.semigroup, self.denumerants
-        support_minimals = self.prefix_support_order.minimals()
+        support_minimals = self.support_order.minimals()
         for s in range(self.bound + 1):
             if counts[s] >= 2 and not any(leq(S, m, s) for m in support_minimals):
                 return f"{s} has {counts[s]} factorizations but no support index below"

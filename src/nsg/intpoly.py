@@ -5,17 +5,13 @@ A polynomial is a plain ``list[int]`` whose index is the degree, kept trimmed
 Python integers never overflow and divisions assert their own exactness.
 
 The verdict path reads only :func:`trim`, for the exponent sweep's numerator.
-:func:`sub`, ``ONE`` and :func:`divexact` build the polynomials of
-:func:`nsg.witt.cyclotomic_polynomial` (in ``witt._cyclotomic``), and
-:func:`divides` has no caller in the package. They stay because
-``perfbench/trace.py`` binds ``divides``, ``divexact`` and the functions of
-:mod:`nsg.arith` by name, and ``_cyclotomic`` is what loads ``nsg.arith``.
-The product of two polynomials is a test oracle only.
+:func:`divexact` divides the cyclotomic factors out of x^n - 1 in
+``witt._cyclotomic``, and :func:`divides` has no caller in the package; both
+stay because ``perfbench/trace.py`` binds them by name. The product of two
+polynomials is a test oracle only.
 """
 
 from .errors import IntegralityError
-
-ONE = [1]
 
 
 def trim(coeffs: list[int]) -> list[int]:
@@ -23,13 +19,6 @@ def trim(coeffs: list[int]) -> list[int]:
     while end > 0 and coeffs[end - 1] == 0:
         end -= 1
     return coeffs[:end]
-
-
-def sub(a: list[int], b: list[int]) -> list[int]:
-    out = a[:] + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return trim(out)
 
 
 def divexact(a: list[int], b: list[int]) -> list[int]:

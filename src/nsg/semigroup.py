@@ -35,7 +35,11 @@ class NumericalSemigroup:
 
     def __init__(self, *raw):
         if len(raw) == 1 and not isinstance(raw[0], int):
-            raw = tuple(raw[0])
+            try:
+                items = iter(raw[0])
+            except TypeError:
+                items = raw  # not iterable: the int check below refuses it
+            raw = tuple(items)
         if not raw:
             raise EmptyGeneratorsError("need at least one generator")
         for v in raw:  # before the set, which would merge True into 1

@@ -241,12 +241,9 @@ def cyclotomic_polynomial(n: int) -> list[int]:
 
 @lru_cache(maxsize=256)  # serves cyclotomic_polynomial only; the factor reading builds none
 def _cyclotomic(n: int) -> tuple[int, ...]:
-    if n == 1:
-        return (-1, 1)
-    quotient = intpoly.sub([0] * n + [1], intpoly.ONE)  # x^n - 1
-    for d in divisors(n):
-        if d < n:
-            quotient = intpoly.divexact(quotient, _cyclotomic(d))
+    quotient = [-1] + [0] * (n - 1) + [1]  # x^n - 1
+    for d in divisors(n)[:-1]:  # the proper divisors, ascending
+        quotient = intpoly.divexact(quotient, _cyclotomic(d))
     return tuple(quotient)
 
 

@@ -36,38 +36,33 @@ def _brute_phi(n):
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
-@pytest.fixture
-def cold_sieve(monkeypatch):
-    """A fresh sieve, so ascending queries regrow it several times."""
-    monkeypatch.setattr(arith, "_spf", [0, 1])
-
-
-def test_against_brute_force_across_regrowths(cold_sieve):
-    sizes = set()
+def test_against_brute_force():
     for n in range(1, N_MAX + 1):
         divisors = _brute_divisors(n)
         assert arith.prime_factors(n) == _brute_prime_factors(n), n
         assert arith.mobius(n) == _brute_mobius(n), n
         assert euler_phi(n) == _brute_phi(n), n
         assert arith.divisors(n) == divisors, n
-        sizes.add(len(arith._spf))
-    assert len(sizes) > 5  # the sieve grew many times along the way
 
 
-def test_large_query_then_small(cold_sieve):
+def test_large_query_then_small():
     assert arith.prime_factors(N_MAX) == {2: 4, 5: 3}
-    assert len(arith._spf) > N_MAX
     for n in range(1, 200):
         assert arith.prime_factors(n) == _brute_prime_factors(n)
 
 
-def test_sieve_holds_at_most_twice_the_largest_query(cold_sieve):
-    largest = 0
-    for n in [1, 2, 3, 5, 4, 9, 17, 16, 100, 101, 50, 257, 1000, 1999, 2000, 4001]:
-        arith.prime_factors(n)
-        largest = max(largest, n)
-        assert len(arith._spf) <= 2 * largest, n
-    assert len(arith._spf) > largest
+@pytest.mark.parametrize(
+    "n, factors, mu, divisor_count",
+    [
+        (2**31 - 1, {2**31 - 1: 1}, -1, 2),  # a Mersenne prime
+        (10**12, {2: 12, 5: 12}, 0, 169),
+        (2 * 65521**2, {2: 1, 65521: 2}, 0, 6),  # the square of a prime near 2**16
+    ],
+)
+def test_large_queries(n, factors, mu, divisor_count):
+    assert arith.prime_factors(n) == factors
+    assert arith.mobius(n) == mu
+    assert len(arith.divisors(n)) == divisor_count
 
 
 @pytest.mark.parametrize("n", [0, -1, -12])

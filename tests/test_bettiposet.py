@@ -149,7 +149,6 @@ class TestDefinitions:
             analysis = SemigroupAnalysis(S)
             assert_matches_definitions(analysis.betti_order)
             assert_matches_definitions(analysis.support_order)
-            assert_matches_definitions(analysis.prefix_support_order)
 
     @pytest.mark.parametrize(
         "family, sides",
@@ -166,9 +165,7 @@ class TestDefinitions:
         seen = set()
         for S in family():
             analysis = SemigroupAnalysis(S)
-            for subset in (
-                analysis.betti_order, analysis.support_order, analysis.prefix_support_order
-            ):
+            for subset in (analysis.betti_order, analysis.support_order):
                 assert_matches_definitions(subset)
                 if subset.elements:
                     top = subset.elements[-1]
@@ -224,7 +221,7 @@ class TestUSet:
         # the definition, one down-set subset per element, as the oracle
         for S in enumerate_by_genus(9):
             analysis = SemigroupAnalysis(S)
-            for subset in (analysis.betti_order, analysis.prefix_support_order):
+            for subset in (analysis.betti_order, analysis.support_order):
                 expected = [x for x in subset if down_set(subset, x).is_totally_ordered()]
                 assert list(subset.u_set()) == expected, S
 
@@ -493,10 +490,17 @@ class TestVerifyTheorems:
         ]
         assert witnesses == expected
 
+    def test_exact_support_is_read_past_the_bound(self):
+        """A member of an exact support past the default bound still counts."""
+        analysis = SemigroupAnalysis(NumericalSemigroup(3, 5))
+        assert analysis.bound == 18
+        analysis.__dict__["full_exponents"] = {1: 1, 3: -1, 5: -1, 15: 1, 30: 1}
+        assert analysis.chain_betti_witness() == "chain parts differ: (15,) vs (15, 30)"
+
     def test_minimal_support_indices_reach_what_the_prefix_reaches(self):
         # the fourth check scans only the minimal support indices
         for S in enumerate_by_genus(8):
-            support = SemigroupAnalysis(S).prefix_support_order
+            support = SemigroupAnalysis(S).support_order
             minimals = support.minimals()
             for s in range(S.default_bound + 1):
                 assert any(leq(S, d, s) for d in support) == any(

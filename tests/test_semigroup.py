@@ -71,6 +71,15 @@ class TestConstruction:
         with pytest.raises(NonCoprimeGeneratorsError):
             NumericalSemigroup(2, 4)
 
+    @pytest.mark.parametrize("lone", [2.0, None])
+    def test_lone_non_int_non_iterable_raises(self, lone):
+        with pytest.raises(ValueError, match=rf"^generators must be ints, got {lone!r}$"):
+            NumericalSemigroup(lone)
+
+    def test_any_iterable_of_ints(self):
+        for generators in ([3, 5], (3, 5), (g for g in (3, 5))):
+            assert NumericalSemigroup(generators).generators == (3, 5)
+
     def test_nonpositive_raises(self):
         with pytest.raises(ValueError, match="generators must be positive, got 0"):
             NumericalSemigroup(0, 3)

@@ -125,7 +125,7 @@ def trial_division_factors(poly):
                 remaining = intpoly.divexact(remaining, phi_d)
                 factors[d] = factors.get(d, 0) + 1
         d += 1
-    return factors, remaining == intpoly.ONE
+    return factors, remaining == [1]
 
 
 def exponents_of_cyclotomic_product(factors):
