@@ -21,11 +21,7 @@ def prime_factors(n: int) -> dict[int, int]:
 
 
 def mobius(n: int) -> int:
-    """Moebius mu: 0 on non-squarefree n, else (-1)^(number of prime factors).
-
-    Kept only because ``perfbench/trace.py`` counts its calls, which now read
-    0; it goes with the next benchmark change.
-    """
+    """Moebius mu: 0 on non-squarefree n, else (-1)^(number of prime factors)."""
     factors = prime_factors(n)
     if any(e > 1 for e in factors.values()):
         return 0

@@ -78,28 +78,22 @@ def is_complete_intersection(S: NumericalSemigroup) -> bool:
     return SemigroupAnalysis(S).complete_intersection
 
 
+@lru_cache(maxsize=1024)  # one entry per semigroup, gluing parts included
 def gluing_decompose(S: NumericalSemigroup) -> GluingTree | None:
     """Recursive gluing witness, or None when no full tree exists.
 
     Bipartitions of the minimal generators are scored by (a1, a2, part1) and
     tried in ascending order; the first fully decomposable split is returned.
-    Gluings are not unique, so this fixes one deterministic choice.
+    Gluings are not unique, so this fixes one deterministic choice. Each
+    condition is tested once: the parts' gcds a1, a2 are coprime, as their
+    gcd is that of the generators; the parts divided by them are minimal, as
+    a sum relation among them scales to one among the generators; a1 > a2 is
+    skipped, as its mirror sorts earlier and succeeds or fails with it.
     """
-    return _decompose(S.generators)
-
-
-@lru_cache(maxsize=1024)  # one entry per generator tuple, gluing parts included
-def _decompose(gens: tuple[int, ...]) -> GluingTree | None:
-    """:func:`gluing_decompose` on minimal generators, testing each condition once.
-
-    The parts' gcds a1, a2 are coprime, as their gcd is that of ``gens``; the
-    parts divided by them are minimal, as a sum relation among them scales to
-    one among ``gens``; a1 > a2 is skipped, as its mirror sorts earlier and
-    succeeds or fails with it.
-    """
+    gens = S.generators
     e = len(gens)
-    if e == 1:
-        return LEAF if gens == (1,) else None
+    if e == 1:  # gcd 1: the non-negative integers
+        return LEAF
     # gcd over subsets by lowest-bit recurrence
     subset_gcd = [0] * (1 << e)
     for mask in range(1, 1 << e):
@@ -121,8 +115,8 @@ def _decompose(gens: tuple[int, ...]) -> GluingTree | None:
         right = NumericalSemigroup(g // a2 for i, g in enumerate(gens) if not mask >> i & 1)
         if a1 not in right or a1 in right.generators:
             continue
-        left_tree = _decompose(left.generators)
-        right_tree = None if left_tree is None else _decompose(right.generators)
+        left_tree = gluing_decompose(left)
+        right_tree = None if left_tree is None else gluing_decompose(right)
         if right_tree is not None:
             return Gluing(a1, left_tree, a2, right_tree)
     return None

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import NotAMemberError
+from .errors import NotAMemberError, require_int
 from .semigroup import NumericalSemigroup
 
 Vector = tuple[int, ...]
@@ -68,6 +68,7 @@ def denumerant_series(S: NumericalSemigroup, bound: int) -> list[int]:
 
     Matches the coefficients of ``prod_{n in A} 1/(1 - x^n)``.
     """
+    require_int(bound, "bound must be an int >= 0", 0)
     ways = [0] * (bound + 1)
     ways[0] = 1
     for g in S.generators:

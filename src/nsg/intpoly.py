@@ -5,10 +5,11 @@ A polynomial is a plain ``list[int]`` whose index is the degree, kept trimmed
 Python integers never overflow and divisions assert their own exactness.
 
 The verdict path reads only :func:`trim`, for the exponent sweep's numerator.
-:func:`divexact` divides the cyclotomic factors out of x^n - 1 in
-``witt._cyclotomic``, and :func:`divides` has no caller in the package; both
-stay because ``perfbench/trace.py`` binds them by name. The product of two
-polynomials is a test oracle only.
+:func:`divexact` divides the factors x^d - 1 with mu(n/d) = -1 out of
+:func:`~nsg.witt.cyclotomic_polynomial`'s Moebius product, and
+:func:`divides` has no caller in the package; it stays because
+``perfbench/trace.py`` binds it by name. The product of two polynomials is a
+test oracle only.
 """
 
 from .errors import IntegralityError

@@ -169,6 +169,7 @@ class NumericalSemigroup:
 
         Always contains 0 and has exactly m elements, sorted ascending.
         """
+        require_int(m, "m must be an int")  # True or 3.0 would pass as 1 or 3
         if m < 1 or m not in self:
             raise NotAMemberError(f"{m} must be a positive element of the semigroup")
         # over 0..F + m, the bit of w - m is m above w's: the window >> m is the mask

@@ -33,12 +33,11 @@ import.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import prod
 from typing import NamedTuple, Sequence
 
 from . import intpoly
-from .arith import divisors
+from .arith import divisors, mobius
 from .errors import BadConstantTermError, IntegralityError, require_int
 from .records import FrozenRecord
 from .semigroup import NumericalSemigroup
@@ -233,18 +232,19 @@ def exponent_sequence(S: NumericalSemigroup, bound: int | None = None) -> Expone
 
 
 def cyclotomic_polynomial(n: int) -> list[int]:
-    """The n-th cyclotomic polynomial via exact division of x^n - 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return list(_cyclotomic(n))
+    """The n-th cyclotomic polynomial, ``prod_{d | n} (x^d - 1)^(mu(n/d))``.
 
-
-@lru_cache(maxsize=256)  # serves cyclotomic_polynomial only; the factor reading builds none
-def _cyclotomic(n: int) -> tuple[int, ...]:
-    quotient = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in divisors(n)[:-1]:  # the proper divisors, ascending
-        quotient = intpoly.divexact(quotient, _cyclotomic(d))
-    return tuple(quotient)
+    Each x^d - 1 with mu(n/d) = 1 is multiplied in, then each with
+    mu(n/d) = -1 divided out exactly: the second product times Phi_n is the first.
+    """
+    require_int(n, "n must be >= 1", 1)
+    signs = {d: mobius(n // d) for d in divisors(n)}
+    poly = [1]
+    for d in (d for d, mu in signs.items() if mu == 1):
+        poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]  # x^d p - p
+    for d in (d for d, mu in signs.items() if mu == -1):
+        poly = intpoly.divexact(poly, [-1] + [0] * (d - 1) + [1])
+    return poly
 
 
 def _index_bound(deg: int) -> int:

@@ -100,6 +100,22 @@ def euler_phi(n: int) -> int:
     return result
 
 
+def cyclotomic_by_division(top: int) -> list[list[int]]:
+    """Phi_1..Phi_top, each x^n - 1 divided by Phi_d over its proper divisors d.
+
+    Ascending n, so every Phi_d is at hand when Phi_n needs it; no Moebius
+    function, unlike :func:`nsg.witt.cyclotomic_polynomial`.
+    """
+    table = [[]]
+    for n in range(1, top + 1):
+        quotient = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                quotient = divexact(quotient, table[d])
+        table.append(quotient)
+    return table[1:]
+
+
 def mul(a: list[int], b: list[int]) -> list[int]:
     """Product of two polynomials, trimmed."""
     a, b = trim(a), trim(b)

@@ -1,3 +1,4 @@
+import re
 from math import comb, gcd
 
 import pytest
@@ -47,6 +48,12 @@ class TestFactorizations:
         assert denumerant_series(s357, 6)[6] == 1
         assert denumerant_series(s357, 0)[0] == 1
         assert denumerant_series(s357, 1)[1] == 0
+
+    @pytest.mark.parametrize("bound", [-1, 2.5, True, "4"])
+    def test_denumerant_bound_must_be_a_non_negative_int(self, s357, bound):
+        # -1 raised IndexError, 2.5 a bare TypeError
+        with pytest.raises(ValueError, match=re.escape(f"bound must be an int >= 0, got {bound!r}")):
+            denumerant_series(s357, bound)
 
     def test_series_matches_enumeration(self, five_gen):
         bound = 60

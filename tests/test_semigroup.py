@@ -292,6 +292,12 @@ class TestApery:
                 numerator[w] = 1
             assert mul_one_minus_xk_pow(numerator, m, -1, bound) == hilbert_prefix(S, bound), S
 
+    @pytest.mark.parametrize("m", [3.0, True, "3"])
+    def test_non_int_rejected(self, s357, m):
+        # 3.0 reached a shift with a bare TypeError; True passed as 1
+        with pytest.raises(ValueError, match=re.escape(f"m must be an int, got {m!r}")):
+            s357.apery_set(m)
+
     def test_non_member_raises(self, s357):
         with pytest.raises(NotAMemberError):
             s357.apery_set(4)

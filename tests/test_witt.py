@@ -1,4 +1,6 @@
+import functools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +25,7 @@ from nsg.witt import ExponentSweep, _check_constant_term, _index_bound
 
 from expected import EXPONENTS_3_5_7, EXPONENTS_4_6_9_18
 from oracles import (
+    cyclotomic_by_division,
     degree,
     euler_phi,
     evaluate,
@@ -106,6 +109,9 @@ def assert_growth_envelope(poly, ks):
         assert deviation <= allowance, (k, deviation, allowance)
 
 
+cached_cyclotomic = functools.cache(cyclotomic_polynomial)  # the oracle asks for each Phi_d often
+
+
 def trial_division_factors(poly):
     """The oracle: the greatest cyclotomic divisor, by greedy trial division.
 
@@ -120,7 +126,7 @@ def trial_division_factors(poly):
     d = 2
     while d <= 2 * (len(remaining) - 1) ** 2:
         if euler_phi(d) <= len(remaining) - 1:
-            phi_d = cyclotomic_polynomial(d)
+            phi_d = cached_cyclotomic(d)
             while intpoly.divides(phi_d, remaining):
                 remaining = intpoly.divexact(remaining, phi_d)
                 factors[d] = factors.get(d, 0) + 1
@@ -321,6 +327,15 @@ class TestCyclotomicPolynomials:
         assert evaluate(cyclotomic_polynomial(1), 1) == 0
         for n in range(2, 40):
             assert evaluate(cyclotomic_polynomial(n), 1) != 0
+
+    def test_moebius_product_matches_division(self):
+        assert [cyclotomic_polynomial(n) for n in range(1, 401)] == cyclotomic_by_division(400)
+
+    @pytest.mark.parametrize("n", [0, -3, True, 2.0, "6"])
+    def test_index_must_be_a_positive_int(self, n):
+        # True gave Phi_1 = [-1, 1]; 2.0 reached divisors with a bare TypeError
+        with pytest.raises(ValueError, match=re.escape(f"n must be >= 1, got {n!r}")):
+            cyclotomic_polynomial(n)
 
     def test_product_over_divisors(self):
         for n in (12, 18, 30):
