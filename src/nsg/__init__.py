@@ -21,7 +21,6 @@ from .bettiposet import (
 )
 from .ci import (
     Gluing,
-    GluingTree,
     LEAF,
     Leaf,
     gluing_decompose,
@@ -34,7 +33,6 @@ from .enumeration import (
 )
 from .errors import (
     BadConstantTermError,
-    BoundTooSmallError,
     EmptyGeneratorsError,
     IntegralityError,
     NonCoprimeGeneratorsError,

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import BoundTooSmallError, require_int
 from .factorization import BettiData, betti_elements, denumerant_series
 from .semigroup import NumericalSemigroup
 from .witt import ExponentSequence, ExponentSweep
@@ -147,17 +146,16 @@ class ExponentSupport(NamedTuple):
 
     ``exact`` is True when the semigroup polynomial factors completely into
     cyclotomic polynomials, in which case ``members`` is the whole (finite)
-    set; otherwise it is the part visible below the truncation bound.
+    set; otherwise it is the part visible up to ``S.default_bound``.
     """
 
     members: tuple[int, ...]
-    bound: int
     exact: bool
 
 
-def exponent_support(S: NumericalSemigroup, bound: int | None = None) -> ExponentSupport:
-    """The exponent support at ``bound``, by default ``S.default_bound``."""
-    return SemigroupAnalysis(S, bound).support
+def exponent_support(S: NumericalSemigroup) -> ExponentSupport:
+    """The exponent support of S, read at ``S.default_bound`` unless it is exact."""
+    return SemigroupAnalysis(S).support
 
 
 class Classification(NamedTuple):
@@ -194,29 +192,27 @@ def classify(S: NumericalSemigroup) -> Classification:
     return SemigroupAnalysis(S).classification
 
 
-def verify_theorems(S: NumericalSemigroup, bound: int | None = None) -> tuple[str | None, ...]:
+def verify_theorems(S: NumericalSemigroup) -> tuple[str | None, ...]:
     """The witnesses of the four theorem checks on S: values, minimal, chain, support-below.
 
     Kept only because ``perfbench/trace.py`` times it by name; it goes with
     the next benchmark change. The checks are :class:`SemigroupAnalysis`'s.
     """
-    a = SemigroupAnalysis(S, bound)
+    a = SemigroupAnalysis(S)
     return (a.exponent_values_witness(), a.minimal_betti_witness(),
             a.chain_betti_witness(), a.support_below_witness())
 
 
 class SemigroupAnalysis:
-    """Lazily cached invariants of one semigroup at one truncation bound.
+    """Lazily cached invariants of one semigroup, read at one truncation.
 
-    ``bound`` defaults to ``S.default_bound``, which covers every Betti
-    element; a smaller int raises :class:`BoundTooSmallError` and any other
-    type (bool included) a ValueError, both at construction. :attr:`sequence`,
-    :attr:`full_exponents` and ``nsg analyze --bound`` each extend the one
-    ``sweep`` only as far as they read. The one symmetry gate is at
-    construction: a non-symmetric semigroup gets ``full_exponents`` None (a
-    cyclotomic product is self-reciprocal) and ``complete_intersection``
-    False (complete intersections are symmetric, Herzog 1970), read off no
-    sweep or catalog.
+    :attr:`bound` is ``S.default_bound``, which covers every Betti element.
+    :attr:`sequence`, :attr:`full_exponents` and ``nsg analyze --bound`` each
+    extend the one ``sweep`` only as far as they read. The one symmetry gate
+    is at construction: a non-symmetric semigroup gets ``full_exponents``
+    None (a cyclotomic product is self-reciprocal) and
+    ``complete_intersection`` False (complete intersections are symmetric,
+    Herzog 1970), read off no sweep or catalog.
 
     The ``*_witness`` methods are the checks: each returns None when its
     statement holds, else its first counterexample as text. Those of the
@@ -224,16 +220,14 @@ class SemigroupAnalysis:
     semigroup (all exponents 0) and read none of its invariants.
     """
 
-    def __init__(self, S: NumericalSemigroup, bound: int | None = None):
-        least = S.default_bound
-        bound = least if bound is None else bound
-        require_int(bound, "bound must be an int")
-        if bound < least:
-            raise BoundTooSmallError(f"bound {bound} is below the default truncation {least}")
+    def __init__(self, S: NumericalSemigroup):
         self.semigroup = S
-        self.bound = bound
         if not S.is_symmetric():
             self.full_exponents, self.complete_intersection = None, False
+
+    @cached_property
+    def bound(self) -> int:
+        return self.semigroup.default_bound
 
     @cached_property
     def sweep(self) -> ExponentSweep:
@@ -282,7 +276,7 @@ class SemigroupAnalysis:
         indices = self.sequence.support() if full is None else full
         members = tuple(j for j in indices if j >= 2 and j not in generators)
         assert full is None or all(j in S for j in members)
-        return ExponentSupport(members, self.bound, full is not None)
+        return ExponentSupport(members, full is not None)
 
     @cached_property
     def betti_order(self) -> OrderedSubset:

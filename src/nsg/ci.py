@@ -9,37 +9,30 @@ integers, and equivalently again its membership series is the quotient of
 
 :func:`is_complete_intersection` decides by the presentation size, read from
 the Betti catalog of a :class:`~nsg.bettiposet.SemigroupAnalysis` behind its
-symmetry gate (every complete intersection is symmetric). The gluing tree is
-the witness ``nsg analyze`` prints. The product identities, at the root and
-at every gluing, are oracles in the test suite, which checks all routes agree.
+symmetry gate (every complete intersection is symmetric). The gluing tree,
+:class:`Gluing` tuples nested down to :data:`LEAF`, is the witness ``nsg
+analyze`` prints. The product identities, at the root and at every gluing,
+are oracles in the test suite, which checks all routes agree.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .bettiposet import SemigroupAnalysis
-from .records import FrozenRecord
 from .semigroup import NumericalSemigroup
 
 
-class GluingTree(FrozenRecord):
-    """Recursive witness that a semigroup is a complete intersection."""
-
-    __slots__ = ()
-
-
-class Leaf(GluingTree):
+class Leaf(NamedTuple):
     """The non-negative integers; the base of every gluing tree."""
-
-    __slots__ = ()
 
     def to_json(self):
         return "N"
 
 
-class Gluing(GluingTree):
+class Gluing(NamedTuple):
     """An internal node ``a1*left + a2*right`` with coprime scales.
 
     The scales satisfy: a2 is a non-generator member of the left semigroup
@@ -51,13 +44,13 @@ class Gluing(GluingTree):
     enumerate complete intersections by Frobenius number.
     """
 
-    __slots__ = ("a1", "left", "a2", "right")
-
-    def __init__(self, a1: int, left: GluingTree, a2: int, right: GluingTree):
-        self._init(a1, left, a2, right)
+    a1: int
+    left: Gluing | Leaf
+    a2: int
+    right: Gluing | Leaf
 
     def to_json(self):
-        return {
+        return {  # keys in this order: the exports hash json.dumps unsorted
             "a1": self.a1,
             "left": self.left.to_json(),
             "a2": self.a2,
@@ -79,7 +72,7 @@ def is_complete_intersection(S: NumericalSemigroup) -> bool:
 
 
 @lru_cache(maxsize=1024)  # one entry per semigroup, gluing parts included
-def gluing_decompose(S: NumericalSemigroup) -> GluingTree | None:
+def gluing_decompose(S: NumericalSemigroup) -> Gluing | Leaf | None:
     """Recursive gluing witness, or None when no full tree exists.
 
     Bipartitions of the minimal generators are scored by (a1, a2, part1) and

@@ -117,7 +117,7 @@ def _walk(stack: list, g_max, frobenius: int | None) -> Iterator[NumericalSemigr
             push(reversed(children(entry, frobenius)))
 
 
-def _resumed(path: Path | None, g_max, frobenius: int | None, live: int):
+def _resumed(path: Path | None, g_max, frobenius: int | None):
     """The walk from the root, or strictly after the node at gap tuple ``path``.
 
     The one descent of both walks takes the entries of :func:`children` as
@@ -127,7 +127,7 @@ def _resumed(path: Path | None, g_max, frobenius: int | None, live: int):
     becomes an object. A path naming no node of the walk, or with a gap that is
     no int (``from_gaps``'s guard), is a ValueError at the call.
     """
-    entry, stack = ((1,), -1, 0, 0, live), []  # <1>, whose mask over 0..F = -1 is 0
+    entry, stack = ((1,), -1, 0, 0, int(frobenius is not None)), []  # <1>: mask 0 over 0..-1
     if path is None:
         return _walk([entry] if g_max >= 0 else [], g_max, frobenius)
     for depth, g in enumerate(path, 1):
@@ -150,7 +150,9 @@ def _resumed(path: Path | None, g_max, frobenius: int | None, live: int):
 
 def enumerate_by_genus(g_max, resume: Path | None = None) -> Iterator[NumericalSemigroup]:
     """Every numerical semigroup of genus <= g_max, once, in preorder; after ``resume`` if given."""
-    return _resumed(resume, g_max, None, 0)
+    if isinstance(g_max, bool) or not isinstance(g_max, (int, float)):
+        raise ValueError(f"g_max must be a number, got {g_max!r}")
+    return _resumed(resume, g_max, None)  # a float cap such as 2.5 walks to genus 2
 
 
 def enumerate_by_frobenius(frobenius, resume: Path | None = None) -> Iterator[NumericalSemigroup]:
@@ -159,14 +161,14 @@ def enumerate_by_frobenius(frobenius, resume: Path | None = None) -> Iterator[Nu
     Same tree, pruned to the live nodes: S minus g is built only when g <= F
     and F is not in the monoid spanned by S's generators below g, exactly
     the nodes with a descendant at F (module docstring), and a node at the
-    target has no children to build. The root's mask holds 0 alone. With
+    target has no children to build. The root's live mask holds 0 alone. With
     ``resume``, a member's gap tuple, only the members after it. The target
     and the path are checked at the call, not at the first ``next``.
     """
     require_int(frobenius, "frobenius must be an int")  # a float or bool would walk astray
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1")
-    return _resumed(resume, frobenius, frobenius, 1)
+    return _resumed(resume, frobenius, frobenius)
 
 
 # A target F recurses into at most -1 and the odd numbers below it, so 512

@@ -25,10 +25,6 @@ class IntegralityError(NsgError, ArithmeticError):
     """A division that is provably exact failed; signals an implementation bug."""
 
 
-class BoundTooSmallError(NsgError, ValueError):
-    """The requested truncation bound is below the minimum this operation needs."""
-
-
 def require_int(value, what: str, least: float = float("-inf")) -> None:
     """A ValueError ``"{what}, got {value!r}"`` unless value is an int >= least, and no bool."""
     if not isinstance(value, int) or isinstance(value, bool) or value < least:

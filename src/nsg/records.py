@@ -1,8 +1,8 @@
 """Immutable slotted records, the frozen-dataclass surface without its import cost.
 
 Plain records in the package are ``typing.NamedTuple``s. A record that
-validates its fields, defines its own sequence protocol or heads a class
-hierarchy subclasses :class:`FrozenRecord` instead.
+validates its fields or defines its own sequence protocol subclasses
+:class:`FrozenRecord` instead.
 """
 
 from __future__ import annotations

@@ -45,13 +45,17 @@ FILTERS: dict[str, Callable[[SemigroupAnalysis], bool]] = {
 }
 
 
-def _validate_names(kind: str, names, known) -> None:
-    """A ValueError for the first unknown or repeated name of a ``kind``."""
+def _validate_names(kind: str, names, known) -> tuple[str, ...]:
+    """The names as a tuple; a ValueError for a bare string or the first unknown or repeated one."""
+    if isinstance(names, str):
+        raise ValueError(f"{kind}s must be a sequence of names, got the string {names!r}")
+    names = tuple(names)
     for i, name in enumerate(names):
         if name not in known:
             raise ValueError(f"unknown {kind} {name!r}; known: {','.join(known)}")
         if name in names[:i]:
             raise ValueError(f"{kind} {name!r} named twice")
+    return names
 
 
 def _glued(frobenius: int, path: Path | None) -> tuple[NumericalSemigroup, ...]:
@@ -94,14 +98,13 @@ class EnumerationJob(FrozenRecord):
         filters: tuple[str, ...] = (),
         resume_token: str | None = None,
     ):
-        self._init(mode, limit, tuple(filters), resume_token)
+        self._init(mode, limit, _validate_names("filter", filters, FILTERS), resume_token)
         if (self.mode, None) not in FAMILIES:
             raise ValueError(f"unknown mode {self.mode!r}")
         require_int(self.limit, "limit must be an int")
         least, members = FAMILIES[self.family]
         if self.limit < least:
             raise ValueError(f"limit must be >= {least} in {self.mode} mode")
-        _validate_names("filter", self.filters, FILTERS)
         if self.resume_token is not None:
             path = parse_token(self.resume_token)
             try:
@@ -192,11 +195,10 @@ CHECKS: dict[str, Callable[[SemigroupAnalysis], str | None]] = {
 
 
 def validate_checks(names) -> tuple[str, ...]:
-    """The check names as a tuple; unknown, empty or repeated names are a ValueError."""
-    names = tuple(names)
+    """The check names as a tuple; a bare string or unknown, empty or repeated names are a ValueError."""
+    names = _validate_names("check", names, CHECKS)
     if not names:
         raise ValueError("no check named; known: " + ",".join(CHECKS))
-    _validate_names("check", names, CHECKS)
     return names
 
 

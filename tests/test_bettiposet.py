@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nsg import (
-    BoundTooSmallError,
     NumericalSemigroup,
     betti_elements,
     ci_with_frobenius,
@@ -26,6 +25,13 @@ from nsg.witt import ExponentSequence
 
 from expected import ORDER_DIGEST_FROBENIUS_21, ORDER_DIGEST_GENUS_10
 from oracles import elements_up_to, hilbert_prefix, restricted_factorizations
+
+
+def analysis_at(S, bound):
+    """The analysis of S read at a truncation longer than the default one."""
+    analysis = SemigroupAnalysis(S)
+    analysis.bound = bound  # before the first read, as every prefix is cut at it
+    return analysis
 
 
 def down_set(subset, x):
@@ -202,7 +208,7 @@ class TestUSet:
         assert tuple(betti.u_set()) == tuple(betti)
 
     def test_support_prefix(self, s357):
-        support = exponent_support(s357, 30)
+        support = analysis_at(s357, 30).support
         subset = OrderedSubset(s357, [d for d in support.members if d <= 30])
         assert tuple(subset.u_set()) == (10, 12, 14)
 
@@ -269,7 +275,7 @@ class TestHasse:
 
 class TestExponentSupport:
     def test_prefix_of_unbounded_support(self, s357):
-        support = exponent_support(s357, 30)
+        support = analysis_at(s357, 30).support
         assert support.members[:5] == (10, 12, 14, 17, 19)
         assert not support.exact
 
@@ -282,14 +288,10 @@ class TestExponentSupport:
         support = exponent_support(naturals)
         assert support.members == () and support.exact
 
-    def test_bound_too_small(self, s357):
-        with pytest.raises(BoundTooSmallError):
-            exponent_support(s357, 5)
-
     def test_members_in_semigroup_with_two_factorizations(self, five_gen):
         support = exponent_support(five_gen)
         for d in support.members:
-            if d <= support.bound:
+            if d <= five_gen.default_bound:
                 assert d in five_gen
                 assert denumerant_series(five_gen, d)[d] >= 2
 
@@ -351,7 +353,7 @@ class TestClassify:
         assert OrderedSubset(S, support.members).hasse().is_forest
         assert classify(S).e_forest is None
         # None is not a hidden True: a longer prefix shows a violation
-        longer = exponent_support(S, 2 * S.default_bound)
+        longer = analysis_at(S, 2 * S.default_bound).support
         assert longer.members[:8] == (12, 20, 21, 26, 27, 32, 33, 38)
         assert not OrderedSubset(S, longer.members).hasse().is_forest
 
@@ -364,7 +366,7 @@ class TestClassify:
         covers = OrderedSubset(s357, support.members).hasse().covers
         assert [c for c in covers if c[1] == 17] == [(10, 17), (12, 17), (14, 17)]
         assert classify(s357).e_forest is False
-        longer = exponent_support(s357, 2 * s357.default_bound)
+        longer = analysis_at(s357, 2 * s357.default_bound).support
         covers = OrderedSubset(s357, longer.members).hasse().covers
         assert [c for c in covers if c[1] == 17] == [(10, 17), (12, 17), (14, 17)]
 
@@ -379,7 +381,7 @@ class TestClassify:
                 assert OrderedSubset(S, support.members).hasse().is_forest, S
             else:
                 assert e_forest is False, S
-                longer = exponent_support(S, 2 * S.default_bound)
+                longer = analysis_at(S, 2 * S.default_bound).support
                 assert not OrderedSubset(S, longer.members).hasse().is_forest, S
 
     def test_divisible_example(self):
@@ -418,10 +420,6 @@ class TestVerifyTheorems:
         assert SemigroupAnalysis(s357).exponent_values_witness() is None
         assert sequence[10] == sequence[12] == sequence[14] == 1
 
-    def test_bound_too_small(self, s357):
-        with pytest.raises(BoundTooSmallError):
-            verify_theorems(s357, 3)
-
     def test_vacuous_on_the_trivial_semigroup_without_a_sweep(self, naturals):
         # e_1 = 0 on <1>, so the values check would fail there if it read the sweep
         analysis = SemigroupAnalysis(naturals)
@@ -438,7 +436,10 @@ class TestVerifyTheorems:
     def test_reports_pinned(self, extra):
         # every witness None above the default bound too, where the prefix support grows
         for S in enumerate_by_genus(8):
-            assert verify_theorems(S, S.default_bound + extra) == (None,) * 4, S
+            a = analysis_at(S, S.default_bound + extra)
+            witnesses = (a.exponent_values_witness(), a.minimal_betti_witness(),
+                         a.chain_betti_witness(), a.support_below_witness())
+            assert witnesses == (None,) * 4, S
 
     @pytest.mark.parametrize(
         "generators, edits, expected",

@@ -253,6 +253,15 @@ class TestGenusCap:
         # a cap of 2.5 admits genus <= 2; islice keeps a walk that never stops finite
         assert [S.genus for S in islice(enumerate_by_genus(2.5), 10)] == [0, 1, 2, 2]
 
+    @pytest.mark.parametrize("g_max", [True, False, "3", None])
+    def test_cap_that_is_no_number_rejected_at_the_call(self, g_max):
+        # True once walked genus <= 1, "3" and None raised a bare TypeError
+        with pytest.raises(ValueError, match=re.escape(f"g_max must be a number, got {g_max!r}")):
+            enumerate_by_genus(g_max)
+
+    def test_negative_cap_walks_nothing(self):
+        assert list(enumerate_by_genus(-1)) == []
+
 
 class TestResume:
     @pytest.mark.parametrize("g_max", [-1, 0, 1, 3, 4, 10])

@@ -11,7 +11,6 @@ from nsg import NumericalSemigroup, SemigroupAnalysis, classify, enumerate_by_ge
 from nsg import bettiposet as bettiposet_module
 from nsg import witt as witt_module
 from nsg.enumeration import ci_with_frobenius, enumerate_by_frobenius, format_token
-from nsg.errors import BoundTooSmallError
 from nsg.verification import (
     CHECKS,
     EnumerationJob,
@@ -149,20 +148,21 @@ class TestSharedAnalysis:
         assert summary.total == 4096 and summary.all_pass
         assert len(reached) == 36 and all(S.is_symmetric() for S in reached)
 
-    def test_bound_below_default_rejected(self, s357):
-        with pytest.raises(BoundTooSmallError):
-            SemigroupAnalysis(s357, s357.default_bound - 1)
-
-    @pytest.mark.parametrize("bound", [40.0, "x", True])
-    def test_bound_must_be_an_int_at_construction(self, s357, bound):
-        with pytest.raises(ValueError, match=re.escape(f"bound must be an int, got {bound!r}")):
-            SemigroupAnalysis(s357, bound)
-
     def test_larger_bound_extends_the_prefix(self, s357):
-        analysis = SemigroupAnalysis(s357, 30)
+        analysis = SemigroupAnalysis(s357)
+        analysis.bound = 30  # before the first read, as every prefix is cut at it
         assert len(analysis.sequence) == 30
         assert len(analysis.denumerants) == 31
-        assert analysis.support.bound == 30
+        assert analysis.support.members[-1] == 29 > s357.default_bound
+
+    def test_the_truncation_is_read_only_when_needed(self):
+        # <3, 5, 7> is not symmetric: both conjectures are settled at construction
+        S = NumericalSemigroup(3, 5, 7)
+        analysis = SemigroupAnalysis(S)
+        assert analysis.negative_support_witness() is None
+        assert analysis.betti_exponent_witness() is None
+        assert "bound" not in analysis.__dict__
+        assert analysis.bound == S.default_bound
 
 
 class TestOneGraphPerElement:
@@ -245,6 +245,12 @@ class TestEnumerationJob:
     def test_repeated_filter_rejected(self, mode):
         with pytest.raises(ValueError, match="filter 'ci' named twice"):
             EnumerationJob(mode, 4, ("ci", "betti-sorted", "ci"))
+
+    def test_filters_as_one_string_rejected(self):
+        # not split into the unknown filters 'c' and 'i'
+        message = "filters must be a sequence of names, got the string 'ci'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EnumerationJob("by-genus", 2, "ci")
 
     def test_malformed_resume_token_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
@@ -452,6 +458,13 @@ class TestValidateChecks:
         monkeypatch.setattr(verification_module, "_stream", lambda job: pytest.fail("walked"))
         with pytest.raises(ValueError, match="twice"):
             run_verification(EnumerationJob("by-genus", 3), ("thm1", "thm1"))
+
+    def test_checks_as_one_string_rejected(self, monkeypatch):
+        # not split into the unknown checks 't', 'h', 'm' and '1'
+        monkeypatch.setattr(verification_module, "_stream", lambda job: pytest.fail("walked"))
+        message = "checks must be a sequence of names, got the string 'thm1'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_verification(EnumerationJob("by-genus", 3), "thm1")
 
 
 class TestTally:
